@@ -22,9 +22,28 @@ individually enumerated solution streams into shared subgraphs.  Node
 sharing is switched off when refreshing is active, because a dump must not
 contain paths for solutions the search has yet to report.
 
+The non-blocking host always decides the first unassigned variable.  So a
+cancel to level L unassigns exactly the variables at levels above L, all of
+which have index >= d, the variable decided at level L+1; every variable
+below d keeps its value.  The engine's per-step state follows the trail on
+that invariant, so each step touches only what the cancel changed:
+
+* ``cursor``    - every variable below it is assigned; the lookup for the
+                  first unassigned variable resumes there, and a cancel
+                  lowers it to d;
+* ``path``      - the OBDD path of the last graft, one (node, direction)
+                  entry per prefix variable; ``path_ok`` counts its leading
+                  entries whose variables kept their values since, a cancel
+                  lowers it to d - 1 and a refresh to 0.  A graft walks only
+                  the entries past ``path_ok``, and enrollment starts its
+                  walk there too;
+* ``pending_keys`` - ordered by cut, so a cancel drops its last entries,
+                  those at cuts >= d - 1.
+
 When the node arena reaches the refresh threshold the diagram is dumped to
-disk and all caching state restarts empty; the underlying search state is
-untouched, so dumped path sets partition the solution set.
+disk, the bytes accounted for its nodes and keys are released, and all
+caching state restarts empty; the underlying search state is untouched, so
+dumped path sets partition the solution set.
 """
 
 from __future__ import annotations
@@ -99,11 +118,40 @@ def make_formula(formula: CnfFormula, cuts: CutStructure, values: list[int],
     raise ValueError(f"unknown cache mode {mode!r}")
 
 
+def _refresh(solver) -> bool:
+    """Refresh step of both engines: once the arena reaches the threshold,
+    dump the diagram, release the bytes accounted for its nodes and cached
+    keys, and restart the store and the solved cache empty.  Returns whether
+    it did; the engine then clears whatever other cache state it keeps."""
+    policy = solver.policy
+    store = solver.store
+    theta = policy.threshold
+    if theta is None or store.size < theta - solver.formula.num_vars:
+        return False
+    directory = policy.resolve_dir()
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"{policy.stem}.part{len(solver.dumps)}.obdd"
+    count = count_models(store)
+    try:
+        with open(path, "w") as fh:
+            dump(store, out=fh)
+    except OSError as exc:
+        raise RuntimeError(f"dump failed for {path}: {exc}") from exc
+    solver.dumps.append((str(path), count))
+    budget = solver.kernel.budget
+    budget.release(_NODE_BYTES * store.size
+                   + _KEY_BYTES * (len(solver.solved) - 1))
+    store.reset()
+    solver.solved = {TOP_KEY: TOP}
+    return True
+
+
 @dataclass
 class BddResult:
     store: ObddStore
     dumps: list[tuple[str, int]] = field(default_factory=list)
-    total: int = 0
+    final: int = 0      # models in the final diagram
+    total: int = 0      # final plus every dumped part
     complete: bool = False
 
     @property
@@ -130,8 +178,14 @@ class BddSolver(NonBlockingSolver):
         self.policy.validate(formula.num_vars)
         self.store = ObddStore(formula.num_vars)
         self.solved: dict[tuple, int] = {TOP_KEY: TOP}
-        self.pending_keys: dict[int, tuple] = {}   # cut index -> code
+        # cut index -> code, in increasing cut order
+        self.pending_keys: dict[int, tuple] = {}
         self.path: list[tuple[int, int]] = []
+        # leading path entries whose variables kept their values since the
+        # path was grafted
+        self.path_ok = 0
+        # every variable below the cursor is assigned
+        self.cursor = 1
         self.dumps: list[tuple[str, int]] = []
 
     # ------------------------------------------------------------------
@@ -145,21 +199,49 @@ class BddSolver(NonBlockingSolver):
 
     def _first_unassigned(self) -> int | None:
         values = self.kernel.trail.values
-        for v in range(1, self.formula.num_vars + 1):
-            if values[v] == UNASSIGNED:
-                return v
-        return None
+        n = self.formula.num_vars
+        v = self.cursor
+        while v <= n and values[v] != UNASSIGNED:
+            v += 1
+        self.cursor = v
+        return v if v <= n else None
+
+    def _canceled_var(self, bl: int) -> int | None:
+        """Lowest variable a cancel to level ``bl`` unassigns: the decision
+        of level ``bl + 1`` (None when the cancel removes nothing)."""
+        t = self.kernel.trail
+        if bl >= t.level:
+            return None
+        return abs(t.decision_of(bl + 1).lit)
 
     def _before_cancel(self, level: int) -> None:
         """Enroll stage: solved-subinstance keys migrate from the pending
-        set to the cache just before their spine is canceled."""
+        set to the cache just before their spine is canceled.  Variables
+        below the canceled decision keep their values, so the cursor and
+        the valid path prefix drop to it."""
+        d = self._canceled_var(level)
+        if d is None:
+            return
         self._enroll(level)
-        self._prune(level)
+        # pending cuts ascend, so the keys whose decision the cancel
+        # removes (cuts >= d - 1) are the last ones
+        pending = self.pending_keys
+        while pending and next(reversed(pending)) >= d - 1:
+            pending.popitem()
+        self.cursor = min(self.cursor, d)
+        self.path_ok = min(self.path_ok, d - 1)
 
     def _enroll(self, bl: int) -> None:
+        d = self._canceled_var(bl)
+        if d is None:
+            return
         t = self.kernel.trail
         store = self.store
-        for nid, direction in self.path:
+        path = self.path
+        # entries below both bounds agree with the trail and sit at levels
+        # <= bl, so the walk would pass them without enrolling
+        for idx in range(min(d - 1, self.path_ok), len(path)):
+            nid, direction = path[idx]
             j = store.var[nid]
             if t.values[j] != direction:
                 break
@@ -169,34 +251,22 @@ class BddSolver(NonBlockingSolver):
                     self.solved[(j - 1, code)] = nid
                     self.kernel.budget.charge(_KEY_BYTES)
 
-    def _prune(self, bl: int) -> None:
-        t = self.kernel.trail
-        keep = {}
-        for cut, code in self.pending_keys.items():
-            j = cut + 1
-            if t.values[j] != UNASSIGNED and t.var_level[j] <= bl:
-                keep[cut] = code
-        self.pending_keys = keep
-
     def _maybe_refresh(self) -> None:
-        theta = self.policy.threshold
-        if theta is None or self.store.size < theta - self.formula.num_vars:
-            return
-        part = len(self.dumps)
-        directory = self.policy.resolve_dir()
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"{self.policy.stem}.part{part}.obdd"
-        count = count_models(self.store)
-        try:
-            with open(path, "w") as fh:
-                dump(self.store, out=fh)
-        except OSError as exc:
-            raise RuntimeError(f"dump failed for {path}: {exc}") from exc
-        self.dumps.append((str(path), count))
-        self.store.reset()
-        self.solved = {TOP_KEY: TOP}
-        self.pending_keys.clear()
-        self.path = []
+        if _refresh(self):
+            self.pending_keys.clear()
+            self.path = []
+            self.path_ok = 0
+
+    def _graft(self, node: int, i: int | None) -> None:
+        """Extend the diagram from the root along the prefix below variable
+        ``i`` (every variable when None) to the solved ``node``."""
+        k = self.kernel
+        upto = self.formula.num_vars if i is None else i - 1
+        before = self.store.size
+        self.path = extend_obdd(self.store, node, k.trail.values[1:upto + 1],
+                                self.path, self.path_ok)
+        self.path_ok = len(self.path)
+        k.budget.charge(_NODE_BYTES * (self.store.size - before))
 
     # ------------------------------------------------------------------
 
@@ -229,12 +299,7 @@ class BddSolver(NonBlockingSolver):
                             k.stats.solutions += 1
                         else:
                             k.stats.cache_hits += 1
-                        upto = self.formula.num_vars if i is None else i - 1
-                        values = self.kernel.trail.values
-                        before = self.store.size
-                        self.path = extend_obdd(
-                            self.store, node, [values[d] for d in range(1, upto + 1)])
-                        k.budget.charge(_NODE_BYTES * (self.store.size - before))
+                        self._graft(node, i)
                         if k.trail.level <= 0:
                             break
                         self.backtrack_bt()
@@ -246,7 +311,8 @@ class BddSolver(NonBlockingSolver):
                         k.make_decision(-i)
         except SearchHalted:
             pass
-        result.total = count_models(self.store) + sum(c for _, c in self.dumps)
+        result.final = count_models(self.store)
+        result.total = result.final + sum(c for _, c in self.dumps)
         result.dumps = self.dumps
         result.complete = True
         self.complete = True
@@ -331,31 +397,14 @@ class BddBlockingSolver(BlockingSolver):
 
     def _block_and_restart(self, clause: Clause) -> Clause | None:
         pending = super()._block_and_restart(clause)
-        self._maybe_refresh()
+        _refresh(self)
         return pending
-
-    def _maybe_refresh(self) -> None:
-        theta = self.policy.threshold
-        if theta is None or self.store.size < theta - self.formula.num_vars:
-            return
-        part = len(self.dumps)
-        directory = self.policy.resolve_dir()
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"{self.policy.stem}.part{part}.obdd"
-        count = count_models(self.store)
-        try:
-            with open(path, "w") as fh:
-                dump(self.store, out=fh)
-        except OSError as exc:
-            raise RuntimeError(f"dump failed for {path}: {exc}") from exc
-        self.dumps.append((str(path), count))
-        self.store.reset()
-        self.solved = {TOP_KEY: TOP}
 
     def run_bdd(self) -> BddResult:
         self.run()
         result = BddResult(self.store)
-        result.total = count_models(self.store) + sum(c for _, c in self.dumps)
+        result.final = count_models(self.store)
+        result.total = result.final + sum(c for _, c in self.dumps)
         result.dumps = self.dumps
         result.complete = self.complete
         return result

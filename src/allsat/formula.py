@@ -299,23 +299,48 @@ def compute_cuts(f: CnfFormula) -> CutStructure:
 
     A clause belongs to cutset(i) iff its minimum variable index is <= i and
     its maximum is > i; separator(i) collects the clause variables <= i.
+
+    One sweep over i = 0..n: a clause joins the cutsets at its minimum
+    variable and leaves at its maximum, and each of its variables v below
+    the maximum is in the separators from v until the clause leaves.
+    Cutsets keep clause order and separators ascending order.
     """
     n = f.num_vars
-    cutsets: list[list[int]] = [[] for _ in range(n + 1)]
-    separators: list[list[int]] = [[] for _ in range(n + 1)]
-    spans = []
-    for c in f.clauses:
+    opens: list[list[int]] = [[] for _ in range(n + 1)]   # clause positions
+    closes: list[list[int]] = [[] for _ in range(n + 1)]
+    drops: list[list[int]] = [[] for _ in range(n + 1)]   # variables
+    joins = [0] * (n + 1)      # clauses variable i joins the separators in
+    clauses = f.clauses
+    for pos, c in enumerate(clauses):
         if len(c) == 0:
             continue
-        vs = [var_of(l) for l in c.lits]
-        spans.append((min(vs), max(vs), c.cid, vs))
+        vs = {var_of(l) for l in c.lits}
+        lo, hi = min(vs), max(vs)
+        if lo == hi:
+            continue
+        opens[lo].append(pos)
+        closes[hi].append(pos)
+        for v in vs:
+            if v < hi:
+                joins[v] += 1
+                drops[hi].append(v)
+    cutsets: list[list[int]] = []
+    separators: list[list[int]] = []
+    active: set[int] = set()
+    # variable -> active clauses holding it; variable i only ever enters at
+    # step i, so insertion order is ascending
+    live: dict[int, int] = {}
     for i in range(n + 1):
-        sep: set[int] = set()
-        for lo, hi, cid, vs in spans:
-            if lo <= i < hi:
-                cutsets[i].append(cid)
-                sep.update(v for v in vs if v <= i)
-        separators[i] = sorted(sep)
+        active.difference_update(closes[i])
+        active.update(opens[i])
+        for v in drops[i]:
+            live[v] -= 1
+            if not live[v]:
+                del live[v]
+        if joins[i]:
+            live[i] = joins[i]
+        cutsets.append([clauses[pos].cid for pos in sorted(active)])
+        separators.append(list(live))
     cutwidth = max((len(cs) for cs in cutsets), default=0)
     pathwidth = max((len(s) for s in separators), default=0)
     return CutStructure(cutsets, separators, cutwidth, pathwidth)

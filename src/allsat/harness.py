@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -179,6 +178,8 @@ def run_instance(path: str | Path, cfg: RunConfig, sink=None,
 
     solver = None
     store = None
+    policy = None
+    final = 0
     dumps: list[tuple[str, int]] = []
     try:
         budget.check_time()
@@ -212,6 +213,7 @@ def run_instance(path: str | Path, cfg: RunConfig, sink=None,
             result = solver.run_bdd()
             store = result.store
             dumps = result.dumps
+            final = result.final
             stats.solutions = result.total
             stats.solved = True
     except LimitExceeded as exc:
@@ -220,8 +222,8 @@ def run_instance(path: str | Path, cfg: RunConfig, sink=None,
         if solver is not None and hasattr(solver, "store"):
             store = solver.store
             dumps = solver.dumps
-            stats.solutions = (count_models(store)
-                               + sum(c for _, c in dumps))
+            final = count_models(store)
+            stats.solutions = final + sum(c for _, c in dumps)
         elif solver is not None:
             stats.solutions = getattr(solver, "covered", solver.count)
     except OracleGuardError as exc:
@@ -244,7 +246,7 @@ def run_instance(path: str | Path, cfg: RunConfig, sink=None,
         stats.obdd_nodes = store.size
         stats.dumps = len(dumps)
         if dumps:
-            _write_manifest(path, dumps, count_models(store))
+            _write_manifest(policy, dumps, final)
 
     if out is not None and stats.exit_code != EXIT_INPUT:
         if cfg.output == "count":
@@ -257,10 +259,9 @@ def run_instance(path: str | Path, cfg: RunConfig, sink=None,
     return stats
 
 
-def _write_manifest(path: str | Path, dumps: list[tuple[str, int]],
+def _write_manifest(policy: RefreshPolicy, dumps: list[tuple[str, int]],
                     final_count: int) -> None:
-    directory = os.environ.get("ALLSAT_DUMP_DIR") or Path(path).parent
-    manifest = Path(directory) / f"{Path(path).stem}.obdd.manifest"
+    manifest = policy.resolve_dir() / f"{policy.stem}.obdd.manifest"
     with open(manifest, "w") as fh:
         for part, count in dumps:
             fh.write(f"{part} {count}\n")

@@ -109,7 +109,10 @@ class ClauseStore:
 
     def __init__(self, formula: CnfFormula):
         self.formula = formula
-        self.problem: list[Clause] = [c for c in formula.clauses if len(c) > 0]
+        # own copies: propagation reorders literals, and the formula is
+        # shared with the caller
+        self.problem: list[Clause] = [Clause(list(c.lits), c.cid, c.origin)
+                                      for c in formula.clauses if len(c) > 0]
         self.learned: list[Clause] = []
         self.blocking: list[Clause] = []
         n = formula.num_vars

@@ -73,28 +73,46 @@ class ObddStore:
                         f"node {nid} violates variable ordering"
 
 
-def extend_obdd(store: ObddStore, g: int,
-                values: list[int]) -> list[tuple[int, int]]:
+def extend_obdd(store: ObddStore, g: int, values: list[int],
+                path: list[tuple[int, int]] | None = None,
+                keep: int = 0) -> list[tuple[int, int]]:
     """Add the path described by ``values`` (value of variable d at index
     d-1) from the root to the already-solved node ``g``.
 
     Missing interior nodes are created with both arcs at the false sink; the
     final arc is upgraded from the false sink to ``g``.  Returns the path as
     (node id, direction taken) pairs, root first.
+
+    ``path`` may be the list an earlier call on this store returned.  When
+    its first ``keep`` entries still take the directions ``values`` gives
+    their variables, and the store was not reset since, those entries are
+    kept and only the rest of the path is walked: arcs are never rewritten,
+    so walking them again would reach the same nodes.  The list is updated
+    in place and returned.
     """
     k = len(values)
-    path: list[tuple[int, int]] = []
-    if k == 0:
-        if store.root not in (BOT, g):
-            raise ObddCorruption("root already points elsewhere")
-        store.root = g
-        return path
-    if store.root == BOT:
-        store.root = store.new_node(1)
-    u = store.root
-    if u < 2 or store.var[u] != 1:
-        raise ObddCorruption("root is not a branch node over the first variable")
-    for d in range(1, k + 1):
+    if path is None:
+        path = []
+    # the last step is always walked again, since it is the one that grafts
+    keep = min(keep, k - 1, len(path) - 1)
+    if keep > 0:
+        u = path[keep][0]
+        del path[keep:]
+    else:
+        keep = 0
+        path.clear()
+        if k == 0:
+            if store.root not in (BOT, g):
+                raise ObddCorruption("root already points elsewhere")
+            store.root = g
+            return path
+        if store.root == BOT:
+            store.root = store.new_node(1)
+        u = store.root
+        if u < 2 or store.var[u] != 1:
+            raise ObddCorruption(
+                "root is not a branch node over the first variable")
+    for d in range(keep + 1, k + 1):
         v = values[d - 1]
         path.append((u, v))
         cur = store.arc(u, v)

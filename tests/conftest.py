@@ -4,6 +4,16 @@ import pytest
 
 from allsat import from_clause_lists
 
+try:
+    from hypothesis import settings
+except ImportError:   # property tests import hypothesis themselves
+    pass
+else:
+    # small enough for the tier-1 run; pass --hypothesis-profile to use
+    # another registered profile
+    settings.register_profile("tier1", max_examples=50, deadline=None)
+    settings.load_profile("tier1")
+
 # Worked 6-variable formula used throughout: C1..C5 (clause ids 0..4).
 EX31_CLAUSES = [[1, -3], [2, 3, 5], [-1, -3, 4], [4, -5, 6], [5, -6]]
 # 3-variable ring implication formula with exactly the all-false and

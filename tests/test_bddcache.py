@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -7,10 +8,13 @@ from allsat import (BddSolver, NonBlockingConfig, RefreshPolicy, compute_cuts,
                     entails, from_clause_lists, load, make_formula,
                     subinstance_models)
 from allsat.bddcache import TOP_KEY, BddBlockingSolver
+from allsat.harness import EXIT_LIMIT, EXIT_OK, RunConfig, run_instance
+from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
 from allsat.obdd import iter_paths
 from allsat.oracle import satisfies
+from allsat.trail import UNASSIGNED
 
-from conftest import random_instances
+from conftest import random_3cnf, random_instances
 
 
 def test_make_formula_worked_prefix(ex31):
@@ -271,3 +275,73 @@ def test_enroll_noop_when_nothing_canceled_below():
     solver.path = []
     solver._enroll(2)
     assert solver.solved == before
+
+
+class CheckedSolver(BddSolver):
+    """Checks the trail-synced state against full read-only recomputations:
+    after every graft the path and the cursor, and at every enrollment the
+    keys a walk of the whole path would enroll."""
+
+    grafts = 0
+
+    def _enroll(self, bl):
+        want = dict(self.solved)
+        t = self.kernel.trail
+        for nid, direction in self.path:
+            j = self.store.var[nid]
+            if t.values[j] != direction:
+                break
+            if bl < t.var_level[j] and j - 1 in self.pending_keys:
+                want[(j - 1, self.pending_keys[j - 1])] = nid
+        super()._enroll(bl)
+        assert self.solved == want
+
+    def _graft(self, node, i):
+        super()._graft(node, i)
+        CheckedSolver.grafts += 1
+        values = self.kernel.trail.values
+        n = self.formula.num_vars
+        first = next((v for v in range(1, n + 1) if values[v] == UNASSIGNED),
+                     n + 1)
+        assert self.cursor == first
+        walk = []
+        u = self.store.root
+        for d in range(1, (n if i is None else i - 1) + 1):
+            walk.append((u, values[d]))
+            u = self.store.arc(u, values[d])
+        assert u == node
+        assert self.path == walk
+        assert self.path_ok == len(walk)
+
+
+def test_trail_synced_state_matches_full_walks(tmp_path):
+    CheckedSolver.grafts = 0
+    for f in random_instances(seed=67, count=12, n_range=(4, 11)):
+        want = enumerate_all(f).count
+        n = f.num_vars
+        for cfg in (NonBlockingConfig(u, b)
+                    for u in UIP_SCHEMES for b in STRATEGIES):
+            for mode in ("cutset", "separator"):
+                for threshold in (None, n + 3):
+                    policy = RefreshPolicy(threshold, tmp_path, "checked")
+                    solver = CheckedSolver(f, cfg=cfg, cache_mode=mode,
+                                           policy=policy)
+                    assert solver.run_bdd().total == want
+    assert CheckedSolver.grafts > 1000
+
+
+def test_refresh_run_fits_a_memory_limit_the_plain_run_exceeds(tmp_path):
+    """A refresh releases the bytes accounted for the nodes and keys it
+    drops, in both engines."""
+    f = random_3cnf(random.Random(1), 12, 24)
+    want = enumerate_all(f).count
+    path = tmp_path / "mem.cnf"
+    for mode, limit in (("bdd", 10_000), ("bdd-blocking", 45_000)):
+        plain = run_instance(path, RunConfig(mode=mode, mem_limit=limit),
+                             formula=f)
+        assert plain.exit_code == EXIT_LIMIT, mode
+        refresh = run_instance(path, RunConfig(mode=mode, mem_limit=limit,
+                                               refresh_threshold=48),
+                               formula=f)
+        assert refresh.exit_code == EXIT_OK, mode
+        assert refresh.dumps and refresh.solutions == want

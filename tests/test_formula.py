@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from allsat import (DimacsError, apply_order, compute_cuts, from_clause_lists,
@@ -133,8 +135,23 @@ def test_cuts_match_definition_after_reorder(ex31):
     assert cuts.separators == want_separators
 
 
+def irregular_formulas(seed: int, count: int):
+    """Formulas with empty, unit and wide clauses, repeated variables and
+    complementary literals in one clause."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 40)
+        clauses = [[rng.choice((1, -1)) * rng.randint(1, n)
+                    for _ in range(rng.randint(0, 6))]
+                   for _ in range(rng.randint(0, 3 * n))]
+        out.append(from_clause_lists(n, clauses))
+    return out
+
+
 def test_cuts_match_definition_random():
-    for f in random_instances(seed=77, count=20):
+    for f in (random_instances(seed=77, count=20)
+              + irregular_formulas(seed=78, count=40)):
         cuts = compute_cuts(f)
         want_cutsets, want_separators = brute_force_cuts(f)
         assert cuts.cutsets == want_cutsets

@@ -1,14 +1,21 @@
 import csv
 import io
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from allsat import render_dimacs
+from allsat.bddcache import CACHE_MODES
 from allsat.cli import main, parse_config_string
 from allsat.harness import (EXIT_INPUT, EXIT_LIMIT, EXIT_OK, ConfigError,
-                            RunConfig, run_instance, run_suite, verify)
+                            RunConfig, RunStats, run_instance, run_suite,
+                            verify)
+from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
+
+from conftest import random_3cnf
 
 EX41_TEXT = "p cnf 3 3\n1 -2 0\n2 -3 0\n3 -1 0\n"
 EX31_TEXT = ("p cnf 6 5\n1 -3 0\n2 3 5 0\n-1 -3 4 0\n"
@@ -275,3 +282,24 @@ def test_determinism(ex31_file):
     for field in ("solutions", "decisions", "conflicts", "propagations",
                   "learned_clauses"):
         assert getattr(a, field) == getattr(b, field)
+
+
+def test_reused_formula_runs_identically():
+    """Solvers work on their own clause copies: a second run on the same
+    CnfFormula repeats every counter, and the formula is left unchanged."""
+    f = random_3cnf(random.Random(7), 12, 40)
+    text = render_dimacs(f)
+    configs = ([RunConfig(mode="nonblocking", uip=u, backtrack=b)
+                for u in UIP_SCHEMES for b in STRATEGIES]
+               + [RunConfig(mode="blocking", simplify=s, continue_search=c)
+                  for s in (False, True) for c in (False, True)]
+               + [RunConfig(mode=m, cache=c)
+                  for m in ("bdd", "bdd-blocking") for c in CACHE_MODES])
+    counters = [c for c in RunStats.CSV_COLUMNS
+                if c not in ("instance", "wall_time")]
+    for cfg in configs:
+        a = run_instance("reused.cnf", cfg, formula=f)
+        b = run_instance("reused.cnf", cfg, formula=f)
+        assert ([getattr(a, c) for c in counters]
+                == [getattr(b, c) for c in counters]), cfg.label()
+    assert render_dimacs(f) == text

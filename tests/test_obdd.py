@@ -1,4 +1,5 @@
 import io
+import random
 
 import pytest
 
@@ -118,3 +119,36 @@ def test_ordering_invariant_after_runs(ex31):
     from allsat import enumerate_bdd
     store, _, _ = enumerate_bdd(ex31)
     store.check_ordered()
+
+
+def test_resumed_walk_matches_walk_from_root():
+    """Keeping a matching prefix of the previous path changes nothing: the
+    nodes, arcs, returned path and corruption errors are those of a walk
+    from the root."""
+    rng = random.Random(5)
+    fresh, resumed = ObddStore(6), ObddStore(6)
+    path, prev = [], []
+    for _ in range(400):
+        values = prev[:rng.randint(0, len(prev))] + \
+            [rng.randint(0, 1) for _ in range(rng.randint(0, 6))]
+        values = values[:6]
+        later = [nid for nid in range(2, 2 + fresh.size)
+                 if fresh.var[nid] == len(values) + 1]
+        g = rng.choice(later + [TOP]) if len(values) < 6 else TOP
+        keep = 0
+        while keep < min(len(prev), len(values)) and \
+                prev[keep] == values[keep]:
+            keep += 1
+        outcomes = []
+        for store, args in ((fresh, ()), (resumed, (path, keep))):
+            try:
+                outcomes.append(list(extend_obdd(store, g, values, *args)))
+            except ObddCorruption:
+                outcomes.append("corrupt")
+        assert outcomes[0] == outcomes[1]
+        assert (fresh.var, fresh.lo, fresh.hi, fresh.root) == \
+            (resumed.var, resumed.lo, resumed.hi, resumed.root)
+        if outcomes[0] == "corrupt":
+            path, prev = [], []
+        else:
+            prev = values

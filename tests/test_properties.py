@@ -1,0 +1,65 @@
+"""Property tests of the formula-BDD engine on random small CNFs."""
+
+import tempfile
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from allsat import (BddSolver, NonBlockingConfig, RefreshPolicy, apply_order,
+                    enumerate_all, from_clause_lists, load)
+from allsat.bddcache import CACHE_MODES
+from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
+from allsat.obdd import iter_paths
+
+
+@st.composite
+def cases(draw):
+    """A CNF over 1..12 variables, a variable order and a refresh
+    threshold (None for no refresh)."""
+    n = draw(st.integers(1, 12))
+    clause = st.lists(st.integers(1, n), min_size=1, max_size=min(4, n),
+                      unique=True).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)))
+    clauses = draw(st.lists(clause, max_size=4 * n))
+    perm = [0] + draw(st.permutations(range(1, n + 1)))
+    # a threshold just above n dumps nearly every model on its own: up to
+    # 2^12 dumps per configuration would dominate the suite's time
+    threshold = draw(st.none() | st.integers(n + 1, n + 40)) \
+        if n <= 10 else None
+    return from_clause_lists(n, [list(c) for c in clauses]), perm, threshold
+
+
+def path_mask(path) -> int:
+    return sum(1 << (var - 1) for var, value in path if value)
+
+
+@given(cases())
+def test_bdd_counts_orders_and_partitions(case):
+    formula, perm, threshold = case
+    f = apply_order(formula, perm)
+    n = f.num_vars
+    want = set(enumerate_all(f).masks)
+    with tempfile.TemporaryDirectory() as tmp:
+        for cfg in (NonBlockingConfig(u, b)
+                    for u in UIP_SCHEMES for b in STRATEGIES):
+            for mode in CACHE_MODES:
+                policy = RefreshPolicy(threshold, tmp,
+                                       f"{cfg.uip_scheme}-{cfg.strategy}-{mode}")
+                result = BddSolver(f, cfg=cfg, cache_mode=mode,
+                                   policy=policy).run_bdd()
+                label = (cfg, mode)
+                assert result.total == len(want), label
+                stores = []
+                for part, count in result.dumps:
+                    with open(part) as fh:
+                        stores.append((load(fh.read()), count))
+                stores.append((result.store, result.final))
+                masks = []
+                for store, count in stores:
+                    store.check_ordered()
+                    paths = list(iter_paths(store))
+                    assert len(paths) == count, label
+                    assert all(len(p) == n for p in paths), label
+                    masks += [path_mask(p) for p in paths]
+                assert len(masks) == len(set(masks)), label
+                assert set(masks) == want, label
