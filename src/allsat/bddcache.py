@@ -139,6 +139,7 @@ def _refresh(solver) -> bool:
         raise RuntimeError(f"dump failed for {path}: {exc}") from exc
     solver.dumps.append((str(path), count))
     budget = solver.kernel.budget
+    # every node and every key but TOP_KEY was charged exactly once
     budget.release(_NODE_BYTES * store.size
                    + _KEY_BYTES * (len(solver.solved) - 1))
     store.reset()
