@@ -213,7 +213,7 @@ class BddSolver(NonBlockingSolver):
         t = self.kernel.trail
         if bl >= t.level:
             return None
-        return abs(t.decision_of(bl + 1).lit)
+        return abs(t.decision_of(bl + 1))
 
     def _before_cancel(self, level: int) -> None:
         """Enroll stage: solved-subinstance keys migrate from the pending

@@ -48,21 +48,16 @@ def simplify_assignment(trail: Trail, store: ClauseStore) -> list[int]:
     and blocking clauses and adds, per clause, the satisfying decision of
     lowest level.  Returns the selected decision literals in level order.
     """
-    decision_lits = set()
-    decisions_in_order: list[int] = []
-    implied: set[int] = set()
-    for e in trail.entries:
-        if e.is_decision:
-            decision_lits.add(e.lit)
-            decisions_in_order.append(e.lit)
-        else:
-            implied.add(e.lit)
+    decisions_in_order = trail.decisions()
+    decision_lits = set(decisions_in_order)
+    implied = set(trail.lits) - decision_lits
 
     related: set[int] = set()
-    for e in trail.entries:
-        if e.reason is None:
+    for lit in trail.lits:
+        reason = trail.reasons[abs(lit)]
+        if reason is None:
             continue
-        for q in e.reason.lits:
+        for q in reason.lits:
             if -q in decision_lits:
                 related.add(-q)
 
@@ -86,13 +81,13 @@ def make_blocking_clause(trail: Trail, cfg: BlockingConfig,
     """Blocking clause for a total satisfying trail: negated decisions, the
     negated simplified decision subset, or negated everything."""
     if cfg.all_literals:
-        lits = [-e.lit for e in trail.entries]
+        lits = [-l for l in trail.lits]
     elif cfg.simplify:
         if store is None:
             raise ValueError("simplification needs the clause store")
         lits = [-l for l in simplify_assignment(trail, store)]
     else:
-        lits = [-e.lit for e in trail.entries if e.is_decision]
+        lits = [-l for l in trail.decisions()]
     return Clause(lits, origin=BLOCKING)
 
 
@@ -191,21 +186,21 @@ class BlockingSolver:
         cfg = self.cfg
 
         if cfg.all_literals:
-            self._emit(tuple(sorted((e.lit for e in t.entries), key=abs)))
+            self._emit(tuple(sorted(t.lits, key=abs)))
             clause = make_blocking_clause(t, cfg)
             return False, self._block_and_restart(clause)
 
         if cfg.simplify:
             selected = simplify_assignment(t, k.store)
             chosen = set(selected)
-            cube = sorted((e.lit for e in t.entries
-                           if not e.is_decision or e.lit in chosen), key=abs)
+            cube = sorted((l for l in t.lits
+                           if not t.decision[abs(l)] or l in chosen), key=abs)
             self._emit(tuple(cube))
             if t.level <= 0 or not selected:
                 return True, None
             clause = Clause([-l for l in selected], origin=BLOCKING)
         else:
-            self._emit(tuple(sorted((e.lit for e in t.entries), key=abs)))
+            self._emit(tuple(sorted(t.lits, key=abs)))
             if t.level <= 0:
                 return True, None
             clause = make_blocking_clause(t, cfg)
@@ -214,7 +209,7 @@ class BlockingSolver:
     def _block_and_restart(self, clause: Clause) -> Clause | None:
         k = self.kernel
         if self.cfg.continue_search:
-            self.progress.record([e.lit for e in k.trail.decisions()])
+            self.progress.record(k.trail.decisions())
         self.emitted_clauses.append(tuple(sorted(clause.lits, key=abs)))
         k.cancel_to(0)
         k.stats.restarts += 1

@@ -215,12 +215,13 @@ class Kernel:
     def enqueue(self, lit: int, reason: Clause | None = None,
                 is_decision: bool = False) -> None:
         self.trail.assign(lit, reason=reason, is_decision=is_decision)
-        if len(self.trail) > self.stats.max_trail:
-            self.stats.max_trail = len(self.trail)
+        size = len(self.trail.lits)
+        if size > self.stats.max_trail:
+            self.stats.max_trail = size
 
     def cancel_to(self, level: int) -> None:
         self.trail.cancel_to(level)
-        self.qhead = min(self.qhead, len(self.trail.entries))
+        self.qhead = min(self.qhead, len(self.trail.lits))
 
     # ------------------------------------------------------------------
     # unit propagation
@@ -240,56 +241,60 @@ class Kernel:
                 self.enqueue(lit, reason=c)
                 self.stats.propagations += 1
             elif (v == 1) != (lit > 0):
-                self.qhead = len(trail.entries)
+                self.qhead = len(trail.lits)
                 self.stats.conflicts += 1
                 return c
-        entries = trail.entries
-        while self.qhead < len(entries):
-            lit = entries[self.qhead].lit
-            self.qhead += 1
-            false_lit = -lit
+        trail_lits = trail.lits
+        assign = trail.assign
+        start = len(trail_lits)
+        qhead = self.qhead
+        conflict: Clause | None = None
+        while qhead < len(trail_lits) and conflict is None:
+            false_lit = -trail_lits[qhead]
+            qhead += 1
             v = false_lit if false_lit > 0 else -false_lit
-            enc = (v << 1) | (false_lit < 0)
-            watchers = watches[enc]
-            kept: list[Clause] = []
-            conflict: Clause | None = None
-            idx = 0
-            for idx, clause in enumerate(watchers):
+            watchers = watches[(v << 1) | (false_lit < 0)]
+            # compact in place: watchers[:j] are the clauses that stay
+            i = j = 0
+            end = len(watchers)
+            while i < end:
+                clause = watchers[i]
+                i += 1
                 lits = clause.lits
                 if lits[0] == false_lit:
                     lits[0], lits[1] = lits[1], lits[0]
                 other = lits[0]
                 ov = values[other if other > 0 else -other]
                 if ov != UNASSIGNED and (ov == 1) == (other > 0):
-                    kept.append(clause)
+                    watchers[j] = clause
+                    j += 1
                     continue
-                moved = False
                 for k in range(2, len(lits)):
                     cand = lits[k]
                     cv = values[cand if cand > 0 else -cand]
                     if cv == UNASSIGNED or (cv == 1) == (cand > 0):
                         lits[1], lits[k] = lits[k], lits[1]
-                        cv2 = cand if cand > 0 else -cand
-                        watches[(cv2 << 1) | (cand < 0)].append(clause)
-                        moved = True
+                        w = cand if cand > 0 else -cand
+                        watches[(w << 1) | (cand < 0)].append(clause)
                         break
-                if moved:
-                    continue
-                kept.append(clause)
-                if ov != UNASSIGNED:
-                    conflict = clause
-                    idx += 1
-                    break
-                self.enqueue(other, reason=clause)
-                self.stats.propagations += 1
-            if conflict is not None:
-                kept.extend(watchers[idx:])
-                watches[enc] = kept
-                self.qhead = len(entries)
-                self.stats.conflicts += 1
-                return conflict
-            watches[enc] = kept
-        return None
+                else:
+                    watchers[j] = clause
+                    j += 1
+                    if ov != UNASSIGNED:
+                        conflict = clause
+                        break
+                    assign(other, clause)
+            # on a conflict the unvisited tail watchers[i:] stays as it is
+            del watchers[j:i]
+        self.stats.propagations += len(trail_lits) - start
+        if len(trail_lits) > self.stats.max_trail:
+            self.stats.max_trail = len(trail_lits)
+        if conflict is not None:
+            self.qhead = len(trail_lits)
+            self.stats.conflicts += 1
+        else:
+            self.qhead = qhead
+        return conflict
 
     # ------------------------------------------------------------------
     # decision heuristics
@@ -369,7 +374,7 @@ class Kernel:
         var_level = trail.var_level
         var_sub = trail.var_sublevel
         reasons = trail.reasons
-        entries = trail.entries
+        trail_lits = trail.lits
 
         lits_at_dl = [l for l in conflict.lits if var_level[abs(l)] == dl]
         if not lits_at_dl:
@@ -409,18 +414,18 @@ class Kernel:
                     out.append(q)
 
         absorb(conflict.lits, 0)
-        idx = len(entries) - 1
+        idx = len(trail_lits) - 1
         uip = 0
         stop_idx = -1
         while True:
             if stop_idx >= 0 and pending == 1:
-                e = entries[stop_idx]   # only the pivot remains
+                lit = trail_lits[stop_idx]   # only the pivot remains
             else:
                 while True:
                     if idx < 0:
                         raise RuntimeError("conflict analysis ran off the trail")
-                    e = entries[idx]
-                    v = abs(e.lit)
+                    lit = trail_lits[idx]
+                    v = abs(lit)
                     if v in seen and in_scope(v):
                         if v == stop_var and pending > 1:
                             stop_idx = idx   # defer: pivot must end as UIP
@@ -428,18 +433,19 @@ class Kernel:
                             continue
                         break
                     idx -= 1
-            v = abs(e.lit)
+            v = abs(lit)
             pending -= 1
             if pending == 0 and (stop_var == 0 or v == stop_var):
-                uip = e.lit
+                uip = lit
                 break
             # in targeted mode an intermediate sole survivor is expanded,
             # not adopted: the traversal must run on until the pivot
             idx -= 1
-            if e.reason is None:
-                out.append(-e.lit)   # flip: not expandable, keep in clause
+            reason = reasons[v]
+            if reason is None:
+                out.append(-lit)   # flip: not expandable, keep in clause
             else:
-                absorb(e.reason.lits, v)
+                absorb(reason.lits, v)
         if stop_lit is not None and uip != stop_lit:
             raise RuntimeError("targeted analysis did not end at the pivot")
 

@@ -117,8 +117,7 @@ class NonBlockingSolver:
         self.count += 1
         self.kernel.stats.solutions += 1
         if self.sink is not None:
-            entries = self.kernel.trail.entries
-            self.sink(tuple(sorted((e.lit for e in entries), key=abs)))
+            self.sink(tuple(sorted(self.kernel.trail.lits, key=abs)))
 
     def _normalize(self, conflict: Clause) -> Clause:
         """Make sure the conflict touches the current level.
@@ -145,7 +144,7 @@ class NonBlockingSolver:
         down with NULL antecedent, opening a new sublevel there."""
         k = self.kernel
         t = k.trail
-        dec = t.decision_of(t.level).lit
+        dec = t.decision_of(t.level)
         self._cancel(t.level - 1)
         t.begin_sublevel()
         k.enqueue(-dec, reason=None, is_decision=False)
@@ -155,7 +154,7 @@ class NonBlockingSolver:
         ``level - 1`` (two-argument backtracking used by CBJ)."""
         k = self.kernel
         t = k.trail
-        dec = t.decision_of(level).lit
+        dec = t.decision_of(level)
         self._cancel(level - 1)
         t.begin_sublevel()
         k.enqueue(-dec, reason=None, is_decision=False)

@@ -1,39 +1,26 @@
 """Assignment trail with decision levels, sublevels, and antecedents.
 
-The trail doubles as the implication graph: an entry's antecedent clause
-names the assignments that forced it, and entries with no antecedent (NULL)
-are decisions or flipped decisions inserted by chronological backtracking.
-A new sublevel opens at every flip, so conflict analysis can treat earlier
-sublevels of the current level like lower levels.
+The trail is a flat list of literals in assignment order.  Everything else
+about an assignment lives in per-variable arrays indexed by its variable:
+value, level, sublevel, antecedent (reason), trail position and whether it
+is a decision.  These arrays are meaningful only while the variable is
+assigned; a cancel resets the value and leaves the rest to be overwritten
+by the next assignment.
+
+The trail doubles as the implication graph: an assignment's antecedent
+clause names the assignments that forced it, and assignments with no
+antecedent (NULL) are decisions or flipped decisions inserted by
+chronological backtracking.  A new sublevel opens at every flip, so conflict
+analysis can treat earlier sublevels of the current level like lower levels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
 
 from .formula import Clause
 
 UNASSIGNED = -1
-
-
-@dataclass(eq=False)
-class TrailEntry:
-    lit: int
-    level: int
-    sublevel: int
-    reason: Clause | None
-    is_decision: bool
-
-    @property
-    def has_null_antecedent(self) -> bool:
-        return self.reason is None
-
-
-@dataclass(eq=False)
-class ConflictRecord:
-    """A clause whose literals are all false under the current trail."""
-
-    clause: Clause
 
 
 class Trail:
@@ -41,23 +28,26 @@ class Trail:
 
     def __init__(self, num_vars: int):
         self.num_vars = num_vars
-        self.entries: list[TrailEntry] = []
+        self.lits: list[int] = []         # assigned literals in trail order
         n1 = num_vars + 1
         self.values = [UNASSIGNED] * n1   # var -> 0/1/UNASSIGNED
         self.var_level = [0] * n1
         self.var_sublevel = [0] * n1
         self.reasons: list[Clause | None] = [None] * n1
-        self.positions = [0] * n1         # var -> index into entries
-        # a variable is tainted when its value depends on a flipped decision;
-        # tainted level-0 facts are search choices, not consequences of the
-        # formula, so conflict analysis must not silently drop them
+        self.positions = [0] * n1         # var -> index into lits
+        self.decision = [False] * n1      # var -> opened its level
+        # a level-0 variable is tainted when its value depends on a flipped
+        # decision; such facts are search choices, not consequences of the
+        # formula, so conflict analysis must not silently drop them.  Only
+        # level-0 taint is ever read, and level 0 is never canceled, so it
+        # is computed at level 0 alone and never reset.
         self.tainted = [False] * n1
         self.level = 0
-        self.level_start = [0]            # level -> first entry index
+        self.level_start = [0]            # level -> first trail index
         self.cur_sublevel = [0]           # level -> active sublevel
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.lits)
 
     def value_of(self, lit: int) -> int:
         """Truth value of a literal: 1 true, 0 false, UNASSIGNED otherwise."""
@@ -70,11 +60,11 @@ class Trail:
         return self.values[var] != UNASSIGNED
 
     def all_assigned(self) -> bool:
-        return len(self.entries) == self.num_vars
+        return len(self.lits) == self.num_vars
 
     def new_level(self) -> int:
         self.level += 1
-        self.level_start.append(len(self.entries))
+        self.level_start.append(len(self.lits))
         self.cur_sublevel.append(0)
         return self.level
 
@@ -84,68 +74,74 @@ class Trail:
         return self.cur_sublevel[self.level]
 
     def assign(self, lit: int, reason: Clause | None = None,
-               is_decision: bool = False) -> TrailEntry:
+               is_decision: bool = False) -> None:
         """Append an assignment at the current level and sublevel."""
-        var = abs(lit)
-        if self.values[var] != UNASSIGNED:
+        var = lit if lit > 0 else -lit
+        values = self.values
+        if values[var] != UNASSIGNED:
             raise RuntimeError(f"variable {var} already assigned")
-        entry = TrailEntry(lit, self.level, self.cur_sublevel[self.level],
-                           reason, is_decision)
-        self.positions[var] = len(self.entries)
-        self.entries.append(entry)
-        self.values[var] = 1 if lit > 0 else 0
-        self.var_level[var] = self.level
-        self.var_sublevel[var] = entry.sublevel
+        level = self.level
+        self.positions[var] = len(self.lits)
+        self.lits.append(lit)
+        values[var] = 1 if lit > 0 else 0
+        self.var_level[var] = level
+        self.var_sublevel[var] = self.cur_sublevel[level]
         self.reasons[var] = reason
-        if is_decision:
-            self.tainted[var] = False
-        elif reason is None:
-            self.tainted[var] = True   # flipped decision
-        else:
-            self.tainted[var] = any(self.tainted[abs(q)]
-                                    for q in reason.lits if abs(q) != var)
-        return entry
+        self.decision[var] = is_decision
+        if level == 0:
+            # a level-0 reason holds only level-0 variables
+            tainted = self.tainted
+            if reason is None:
+                tainted[var] = not is_decision   # flipped decision
+            else:
+                tainted[var] = any(tainted[abs(q)]
+                                   for q in reason.lits if abs(q) != var)
 
-    def decision_of(self, level: int) -> TrailEntry:
-        """The decision entry that opened ``level`` (level >= 1)."""
+    def decision_of(self, level: int) -> int:
+        """The decision literal that opened ``level`` (level >= 1)."""
         if not 1 <= level <= self.level:
             raise RuntimeError(f"no decision at level {level}")
-        e = self.entries[self.level_start[level]]
-        if not e.is_decision:
+        lit = self.lits[self.level_start[level]]
+        if not self.decision[abs(lit)]:
             raise RuntimeError(f"level {level} does not start with a decision")
-        return e
+        return lit
 
-    def decisions(self) -> list[TrailEntry]:
-        return [e for e in self.entries if e.is_decision]
+    def decisions(self) -> list[int]:
+        decision = self.decision
+        return [l for l in self.lits if decision[abs(l)]]
 
     def cancel_to(self, level: int) -> None:
-        """Remove every entry above ``level`` and make it current."""
+        """Remove every assignment above ``level`` and make it current."""
         if level >= self.level:
             return
         keep = self.level_start[level + 1]
-        for e in self.entries[keep:]:
-            var = abs(e.lit)
-            self.values[var] = UNASSIGNED
-            self.reasons[var] = None
-            self.tainted[var] = False
-        del self.entries[keep:]
+        values = self.values
+        for lit in self.lits[keep:]:
+            values[lit if lit > 0 else -lit] = UNASSIGNED
+        del self.lits[keep:]
         del self.level_start[level + 1:]
         del self.cur_sublevel[level + 1:]
         self.level = level
 
     def check_consistent(self) -> None:
-        """Internal consistency: the per-variable view mirrors the entries."""
+        """Internal consistency: the per-variable view mirrors the trail,
+        and exactly the first assignment of each level >= 1 is a decision."""
         seen = set()
         last_level = 0
-        for idx, e in enumerate(self.entries):
-            var = abs(e.lit)
+        for idx, lit in enumerate(self.lits):
+            var = abs(lit)
             assert var not in seen, f"variable {var} appears twice"
             seen.add(var)
-            assert self.values[var] == (1 if e.lit > 0 else 0)
-            assert self.var_level[var] == e.level
+            assert self.values[var] == (1 if lit > 0 else 0)
+            level = self.var_level[var]
+            assert level == bisect_right(self.level_start, idx) - 1
             assert self.positions[var] == idx
-            assert e.level >= last_level, "levels must be non-decreasing"
-            last_level = e.level
+            assert level >= last_level, "levels must be non-decreasing"
+            last_level = level
+            opens = level >= 1 and self.level_start[level] == idx
+            assert self.decision[var] == opens, \
+                f"decision flag of variable {var} disagrees with level_start"
+        assert len(self.level_start) == self.level + 1
         for var in range(1, self.num_vars + 1):
             if var not in seen:
                 assert self.values[var] == UNASSIGNED

@@ -49,6 +49,17 @@ def random_instances(seed: int, count: int, n_range=(3, 12), ratio=(1.0, 4.0)):
     return out
 
 
+def trail_trace(trail):
+    """(literal, level, reason cid or None) for each assignment in trail
+    order."""
+    out = []
+    for lit in trail.lits:
+        reason = trail.reasons[abs(lit)]
+        out.append((lit, trail.var_level[abs(lit)],
+                    reason.cid if reason else None))
+    return out
+
+
 def solution_mask(cube) -> int:
     mask = 0
     for l in cube:

@@ -23,7 +23,7 @@ from allsat import (BddBlockingSolver, BddSolver, BlockingConfig,
 from allsat.obdd import iter_paths
 from allsat.oracle import check_cube_cover
 
-from conftest import EX31_CLAUSES, EX41_CLAUSES, solution_mask
+from conftest import EX31_CLAUSES, EX41_CLAUSES, solution_mask, trail_trace
 
 SWEEP_INSTANCES = 200
 MODEL_CAP = 1500         # keeps the exhaustive sweep inside the time budget
@@ -234,13 +234,11 @@ def test_criterion_1_worked_goldens():
         assert k.propagate() is None
         k.make_decision(-5)
         assert k.propagate() is None
-        trace = [(e.lit, e.level, e.reason.cid if e.reason else None)
-                 for e in k.trail.entries]
+        trace = trail_trace(k.trail)
         assert trace == [(-5, 1, None), (-6, 1, 4)]
         k.make_decision(3)
         assert k.propagate() is None
-        trace = [(e.lit, e.level, e.reason.cid if e.reason else None)
-                 for e in k.trail.entries]
+        trace = trail_trace(k.trail)
         assert trace == [(-5, 1, None), (-6, 1, 4), (3, 2, None),
                          (1, 2, 0), (4, 2, 2)]
         k.make_decision(2)

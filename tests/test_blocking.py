@@ -109,7 +109,7 @@ def test_continuation_replays_saved_decisions(ex31):
         assert k.propagate() is None
     assert k.trail.all_assigned()
     progress = ProgressArray(6)
-    progress.record([e.lit for e in k.trail.decisions()])
+    progress.record(k.trail.decisions())
     assert progress.saved == [(5, 0), (3, 1), (2, 1)]
 
     # simplified blocking clause x5 or not-x3, then restart and replay

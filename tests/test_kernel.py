@@ -1,10 +1,15 @@
 import random
+from collections import Counter
 
-from allsat import Kernel, entails, from_clause_lists
-from allsat.kernel import FALSIFIED, UNIT, clause_status
+from allsat import (BlockingConfig, BlockingSolver, Kernel,
+                    NonBlockingConfig, NonBlockingSolver, entails,
+                    from_clause_lists)
+from allsat.kernel import (ACTIVITY_RESCALE, FALSIFIED, UNIT, _enc,
+                           clause_status)
+from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
 from allsat.trail import UNASSIGNED
 
-from conftest import random_instances
+from conftest import random_instances, trail_trace
 
 
 def drive(kernel, decisions):
@@ -25,13 +30,11 @@ def test_propagation_trace_worked_example(ex31):
     assert k.propagate() is None
     k.make_decision(-5)
     assert k.propagate() is None
-    trail = [(e.lit, e.level, e.reason.cid if e.reason else None)
-             for e in k.trail.entries]
+    trail = trail_trace(k.trail)
     assert trail == [(-5, 1, None), (-6, 1, 4)]       # -x6 via C5
     k.make_decision(3)
     assert k.propagate() is None
-    trail = [(e.lit, e.level, e.reason.cid if e.reason else None)
-             for e in k.trail.entries]
+    trail = trail_trace(k.trail)
     # x1 via C1 then x4 via C3, in this order
     assert trail == [(-5, 1, None), (-6, 1, 4), (3, 2, None),
                      (1, 2, 0), (4, 2, 2)]
@@ -188,7 +191,7 @@ def test_decide_fixed_order():
     k = Kernel(f, fixed_order=True)
     k.propagate()
     k.make_decision(k.decide())
-    assert k.trail.entries[0].lit == -1
+    assert k.trail.lits[0] == -1
     k.propagate()
     assert k.decide() == -2
 
@@ -212,3 +215,82 @@ def test_stats_counters(ex31):
     assert k.stats.decisions == 3
     assert k.stats.propagations == 3   # -6, 1, 4
     assert k.stats.max_trail == 6
+
+
+def test_pick_branch_var_highest_activity_lowest_index():
+    """The decision scan picks the highest activity and, on ties, the
+    lowest index, also after a rescale; every search counter depends on
+    this choice."""
+    k = Kernel(from_clause_lists(6, []))
+    assert k.pick_branch_var() == 1          # all activities zero
+    k.bump_activity(5)
+    k.bump_activity(3)
+    assert k.pick_branch_var() == 3          # tie
+    k.decay_activity()
+    k.bump_activity(5)
+    assert k.pick_branch_var() == 5
+    k.make_decision(-5)
+    assert k.pick_branch_var() == 3
+    # a bump past ACTIVITY_RESCALE scales every activity down
+    k.var_inc = ACTIVITY_RESCALE
+    k.bump_activity(6)
+    k.bump_activity(6)
+    assert k.activity[6] < 10 and k.var_inc < 10
+    assert 0 < k.activity[3] < k.activity[6]
+    assert k.pick_branch_var() == 6
+    k.bump_activity(4)
+    k.bump_activity(2)
+    assert k.activity[2] == k.activity[4] < k.activity[6]
+    assert k.pick_branch_var() == 6
+    k.make_decision(6)
+    assert k.pick_branch_var() == 2          # tie after the rescale
+
+
+def check_watches(kernel, attached):
+    """Each attached clause of length >= 2 sits exactly once in the watch
+    list of lits[0], once in that of lits[1], and in no other list."""
+    where = {}
+    for enc, watchers in enumerate(kernel.store.watches):
+        for clause in watchers:
+            where.setdefault(id(clause), Counter())[enc] += 1
+    assert set(where) == set(attached)
+    for key, clause in attached.items():
+        lits = clause.lits
+        assert where[key] == Counter({_enc(lits[0]): 1, _enc(lits[1]): 1}), \
+            lits
+
+
+def test_watch_lists_stay_exact_during_full_runs(monkeypatch):
+    """After every propagation, in full runs of every nonblocking and
+    blocking configuration, the watch lists hold exactly the attached
+    clauses under their first two literals, and the trail is consistent."""
+    attached = {}
+    calls = []
+    attach, propagate = Kernel.attach_clause, Kernel.propagate
+
+    def attach_and_record(self, clause):
+        status = attach(self, clause)
+        if len(clause.lits) >= 2:
+            attached[id(clause)] = clause
+        return status
+
+    def propagate_and_check(self):
+        conflict = propagate(self)
+        check_watches(self, attached)
+        self.trail.check_consistent()
+        calls.append(conflict is None)
+        return conflict
+
+    monkeypatch.setattr(Kernel, "attach_clause", attach_and_record)
+    monkeypatch.setattr(Kernel, "propagate", propagate_and_check)
+    solvers = [lambda f, u=u, b=b: NonBlockingSolver(f, NonBlockingConfig(u, b))
+               for u in UIP_SCHEMES for b in STRATEGIES]
+    solvers += [lambda f, s=s, c=c: BlockingSolver(
+                    f, BlockingConfig(simplify=s, continue_search=c))
+                for s in (False, True) for c in (False, True)]
+    for f in random_instances(seed=61, count=12, n_range=(4, 10),
+                              ratio=(2.0, 4.5)):
+        for make in solvers:
+            attached.clear()
+            make(f).run()
+    assert any(calls) and not all(calls)   # fixpoints and conflicts seen

@@ -41,10 +41,10 @@ def test_backtrack_bt_inserts_flip():
     k.make_decision(2)
     solver.backtrack_bt()
     t = k.trail
-    flip = t.entries[-1]
-    assert flip.lit == -2 and flip.level == 1
-    assert flip.reason is None and not flip.is_decision
-    assert flip.sublevel == 1            # a new sublevel opened
+    flip = t.lits[-1]
+    assert flip == -2 and t.var_level[2] == 1
+    assert t.reasons[2] is None and not t.decision[2]
+    assert t.var_sublevel[2] == 1        # a new sublevel opened
 
 
 def test_backtrack_bt_from_level_one():
@@ -52,8 +52,8 @@ def test_backtrack_bt_from_level_one():
     solver = NonBlockingSolver(f)
     solver.kernel.make_decision(1)
     solver.backtrack_bt()
-    e = solver.kernel.trail.entries[-1]
-    assert e.lit == -1 and e.level == 0 and e.reason is None
+    t = solver.kernel.trail
+    assert t.lits[-1] == -1 and t.var_level[1] == 0 and t.reasons[1] is None
 
 
 def test_flip_increments_sublevel_once():
@@ -233,10 +233,11 @@ def test_bj_jump_clipped_exactly_at_limit_level():
                 k.analyze = orig
             if (lim_before < dl_before
                     and captured["assert_level"] < lim_before):
-                flip = k.trail.entries[-1] if k.trail.entries else None
-                flipped = (flip is not None and flip.reason is None
-                           and not flip.is_decision
-                           and flip.level == k.trail.level)
+                t = k.trail
+                flip = abs(t.lits[-1]) if t.lits else None
+                flipped = (flip is not None and t.reasons[flip] is None
+                           and not t.decision[flip]
+                           and t.var_level[flip] == t.level)
                 observed.append((lim_before, k.trail.level, flipped))
             return out
 

@@ -1,22 +1,26 @@
-"""Property tests of the formula-BDD engine on random small CNFs."""
+"""Property tests of the enumeration engines on random small CNFs."""
 
 import tempfile
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from allsat import (BddSolver, NonBlockingConfig, RefreshPolicy, apply_order,
-                    enumerate_all, from_clause_lists, load)
+from allsat import (BddSolver, BlockingConfig, BlockingSolver,
+                    NonBlockingConfig, NonBlockingSolver, RefreshPolicy,
+                    apply_order, enumerate_all, from_clause_lists, load)
 from allsat.bddcache import CACHE_MODES
 from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
 from allsat.obdd import iter_paths
+from allsat.oracle import expand_cube
+
+from conftest import solution_mask
 
 
 @st.composite
-def cases(draw):
-    """A CNF over 1..12 variables, a variable order and a refresh
+def cases(draw, max_n=12):
+    """A CNF over 1..max_n variables, a variable order and a refresh
     threshold (None for no refresh)."""
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, max_n))
     clause = st.lists(st.integers(1, n), min_size=1, max_size=min(4, n),
                       unique=True).flatmap(
         lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)))
@@ -63,3 +67,42 @@ def test_bdd_counts_orders_and_partitions(case):
                     masks += [path_mask(p) for p in paths]
                 assert len(masks) == len(set(masks)), label
                 assert set(masks) == want, label
+
+
+@given(cases())
+def test_nonblocking_reports_each_model_once(case):
+    formula, perm, _ = case
+    f = apply_order(formula, perm)
+    want = set(enumerate_all(f).masks)
+    for cfg in (NonBlockingConfig(u, b)
+                for u in UIP_SCHEMES for b in STRATEGIES):
+        models = []
+        count = NonBlockingSolver(f, cfg, sink=models.append).run()
+        assert count == len(models) == len(want), cfg
+        assert all(len(m) == f.num_vars for m in models), cfg
+        masks = [solution_mask(m) for m in models]
+        assert len(set(masks)) == len(masks), cfg
+        assert set(masks) == want, cfg
+
+
+# blocking restarts after every cube: with up to 12 variables, examples
+# with thousands of models made this test take up to 9 s
+@given(cases(max_n=9))
+def test_blocking_cubes_partition_the_models(case):
+    formula, perm, _ = case
+    f = apply_order(formula, perm)
+    n = f.num_vars
+    want = set(enumerate_all(f).masks)
+    for simplify in (False, True):
+        for cont in (False, True):
+            cfg = BlockingConfig(simplify=simplify, continue_search=cont)
+            cubes = []
+            solver = BlockingSolver(f, cfg, sink=cubes.append)
+            solver.run()
+            # cubes are disjoint exactly when their expansions never repeat
+            masks = [m for cube in cubes for m in expand_cube(cube, n)]
+            assert len(set(masks)) == len(masks), cfg
+            assert set(masks) == want, cfg
+            assert solver.covered == len(want), cfg
+            if not simplify:
+                assert all(len(c) == n for c in cubes), cfg

@@ -22,7 +22,7 @@ def test_level0_fact():
     unit = Clause([1])
     t.assign(1, reason=unit)
     assert t.var_level[1] == 0
-    assert t.entries[0].reason is unit
+    assert t.lits == [1] and t.reasons[1] is unit
 
 
 def test_double_assign_rejected():
@@ -49,7 +49,7 @@ def build_three_levels():
 def test_cancel_to_removes_upper_levels():
     t = build_three_levels()
     t.cancel_to(1)
-    assert [e.lit for e in t.entries] == [1, 2, 3]
+    assert t.lits == [1, 2, 3]
     assert t.level == 1
     assert t.values[4] == UNASSIGNED and t.values[5] == UNASSIGNED
     t.check_consistent()
@@ -57,15 +57,15 @@ def test_cancel_to_removes_upper_levels():
 
 def test_cancel_to_current_level_is_noop():
     t = build_three_levels()
-    before = [e.lit for e in t.entries]
+    before = list(t.lits)
     t.cancel_to(t.level)
-    assert [e.lit for e in t.entries] == before
+    assert t.lits == before
 
 
 def test_cancel_to_root_keeps_level0():
     t = build_three_levels()
     t.cancel_to(0)
-    assert [e.lit for e in t.entries] == [1]
+    assert t.lits == [1]
     assert t.level == 0
     t.check_consistent()
 
@@ -74,36 +74,39 @@ def test_sublevels_open_at_flips():
     t = Trail(4)
     t.new_level()
     t.assign(1, is_decision=True)
-    assert t.entries[0].sublevel == 0
+    assert t.var_sublevel[1] == 0
     t.new_level()
     t.assign(2, is_decision=True)
     t.cancel_to(1)
     t.begin_sublevel()
     t.assign(-2)                      # flipped decision
-    assert t.entries[-1].sublevel == 1
-    assert t.entries[-1].level == 1
+    assert t.lits[-1] == -2
+    assert t.var_sublevel[2] == 1
+    assert t.var_level[2] == 1
     t.assign(3, reason=Clause([2, 3]))
-    assert t.entries[-1].sublevel == 1  # implied entries inherit
+    assert t.lits[-1] == 3
+    assert t.var_sublevel[3] == 1       # implied entries inherit
 
 
 def test_implied_entries_have_unit_antecedent_at_their_position():
     t = build_three_levels()
-    for idx, e in enumerate(t.entries):
-        if e.reason is None:
+    for idx, lit in enumerate(t.lits):
+        reason = t.reasons[abs(lit)]
+        if reason is None:
             continue
         # under the prefix before the entry, the antecedent must be unit
         # with this literal as the unit literal
-        prefix = {x.lit for x in t.entries[:idx]}
-        unassigned = [l for l in e.reason.lits
+        prefix = set(t.lits[:idx])
+        unassigned = [l for l in reason.lits
                       if l not in prefix and -l not in prefix]
-        falsified = [l for l in e.reason.lits if -l in prefix]
-        assert unassigned == [e.lit]
-        assert len(falsified) == len(e.reason.lits) - 1
+        falsified = [l for l in reason.lits if -l in prefix]
+        assert unassigned == [lit]
+        assert len(falsified) == len(reason.lits) - 1
 
 
 def test_decision_of():
     t = build_three_levels()
-    assert t.decision_of(1).lit == 2
-    assert t.decision_of(3).lit == -5
+    assert t.decision_of(1) == 2
+    assert t.decision_of(3) == -5
     with pytest.raises(RuntimeError):
         Trail(2).decision_of(0)
