@@ -153,11 +153,17 @@ class BddResult:
     dumps: list[tuple[str, int]] = field(default_factory=list)
     final: int = 0      # models in the final diagram
     total: int = 0      # final plus every dumped part
-    complete: bool = False
 
     @property
     def dump_files(self) -> list[str]:
         return [f for f, _ in self.dumps]
+
+
+def _result(solver) -> BddResult:
+    """Counts of the final diagram and of every dumped part."""
+    final = count_models(solver.store)
+    return BddResult(solver.store, solver.dumps, final,
+                     final + sum(c for _, c in solver.dumps))
 
 
 class BddSolver(NonBlockingSolver):
@@ -273,12 +279,8 @@ class BddSolver(NonBlockingSolver):
 
     def run_bdd(self) -> BddResult:
         k = self.kernel
-        result = BddResult(self.store)
         if self.formula.has_empty_clause() or k.root_conflict:
-            result.total = 0
-            result.complete = True
-            self.complete = True
-            return result
+            return BddResult(self.store)
         pending: Clause | None = None
         try:
             while True:
@@ -312,11 +314,7 @@ class BddSolver(NonBlockingSolver):
                         k.make_decision(-i)
         except SearchHalted:
             pass
-        result.final = count_models(self.store)
-        result.total = result.final + sum(c for _, c in self.dumps)
-        result.dumps = self.dumps
-        result.complete = True
-        self.complete = True
+        result = _result(self)
         k.stats.solutions = result.total
         return result
 
@@ -403,12 +401,7 @@ class BddBlockingSolver(BlockingSolver):
 
     def run_bdd(self) -> BddResult:
         self.run()
-        result = BddResult(self.store)
-        result.final = count_models(self.store)
-        result.total = result.final + sum(c for _, c in self.dumps)
-        result.dumps = self.dumps
-        result.complete = self.complete
-        return result
+        return _result(self)
 
 
 def enumerate_bdd_blocking(formula: CnfFormula,

@@ -125,17 +125,19 @@ class BlockingSolver:
         self.progress = ProgressArray(formula.num_vars)
         self.count = 0            # cubes emitted
         self.covered = 0          # total assignments the cubes expand to
-        self.complete = False
         self.emitted_clauses: list[tuple[int, ...]] = []
 
     @property
     def stats(self):
         return self.kernel.stats
 
+    @property
+    def found(self) -> int:   # models the cubes so far cover
+        return self.covered
+
     def run(self) -> int:
         k = self.kernel
         if self.formula.has_empty_clause() or k.root_conflict:
-            self.complete = True
             return 0
         pending: Clause | None = None
         while True:
@@ -165,7 +167,6 @@ class BlockingSolver:
             else:
                 lit = k.decide()
                 k.make_decision(lit)
-        self.complete = True
         return self.count
 
     # ------------------------------------------------------------------

@@ -15,24 +15,25 @@ import argparse
 import shlex
 import sys
 
-from .harness import (EXIT_INPUT, EXIT_OK, ConfigError, RunConfig,
+from dataclasses import fields
+
+from .harness import (CACHE_MODES, EXIT_INPUT, EXIT_OK, MODES, OUTPUTS,
+                      STRATEGIES, UIP_SCHEMES, ConfigError, RunConfig,
                       run_instance, run_suite, verify)
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", default="nonblocking",
-                   choices=["blocking", "nonblocking", "bdd", "bdd-blocking",
-                            "oracle"])
-    p.add_argument("--uip", choices=["sublevel", "dlevel"], default=None,
+    # every dest is a RunConfig field name
+    p.add_argument("--mode", default=RunConfig.mode, choices=list(MODES))
+    p.add_argument("--uip", choices=UIP_SCHEMES, default=None,
                    help="first-UIP scheme (nonblocking/bdd modes)")
-    p.add_argument("--backtrack", choices=["bt", "bj", "cbj", "bjcbj"],
-                   default=None,
+    p.add_argument("--backtrack", choices=STRATEGIES, default=None,
                    help="conflict resolution strategy (nonblocking/bdd modes)")
     p.add_argument("--simplify", action="store_true",
                    help="simplify satisfying assignments (blocking mode)")
     p.add_argument("--continue", dest="continue_search", action="store_true",
                    help="continue search via progress saving (blocking mode)")
-    p.add_argument("--cache", choices=["cutset", "separator"], default=None,
+    p.add_argument("--cache", choices=CACHE_MODES, default=None,
                    help="formula cache key (bdd modes)")
     p.add_argument("--refresh-threshold", type=int, default=None,
                    metavar="N", help="dump and reset the OBDD at N nodes")
@@ -40,19 +41,12 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="variable-order file (one original variable per line)")
     p.add_argument("--time-limit", type=float, default=None, metavar="S")
     p.add_argument("--mem-limit", type=int, default=None, metavar="BYTES")
-    p.add_argument("--output", default="count",
-                   choices=["count", "cubes", "obdd", "quiet"])
+    p.add_argument("--output", default="count", choices=OUTPUTS)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(mode=args.mode, uip=args.uip, backtrack=args.backtrack,
-                     simplify=args.simplify,
-                     continue_search=args.continue_search,
-                     cache=args.cache,
-                     refresh_threshold=args.refresh_threshold,
-                     order_file=args.order_file,
-                     time_limit=args.time_limit, mem_limit=args.mem_limit,
-                     output=args.output)
+    return RunConfig(**{f.name: getattr(args, f.name)
+                        for f in fields(RunConfig)})
 
 
 def parse_config_string(text: str) -> RunConfig:

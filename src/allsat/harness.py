@@ -2,7 +2,9 @@
 cactus-plot output, and differential verification against the oracle.
 
 Solution counts are plain Python integers end to end; diagrams routinely
-reach counts that overflow 64 bits.
+reach counts that overflow 64 bits.  Every fact about a solver mode is one
+row of ``MODES``, which the CLI, validation, labels, runs and ``verify``
+all read.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .bddcache import (CACHE_MODES, BddBlockingSolver, BddSolver,
                        RefreshPolicy)
@@ -29,12 +32,56 @@ EXIT_OK = 0
 EXIT_LIMIT = 10
 EXIT_INPUT = 20
 
-MODES = ("blocking", "nonblocking", "bdd", "bdd-blocking", "oracle")
 OUTPUTS = ("count", "cubes", "obdd", "quiet")
+
+# mode-specific RunConfig field -> (CLI option, allowed values of a choice,
+# the value an unset choice stands for, label part of a set value)
+FLAGS = {
+    "uip": ("--uip", UIP_SCHEMES, "dlevel", "{}"),
+    "backtrack": ("--backtrack", STRATEGIES, "bj", "{}"),
+    "simplify": ("--simplify", (), None, "simplify"),
+    "continue_search": ("--continue", (), None, "continue"),
+    "cache": ("--cache", CACHE_MODES, "cutset", "{}"),
+    "refresh_threshold": ("--refresh-threshold", (), None, "theta{}"),
+}
 
 
 class ConfigError(Exception):
     pass
+
+
+@dataclass(frozen=True)
+class Mode:
+    flags: tuple[str, ...] = ()   # the FLAGS it owns, in label order
+    # cubes it emits: "total" (one model each, checked for duplicates),
+    # "partial" (disjoint, covering the models) or None (no --output cubes)
+    cubes: str | None = None
+    diagram: bool = False         # builds an OBDD via run_bdd; --output obdd
+    # (formula, cfg, emit, budget, policy) -> engine; the oracle has none
+    build: Callable | None = None
+
+
+MODES = {
+    "blocking": Mode(
+        ("simplify", "continue_search"), cubes="partial",
+        build=lambda f, cfg, emit, budget, policy: BlockingSolver(
+            f, BlockingConfig(cfg.simplify, cfg.continue_search),
+            sink=emit, budget=budget)),
+    "nonblocking": Mode(
+        ("uip", "backtrack"), cubes="total",
+        build=lambda f, cfg, emit, budget, policy: NonBlockingSolver(
+            f, cfg.nonblocking_config(), sink=emit, budget=budget)),
+    "bdd": Mode(
+        ("uip", "backtrack", "cache", "refresh_threshold"), diagram=True,
+        build=lambda f, cfg, emit, budget, policy: BddSolver(
+            f, None, cfg.nonblocking_config(), cfg.setting("cache"),
+            policy, budget)),
+    "bdd-blocking": Mode(
+        ("cache", "refresh_threshold"), diagram=True,
+        build=lambda f, cfg, emit, budget, policy: BddBlockingSolver(
+            f, None, cfg.setting("cache"), policy, budget=budget)),
+    "oracle": Mode(),
+}
 
 
 @dataclass
@@ -52,51 +99,41 @@ class RunConfig:
     output: str = "quiet"
 
     def validate(self) -> None:
-        if self.mode not in MODES:
+        mode = MODES.get(self.mode)
+        if mode is None:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.output not in OUTPUTS:
             raise ConfigError(f"unknown output {self.output!r}")
-        if self.uip is not None and self.uip not in UIP_SCHEMES:
-            raise ConfigError(f"unknown uip scheme {self.uip!r}")
-        if self.backtrack is not None and self.backtrack not in STRATEGIES:
-            raise ConfigError(f"unknown backtrack strategy {self.backtrack!r}")
-        if self.cache is not None and self.cache not in CACHE_MODES:
-            raise ConfigError(f"unknown cache mode {self.cache!r}")
-        if self.mode not in ("nonblocking", "bdd"):
-            if self.uip is not None or self.backtrack is not None:
+        for name, (option, choices, _, _) in FLAGS.items():
+            value = getattr(self, name)
+            if value is None or value is False:
+                continue
+            if choices and value not in choices:
+                raise ConfigError(f"unknown {option} value {value!r}")
+            if name not in mode.flags:
                 raise ConfigError(
-                    f"--uip/--backtrack only apply to nonblocking and bdd "
-                    f"modes, not {self.mode}")
-        if self.mode != "blocking" and (self.simplify or self.continue_search):
+                    f"{option} does not apply to {self.mode} mode")
+        if (self.output == "cubes" and mode.cubes is None
+                or self.output == "obdd" and not mode.diagram):
             raise ConfigError(
-                "--simplify/--continue only apply to blocking mode")
-        if self.mode not in ("bdd", "bdd-blocking"):
-            if self.cache is not None or self.refresh_threshold is not None:
-                raise ConfigError(
-                    "--cache/--refresh-threshold only apply to bdd modes")
-        if self.mode == "bdd" and self.output == "cubes":
-            raise ConfigError("bdd modes build a diagram; use --output obdd")
-        if self.mode == "bdd-blocking" and self.output == "cubes":
-            raise ConfigError("bdd modes build a diagram; use --output obdd")
+                f"--output {self.output} does not apply to {self.mode} mode")
 
     def label(self) -> str:
         parts = [self.mode]
-        if self.mode in ("nonblocking", "bdd"):
-            parts.append(self.uip or "dlevel")
-            parts.append(self.backtrack or "bj")
-        if self.mode == "blocking":
-            if self.simplify:
-                parts.append("simplify")
-            if self.continue_search:
-                parts.append("continue")
-        if self.mode in ("bdd", "bdd-blocking"):
-            parts.append(self.cache or "cutset")
-            if self.refresh_threshold is not None:
-                parts.append(f"theta{self.refresh_threshold}")
+        for name in MODES[self.mode].flags if self.mode in MODES else ():
+            value = self.setting(name)
+            if value is not None and value is not False:
+                parts.append(FLAGS[name][3].format(value))
         return "+".join(parts)
 
+    def setting(self, name: str):
+        """A mode flag's value, or the value it stands for when unset."""
+        value = getattr(self, name)
+        return FLAGS[name][2] if value is None else value
+
     def nonblocking_config(self) -> NonBlockingConfig:
-        return NonBlockingConfig(self.uip or "dlevel", self.backtrack or "bj")
+        return NonBlockingConfig(self.setting("uip"),
+                                 self.setting("backtrack"))
 
 
 @dataclass
@@ -149,83 +186,50 @@ def run_instance(path: str | Path, cfg: RunConfig, sink=None,
     nothing; the CLI passes stdout).
     """
     stats = RunStats(instance=str(path), config=cfg.label())
+    policy = RefreshPolicy(threshold=cfg.refresh_threshold,
+                           dump_dir=Path(path).parent, stem=Path(path).stem)
     try:
         cfg.validate()
-    except ConfigError as exc:
-        stats.exit_code = EXIT_INPUT
-        stats.error = str(exc)
-        return stats
-    try:
         f = formula if formula is not None else load_instance(path, cfg)
-    except (OSError, DimacsError) as exc:
+        policy.validate(f.num_vars)
+    except (ConfigError, OSError, DimacsError, ValueError) as exc:
         stats.exit_code = EXIT_INPUT
         stats.error = str(exc)
         return stats
+    mode = MODES[cfg.mode]
 
     budget = Budget(time_limit=cfg.time_limit, mem_limit=cfg.mem_limit)
     start = time.monotonic()
 
-    def wrapped_sink(cube):
-        if sink is not None:
-            sink(tuple(f.to_external(l) for l in cube))
-
-    emit = wrapped_sink if sink is not None else None
     cubes_out: list[tuple[int, ...]] = []
+    sinks = [sink] if sink is not None else []
     if cfg.output == "cubes":
-        def emit(cube, _inner=wrapped_sink):  # noqa: ANN001
-            _inner(cube)
-            cubes_out.append(tuple(f.to_external(l) for l in cube))
+        sinks.append(cubes_out.append)
+
+    def emit(cube):
+        external = tuple(f.to_external(l) for l in cube)
+        for s in sinks:
+            s(external)
 
     solver = None
-    store = None
-    policy = None
-    final = 0
-    dumps: list[tuple[str, int]] = []
+    final = 0      # models in the final diagram of a diagram mode
     try:
         budget.check_time()
-        if cfg.mode == "oracle":
+        if mode.build is None:
             stats.solutions = enumerate_all(f).count
-            stats.solved = True
-        elif cfg.mode == "blocking":
-            solver = BlockingSolver(
-                f, BlockingConfig(cfg.simplify, cfg.continue_search),
-                sink=emit, budget=budget)
-            solver.run()
-            # simplified cubes cover many assignments each; solution counts
-            # are always reported in total assignments
-            stats.solutions = solver.covered
-            stats.solved = True
-        elif cfg.mode == "nonblocking":
-            solver = NonBlockingSolver(f, cfg.nonblocking_config(),
-                                       sink=emit, budget=budget)
-            stats.solutions = solver.run()
-            stats.solved = True
         else:
-            policy = RefreshPolicy(threshold=cfg.refresh_threshold,
-                                   dump_dir=Path(path).parent,
-                                   stem=Path(path).stem)
-            if cfg.mode == "bdd":
-                solver = BddSolver(f, None, cfg.nonblocking_config(),
-                                   cfg.cache or "cutset", policy, budget)
+            solver = mode.build(f, cfg, emit if sinks else None, budget,
+                                policy)
+            if mode.diagram:
+                final = solver.run_bdd().final
             else:
-                solver = BddBlockingSolver(f, None, cfg.cache or "cutset",
-                                           policy, budget=budget)
-            result = solver.run_bdd()
-            store = result.store
-            dumps = result.dumps
-            final = result.final
-            stats.solutions = result.total
-            stats.solved = True
+                solver.run()
+        stats.solved = True
     except LimitExceeded as exc:
         stats.exit_code = EXIT_LIMIT
         stats.error = str(exc)
-        if solver is not None and hasattr(solver, "store"):
-            store = solver.store
-            dumps = solver.dumps
-            final = count_models(store)
-            stats.solutions = final + sum(c for _, c in dumps)
-        elif solver is not None:
-            stats.solutions = getattr(solver, "covered", solver.count)
+        if mode.diagram and solver is not None:
+            final = count_models(solver.store)
     except OracleGuardError as exc:
         stats.exit_code = EXIT_INPUT
         stats.error = str(exc)
@@ -234,19 +238,19 @@ def run_instance(path: str | Path, cfg: RunConfig, sink=None,
     stats.wall_time = time.monotonic() - start
     stats.peak_mem = budget.peak_mem
     if solver is not None:
-        ks = solver.stats
-        stats.decisions = ks.decisions
-        stats.conflicts = ks.conflicts
-        stats.propagations = ks.propagations
-        stats.learned_clauses = ks.learned_clauses
-        stats.blocking_clauses = ks.blocking_clauses
-        stats.cache_hits = ks.cache_hits
-        stats.cache_misses = ks.cache_misses
-    if store is not None:
-        stats.obdd_nodes = store.size
-        stats.dumps = len(dumps)
-        if dumps:
-            _write_manifest(policy, dumps, final)
+        for name in ("decisions", "conflicts", "propagations",
+                     "learned_clauses", "blocking_clauses", "cache_hits",
+                     "cache_misses"):
+            setattr(stats, name, getattr(solver.stats, name))
+        if mode.diagram:
+            stats.solutions = final + sum(c for _, c in solver.dumps)
+            stats.obdd_nodes = solver.store.size
+            stats.dumps = len(solver.dumps)
+            if solver.dumps:
+                _write_manifest(policy, solver.dumps, final)
+        else:
+            # blocking cubes may be partial; counts are always in models
+            stats.solutions = solver.found
 
     if out is not None and stats.exit_code != EXIT_INPUT:
         if cfg.output == "count":
@@ -254,8 +258,8 @@ def run_instance(path: str | Path, cfg: RunConfig, sink=None,
         elif cfg.output == "cubes":
             for cube in cubes_out:
                 out.write(" ".join(str(l) for l in cube) + " 0\n")
-        elif cfg.output == "obdd" and store is not None:
-            out.write(dump(store))
+        elif cfg.output == "obdd" and solver is not None:
+            out.write(dump(solver.store))
     return stats
 
 
@@ -276,12 +280,9 @@ HISTOGRAM_BUCKETS = [(0, 10)] + [(10 ** k, 10 ** (k + 1)) for k in range(1, 14)]
 
 
 def _bucket_of(count: int) -> int:
-    if count <= 10:
-        return 0
-    for idx, (lo, hi) in enumerate(HISTOGRAM_BUCKETS[1:], start=1):
+    for idx, (_, hi) in enumerate(HISTOGRAM_BUCKETS):
         if hi is None or count <= hi:
             return idx
-    return len(HISTOGRAM_BUCKETS) - 1
 
 
 def run_suite(directory: str | Path, configs: list[RunConfig],
@@ -439,11 +440,12 @@ def _verify_formula(formula: CnfFormula, cfg_a: RunConfig, cfg_b: RunConfig,
         if oracle_count is not None and stats.solutions != oracle_count:
             problems.append(f"{stats.config}: count {stats.solutions} != "
                             f"oracle {oracle_count}")
-        if cfg.mode == "nonblocking":
+        kind = MODES[cfg.mode].cubes
+        if kind == "total":
             masks = [lits_to_mask(c) for c in cubes]
             if len(masks) != len(set(masks)):
                 problems.append(f"{stats.config}: duplicate solutions")
-        if cfg.mode == "blocking" and formula.num_vars <= 25:
+        if kind == "partial" and formula.num_vars <= 25:
             ok, msg = check_cube_cover(cubes, formula)
             if not ok:
                 problems.append(f"{stats.config}: {msg}")

@@ -66,9 +66,6 @@ class Budget:
             if time.monotonic() - self.started >= self.time_limit:
                 raise LimitExceeded("time")
 
-    def elapsed(self) -> float:
-        return time.monotonic() - self.started
-
 
 @dataclass
 class SolverStats:

@@ -69,11 +69,14 @@ class NonBlockingSolver:
                              decide_order=decide_order)
         self.lim = 0
         self.count = 0
-        self.complete = False
 
     @property
     def stats(self):
         return self.kernel.stats
+
+    @property
+    def found(self) -> int:   # models reported so far
+        return self.count
 
     # hook point: formula-BDD caching enrolls/prunes right before any
     # assignments are canceled (receives the landing level)
@@ -87,7 +90,6 @@ class NonBlockingSolver:
     def run(self) -> int:
         k = self.kernel
         if self.formula.has_empty_clause() or k.root_conflict:
-            self.complete = True
             return 0
         pending: Clause | None = None
         try:
@@ -110,7 +112,6 @@ class NonBlockingSolver:
                     k.make_decision(k.decide())
         except SearchHalted:
             pass
-        self.complete = True
         return self.count
 
     def _report(self) -> None:
@@ -139,25 +140,21 @@ class NonBlockingSolver:
     # ------------------------------------------------------------------
     # backtracking primitives
 
-    def backtrack_bt(self) -> None:
-        """Cancel the top level and insert the flipped decision one level
-        down with NULL antecedent, opening a new sublevel there."""
+    def backtrack_bt(self, level: int | None = None) -> None:
+        """Cancel ``level`` (the top level by default) and everything above
+        it, and insert its flipped decision one level down with NULL
+        antecedent, opening a new sublevel there."""
         k = self.kernel
         t = k.trail
-        dec = t.decision_of(t.level)
-        self._cancel(t.level - 1)
-        t.begin_sublevel()
-        k.enqueue(-dec, reason=None, is_decision=False)
-
-    def _backtrack_flip_at(self, level: int) -> None:
-        """Cancel everything above ``level``, then flip its decision into
-        ``level - 1`` (two-argument backtracking used by CBJ)."""
-        k = self.kernel
-        t = k.trail
+        if level is None:
+            level = t.level
         dec = t.decision_of(level)
         self._cancel(level - 1)
         t.begin_sublevel()
         k.enqueue(-dec, reason=None, is_decision=False)
+
+    # the name CBJ calls it by, kept because tracing wraps it by name
+    _backtrack_flip_at = backtrack_bt
 
     # ------------------------------------------------------------------
     # conflict resolution strategies

@@ -200,7 +200,11 @@ def dump(store: ObddStore, root: int | None = None,
 
 
 def load(source: str | io.TextIOBase) -> ObddStore:
-    """Parse a dump back into a store (ids preserved)."""
+    """Parse a dump back into a store (ids preserved).
+
+    Raises ``ObddLoadError`` unless every arc and the root name an existing
+    id, every variable lies in ``1..num_vars`` and every arc into a branch
+    node goes to a higher variable (so the diagram is acyclic)."""
     text = source if isinstance(source, str) else source.read()
     lines = text.splitlines()
     if not lines:
@@ -213,8 +217,8 @@ def load(source: str | io.TextIOBase) -> ObddStore:
     except ValueError:
         raise ObddLoadError("malformed header", 1) from None
     store = ObddStore(num_vars)
-    expected = 2
-    root_seen = False
+    node_lines = [0, 0]       # line of each node, by id
+    root_line = 0
     for line_no, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
@@ -227,7 +231,7 @@ def load(source: str | io.TextIOBase) -> ObddStore:
                 store.root = int(parts[1])
             except ValueError:
                 raise ObddLoadError("malformed root line", line_no) from None
-            root_seen = True
+            root_line = line_no
             continue
         if len(parts) != 4:
             raise ObddLoadError("expected '<id> <var> <lo> <hi>'", line_no)
@@ -235,18 +239,29 @@ def load(source: str | io.TextIOBase) -> ObddStore:
             nid, var, lo, hi = (int(p) for p in parts)
         except ValueError:
             raise ObddLoadError("non-integer field", line_no) from None
-        if nid != expected:
+        if nid != len(node_lines):
             raise ObddLoadError(
                 f"node ids must be dense from 2, got {nid}", line_no)
+        if not 1 <= var <= num_vars:
+            raise ObddLoadError(
+                f"variable {var} outside 1..{num_vars}", line_no)
         store.new_node(var)
         store.lo[nid] = lo
         store.hi[nid] = hi
-        expected += 1
+        node_lines.append(line_no)
     if store.size != count:
         raise ObddLoadError(
             f"header promised {count} nodes, found {store.size}", 1)
-    if not root_seen:
+    if not root_line:
         raise ObddLoadError("missing root line", len(lines))
-    if store.root >= len(store.var):
-        raise ObddLoadError("root id out of range", len(lines))
+    last = len(store.var) - 1
+    if not 0 <= store.root <= last:
+        raise ObddLoadError("root id out of range", root_line)
+    for nid in range(2, last + 1):
+        for child in (store.lo[nid], store.hi[nid]):
+            if not (0 <= child <= last and (
+                    child < 2 or store.var[child] > store.var[nid])):
+                raise ObddLoadError(f"arc to {child} is neither a sink nor "
+                                    f"a node of a later variable",
+                                    node_lines[nid])
     return store

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import random
 import subprocess
@@ -10,9 +11,9 @@ import pytest
 from allsat import render_dimacs
 from allsat.bddcache import CACHE_MODES
 from allsat.cli import main, parse_config_string
-from allsat.harness import (EXIT_INPUT, EXIT_LIMIT, EXIT_OK, ConfigError,
-                            RunConfig, RunStats, run_instance, run_suite,
-                            verify)
+from allsat.harness import (EXIT_INPUT, EXIT_LIMIT, EXIT_OK, FLAGS, MODES,
+                            ConfigError, RunConfig, RunStats, run_instance,
+                            run_suite, verify)
 from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
 
 from conftest import random_3cnf
@@ -99,6 +100,129 @@ def test_invalid_flag_combinations():
         RunConfig(mode="bdd-blocking", backtrack="bt").validate()
     RunConfig(mode="bdd", uip="sublevel", backtrack="bt",
               cache="separator").validate()
+
+
+# a set value of each mode flag
+FLAG_VALUES = {"uip": "sublevel", "backtrack": "cbj", "simplify": True,
+               "continue_search": True, "cache": "separator",
+               "refresh_threshold": 100}
+
+
+@pytest.mark.parametrize("mode,name", [
+    (mode, name) for mode, row in MODES.items() for name in FLAGS
+    if name not in row.flags])
+def test_foreign_flag_rejected_naming_flag_and_mode(mode, name):
+    with pytest.raises(ConfigError) as info:
+        RunConfig(mode=mode, **{name: FLAG_VALUES[name]}).validate()
+    assert FLAGS[name][0] in str(info.value)
+    assert mode in str(info.value)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_owned_flags_accepted(mode):
+    RunConfig(mode=mode, **{name: FLAG_VALUES[name]
+                            for name in MODES[mode].flags}).validate()
+
+
+@pytest.mark.parametrize("mode,output", [
+    ("oracle", "cubes"), ("blocking", "obdd"), ("nonblocking", "obdd"),
+    ("oracle", "obdd"), ("bdd", "cubes"), ("bdd-blocking", "cubes")])
+def test_unsupported_output_is_input_error(ex41_file, mode, output, capsys):
+    with pytest.raises(ConfigError):
+        RunConfig(mode=mode, output=output).validate()
+    code = main(["solve", str(ex41_file), "--mode", mode,
+                 "--output", output])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert f"--output {output}" in captured.err and mode in captured.err
+
+
+def test_labels_golden():
+    """Labels of all 16 configurations and the oracle, plus defaults and
+    refresh thresholds, as the CSV tables have always spelled them."""
+    golden = {
+        "nonblocking+sublevel+bt": RunConfig(uip="sublevel", backtrack="bt"),
+        "nonblocking+sublevel+bj": RunConfig(uip="sublevel", backtrack="bj"),
+        "nonblocking+sublevel+cbj": RunConfig(uip="sublevel",
+                                              backtrack="cbj"),
+        "nonblocking+sublevel+bjcbj": RunConfig(uip="sublevel",
+                                                backtrack="bjcbj"),
+        "nonblocking+dlevel+bt": RunConfig(uip="dlevel", backtrack="bt"),
+        "nonblocking+dlevel+cbj": RunConfig(mode="nonblocking",
+                                            backtrack="cbj"),
+        "nonblocking+dlevel+bjcbj": RunConfig(backtrack="bjcbj"),
+        "nonblocking+dlevel+bj": RunConfig(),
+        "blocking": RunConfig(mode="blocking"),
+        "blocking+simplify": RunConfig(mode="blocking", simplify=True),
+        "blocking+continue": RunConfig(mode="blocking",
+                                       continue_search=True),
+        "blocking+simplify+continue": RunConfig(mode="blocking",
+                                                simplify=True,
+                                                continue_search=True),
+        "bdd+dlevel+bj+cutset": RunConfig(mode="bdd"),
+        "bdd+dlevel+bj+separator": RunConfig(mode="bdd", cache="separator"),
+        "bdd-blocking+cutset": RunConfig(mode="bdd-blocking"),
+        "bdd-blocking+separator": RunConfig(mode="bdd-blocking",
+                                            cache="separator"),
+        "oracle": RunConfig(mode="oracle"),
+        "bdd+dlevel+bj+cutset+theta4": RunConfig(mode="bdd", uip="dlevel",
+                                                 backtrack="bj",
+                                                 cache="cutset",
+                                                 refresh_threshold=4),
+        "bdd+sublevel+cbj+separator+theta0": RunConfig(
+            mode="bdd", uip="sublevel", backtrack="cbj", cache="separator",
+            refresh_threshold=0),
+        "bdd-blocking+cutset+theta10": RunConfig(mode="bdd-blocking",
+                                                 refresh_threshold=10),
+    }
+    assert {label: cfg.label() for label, cfg in golden.items()} == \
+        {label: label for label in golden}
+
+
+def test_refresh_threshold_not_above_variables_is_input_error(ex41_file,
+                                                              capsys):
+    code = main(["solve", str(ex41_file), "--mode", "bdd",
+                 "--refresh-threshold", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert "refresh threshold 2" in captured.err
+    report = verify(ex41_file, parse_config_string("--mode nonblocking"),
+                    parse_config_string("--mode bdd-blocking "
+                                        "--refresh-threshold 3"))
+    assert not report.ok
+    assert any("refresh threshold 3" in p for p in report.problems)
+
+
+def test_bench_records_refresh_threshold_error(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "a.cnf").write_text(EX41_TEXT)
+    cfgs = tmp_path / "configs.txt"
+    cfgs.write_text("--mode bdd --refresh-threshold 3\n--mode blocking\n")
+    code = main(["bench", str(suite), "--configs", str(cfgs),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    with open(tmp_path / "out" / "results.csv") as fh:
+        rows = {r["config"]: r for r in csv.DictReader(fh)}
+    bdd = rows["bdd+dlevel+bj+cutset+theta3"]
+    assert bdd["exit_code"] == "20"
+    assert "refresh threshold 3" in bdd["error"]
+    assert rows["blocking"]["exit_code"] == "0"
+
+
+def test_trace_boundaries_resolve():
+    """Every (owner, attribute) the benchmark's span tracer wraps exists, so
+    a traced benchmark run can install its wrappers."""
+    import allsat
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+    spec = importlib.util.spec_from_file_location("allsat_bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = spans.boundaries(allsat)
+    assert targets
+    for name, owner, attr in targets:
+        assert callable(getattr(owner, attr, None)), (name, owner, attr)
 
 
 def test_order_file_round_trip(ex31_file, tmp_path):
@@ -208,6 +332,34 @@ def test_verify_detects_corruption(ex41_file, tmp_path, monkeypatch):
                     save_dir=tmp_path)
     assert not report.ok
     assert report.counterexample and Path(report.counterexample).exists()
+
+
+@pytest.mark.parametrize("engine,flags,problem", [
+    ("NonBlockingSolver", "--mode nonblocking", "duplicate solutions"),
+    ("BlockingSolver", "--mode blocking", "overlap")])
+def test_verify_checks_cubes_by_kind(ex31_file, tmp_path, monkeypatch,
+                                     engine, flags, problem):
+    """Negative control for the per-mode cube checks: an engine that
+    emits its first cube twice is caught by its mode's check."""
+    import allsat.harness as H
+    real = getattr(H, engine)
+
+    class Repeating(real):
+        def run(self):
+            sink, first = self.sink, []
+
+            def emit(cube):
+                sink(cube)
+                if not first:
+                    first.append(cube)
+                    sink(cube)
+            self.sink = emit
+            return super().run()
+
+    monkeypatch.setattr(H, engine, Repeating)
+    report = verify(ex31_file, parse_config_string(flags),
+                    parse_config_string("--mode oracle"), save_dir=tmp_path)
+    assert any(problem in p for p in report.problems), report.problems
 
 
 # ----------------------------------------------------------------------

@@ -115,6 +115,18 @@ def test_load_errors(text):
         load(text)
 
 
+@pytest.mark.parametrize("text", [
+    "obdd 1 3\n2 1 2 1\nroot 2\n",    # arc back to its own node: a cycle
+    "obdd 1 3\n2 1 0 1\nroot -1\n",   # negative root
+    "obdd 1 3\n2 1 5 7\nroot 2\n",    # arcs past the last id
+    "obdd 1 3\n2 9 0 1\nroot 2\n",    # variable outside 1..3
+    "obdd 2 3\n2 2 3 1\n3 1 0 1\nroot 2\n",  # child below its parent
+])
+def test_load_rejects_corrupt_diagrams(text):
+    with pytest.raises(ObddLoadError):
+        load(text)
+
+
 def test_ordering_invariant_after_runs(ex31):
     from allsat import enumerate_bdd
     store, _, _ = enumerate_bdd(ex31)

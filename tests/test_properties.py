@@ -1,16 +1,19 @@
 """Property tests of the enumeration engines on random small CNFs."""
 
+import signal
 import tempfile
+from contextlib import contextmanager
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from allsat import (BddSolver, BlockingConfig, BlockingSolver,
                     NonBlockingConfig, NonBlockingSolver, RefreshPolicy,
-                    apply_order, enumerate_all, from_clause_lists, load)
+                    apply_order, count_models, dump, enumerate_all,
+                    from_clause_lists, load)
 from allsat.bddcache import CACHE_MODES
 from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
-from allsat.obdd import iter_paths
+from allsat.obdd import ObddLoadError, iter_paths
 from allsat.oracle import expand_cube
 
 from conftest import solution_mask
@@ -106,3 +109,39 @@ def test_blocking_cubes_partition_the_models(case):
             assert solver.covered == len(want), cfg
             if not simplify:
                 assert all(len(c) == n for c in cubes), cfg
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Fail with TimeoutError instead of hanging past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@given(cases(max_n=6), st.data())
+def test_load_of_a_mutated_dump_fails_typed_or_loads_a_sound_diagram(
+        case, data):
+    """Replacing any one field of a valid dump with a small integer either
+    raises ObddLoadError or loads an ordered diagram that counts at most
+    2^n models without hanging."""
+    formula, _, _ = case
+    lines = [line.split() for line in
+             dump(BddSolver(formula).run_bdd().store).splitlines()]
+    row = data.draw(st.integers(0, len(lines) - 1))
+    col = data.draw(st.integers(0, len(lines[row]) - 1))
+    lines[row][col] = str(data.draw(st.integers(-3, len(lines) + 3)))
+    text = "\n".join(" ".join(line) for line in lines) + "\n"
+    with time_limit(2):
+        try:
+            store = load(text)
+        except ObddLoadError:
+            return
+        store.check_ordered()
+        assert 0 <= count_models(store) <= 2 ** formula.num_vars
