@@ -12,15 +12,24 @@ backtrack immediately instead of re-exploring.  Keys are computed from the
 prefix variables only; assignments propagation made beyond the prefix are
 consequences of it and cannot break key soundness.
 
-Two engines host the cache.  On the non-blocking engine (fixed variable
-order), pending keys enroll into the solved cache the moment backtracking
-abandons their spine - the node then fills in as exhaustively as the search
+Two engines host the cache, and neither has a search loop of its own.  The
+non-blocking engine (fixed variable order) runs ``NonBlockingSolver.run``
+unchanged - the DPLL-with-formula-caching of Huang & Darwiche, "Using DPLL
+for Efficient OBDD Construction" (SAT 2004) - with one lookup in its
+decision step: a hit grafts the cached node and closes the branch, a miss
+decides.  Pending keys enroll into the solved cache the moment backtracking
+abandons their spine, so the node fills in as exhaustively as the search
 itself does.  On the blocking engine, restarts abandon spines without
 exhausting them, so early enrollment is unsound; there the cache instead
 canonicalizes nodes at creation time, merging equivalent prefixes so every
 individually enumerated solution streams into shared subgraphs.  Node
 sharing is switched off when refreshing is active, because a dump must not
 contain paths for solutions the search has yet to report.
+
+Both engines add nodes through ``obdd.extend_obdd``, the one walk from the
+root that creates them: a graft on the non-blocking engine, each reported
+model on the blocking engine, whose cache lookup supplies the node for a
+missing interior arc when sharing is on.
 
 The non-blocking host always decides the first unassigned variable.  So a
 cancel to level L unassigns exactly the variables at levels above L, all of
@@ -43,7 +52,10 @@ that invariant, so each step touches only what the cancel changed:
 When the node arena reaches the refresh threshold the diagram is dumped to
 disk, the bytes accounted for its nodes and keys are released, and all
 caching state restarts empty; the underlying search state is untouched, so
-dumped path sets partition the solution set.
+dumped path sets partition the solution set.  The non-blocking engine
+checks at each cancel, after enrollment, since the backtrack that closes a
+grafted branch is the first cancel after the graft; the blocking engine
+checks after each restart.
 """
 
 from __future__ import annotations
@@ -54,9 +66,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .formula import Clause, CnfFormula, CutStructure, compute_cuts
-from .kernel import Budget, SearchHalted
+from .kernel import Budget
 from .nonblocking import NonBlockingConfig, NonBlockingSolver
-from .obdd import BOT, TOP, ObddStore, count_models, dump, extend_obdd
+from .obdd import TOP, ObddStore, count_models, dump, extend_obdd
 from .blocking import BlockingConfig, BlockingSolver
 from .trail import UNASSIGNED
 
@@ -166,9 +178,25 @@ def _result(solver) -> BddResult:
                      final + sum(c for _, c in solver.dumps))
 
 
+def _init_cache(solver, cuts: CutStructure | None, cache_mode: str,
+                policy: RefreshPolicy | None) -> None:
+    """Cache state both engines keep: the cut structure, the key mode, the
+    refresh policy, the diagram, the solved cache and the dumped parts."""
+    if cache_mode not in CACHE_MODES:
+        raise ValueError(f"unknown cache mode {cache_mode!r}")
+    formula = solver.formula
+    solver.cuts = cuts if cuts is not None else compute_cuts(formula)
+    solver.cache_mode = cache_mode
+    solver.policy = policy or RefreshPolicy()
+    solver.policy.validate(formula.num_vars)
+    solver.store = ObddStore(formula.num_vars)
+    solver.solved = {TOP_KEY: TOP}
+    solver.dumps = []
+
+
 class BddSolver(NonBlockingSolver):
     """Non-blocking engine with the encode / extend / enroll stages wired
-    into every backtrack."""
+    into its decision step and every cancel."""
 
     def __init__(self, formula: CnfFormula, cuts: CutStructure | None = None,
                  cfg: NonBlockingConfig | None = None,
@@ -177,14 +205,7 @@ class BddSolver(NonBlockingSolver):
                  budget: Budget | None = None):
         super().__init__(formula, cfg, sink=None, budget=budget,
                          fixed_order=True)
-        if cache_mode not in CACHE_MODES:
-            raise ValueError(f"unknown cache mode {cache_mode!r}")
-        self.cuts = cuts if cuts is not None else compute_cuts(formula)
-        self.cache_mode = cache_mode
-        self.policy = policy or RefreshPolicy()
-        self.policy.validate(formula.num_vars)
-        self.store = ObddStore(formula.num_vars)
-        self.solved: dict[tuple, int] = {TOP_KEY: TOP}
+        _init_cache(self, cuts, cache_mode, policy)
         # cut index -> code, in increasing cut order
         self.pending_keys: dict[int, tuple] = {}
         self.path: list[tuple[int, int]] = []
@@ -193,15 +214,11 @@ class BddSolver(NonBlockingSolver):
         self.path_ok = 0
         # every variable below the cursor is assigned
         self.cursor = 1
-        self.dumps: list[tuple[str, int]] = []
 
     # ------------------------------------------------------------------
 
-    def _values(self) -> list[int]:
-        return self.kernel.trail.values
-
     def _key_at(self, cut_index) -> tuple:
-        return make_formula(self.formula, self.cuts, self._values(),
+        return make_formula(self.formula, self.cuts, self.kernel.trail.values,
                             cut_index, self.cache_mode)
 
     def _first_unassigned(self) -> int | None:
@@ -212,6 +229,27 @@ class BddSolver(NonBlockingSolver):
             v += 1
         self.cursor = v
         return v if v <= n else None
+
+    def _next_decision(self) -> int | None:
+        """Encode stage: look the prefix below the first unassigned variable
+        up.  A hit (every variable assigned always hits) grafts the solved
+        node and closes the branch; a miss leaves the key pending and
+        decides the variable false."""
+        k = self.kernel
+        i = self._first_unassigned()
+        cut_index = math.inf if i is None else i - 1
+        key = self._key_at(cut_index)
+        node = self.solved.get(key)
+        if node is None:
+            k.stats.cache_misses += 1
+            self.pending_keys[cut_index] = key[1]
+            return -i
+        if i is None:
+            k.stats.solutions += 1
+        else:
+            k.stats.cache_hits += 1
+        self._graft(node, i)
+        return None
 
     def _canceled_var(self, bl: int) -> int | None:
         """Lowest variable a cancel to level ``bl`` unassigns: the decision
@@ -230,6 +268,12 @@ class BddSolver(NonBlockingSolver):
         if d is None:
             return
         self._enroll(level)
+        # only a graft adds nodes, and the backtrack closing its branch is
+        # the first cancel after it: refresh once its keys are enrolled
+        if self.policy.threshold is not None and _refresh(self):
+            self.pending_keys.clear()
+            self.path = []
+            self.path_ok = 0
         # pending cuts ascend, so the keys whose decision the cancel
         # removes (cuts >= d - 1) are the last ones
         pending = self.pending_keys
@@ -258,12 +302,6 @@ class BddSolver(NonBlockingSolver):
                     self.solved[(j - 1, code)] = nid
                     self.kernel.budget.charge(_KEY_BYTES)
 
-    def _maybe_refresh(self) -> None:
-        if _refresh(self):
-            self.pending_keys.clear()
-            self.path = []
-            self.path_ok = 0
-
     def _graft(self, node: int, i: int | None) -> None:
         """Extend the diagram from the root along the prefix below variable
         ``i`` (every variable when None) to the solved ``node``."""
@@ -278,44 +316,9 @@ class BddSolver(NonBlockingSolver):
     # ------------------------------------------------------------------
 
     def run_bdd(self) -> BddResult:
-        k = self.kernel
-        if self.formula.has_empty_clause() or k.root_conflict:
-            return BddResult(self.store)
-        pending: Clause | None = None
-        try:
-            while True:
-                if pending is None:
-                    pending = k.propagate()
-                if pending is not None:
-                    conflict, pending = pending, None
-                    if k.trail.level <= 0:
-                        break
-                    conflict = self._normalize(conflict)
-                    pending = self._resolve(conflict)
-                else:
-                    i = self._first_unassigned()
-                    cut_index = math.inf if i is None else i - 1
-                    key = self._key_at(cut_index)
-                    node = self.solved.get(key)
-                    if node is not None:
-                        if key is TOP_KEY or key == TOP_KEY:
-                            k.stats.solutions += 1
-                        else:
-                            k.stats.cache_hits += 1
-                        self._graft(node, i)
-                        if k.trail.level <= 0:
-                            break
-                        self.backtrack_bt()
-                        self.lim = k.trail.level
-                        self._maybe_refresh()
-                    else:
-                        k.stats.cache_misses += 1
-                        self.pending_keys[cut_index] = key[1]
-                        k.make_decision(-i)
-        except SearchHalted:
-            pass
+        self.run()
         result = _result(self)
-        k.stats.solutions = result.total
+        self.kernel.stats.solutions = result.total
         return result
 
 
@@ -345,54 +348,37 @@ class BddBlockingSolver(BlockingSolver):
             raise ValueError("simplification emits partial cubes; the OBDD "
                              "path builder needs total assignments")
         super().__init__(formula, cfg, sink=None, budget=budget)
-        if cache_mode not in CACHE_MODES:
-            raise ValueError(f"unknown cache mode {cache_mode!r}")
-        self.cuts = cuts if cuts is not None else compute_cuts(formula)
-        self.cache_mode = cache_mode
-        self.policy = policy or RefreshPolicy()
-        self.policy.validate(formula.num_vars)
+        _init_cache(self, cuts, cache_mode, policy)
         # sharing across equivalent prefixes is only sound when no dump can
         # freeze a node before the search finishes filling it
         self.sharing = self.policy.threshold is None
-        self.store = ObddStore(formula.num_vars)
-        self.solved: dict[tuple, int] = {TOP_KEY: TOP}
-        self.dumps: list[tuple[str, int]] = []
         self.sink = self._absorb
 
     def _absorb(self, cube: tuple[int, ...]) -> None:
-        values = self.kernel.trail.values
-        n = self.formula.num_vars
-        self._add_path([values[d] for d in range(1, n + 1)])
+        self._add_path()
 
-    def _add_path(self, values: list[int]) -> None:
+    def _add_path(self) -> None:
+        """Add the path of the total model on the trail."""
         store = self.store
-        n = self.formula.num_vars
         before = store.size
-        if store.root == BOT:
-            store.root = store.new_node(1)
-        u = store.root
-        full = [0] + values   # 1-indexed view for make_formula
-        for d in range(1, n + 1):
-            v = values[d - 1]
-            nxt = store.arc(u, v)
-            if nxt == BOT:
-                if d == n:
-                    nxt = TOP
-                elif self.sharing:
-                    key = make_formula(self.formula, self.cuts, full, d,
-                                       self.cache_mode)
-                    nxt = self.solved.get(key)
-                    if nxt is None:
-                        nxt = store.new_node(d + 1)
-                        self.solved[key] = nxt
-                        self.kernel.budget.charge(_KEY_BYTES)
-                    else:
-                        self.kernel.stats.cache_hits += 1
-                else:
-                    nxt = store.new_node(d + 1)
-                store.set_arc(u, v, nxt)
-            u = nxt
+        extend_obdd(store, TOP, self.kernel.trail.values[1:],
+                    new_node=self._shared_node if self.sharing else None)
         self.kernel.budget.charge(_NODE_BYTES * (store.size - before))
+
+    def _shared_node(self, var: int) -> int:
+        """Node for the subinstance below the trail's prefix of variables
+        before ``var``: the cached node of an equivalent prefix, or a fresh
+        one that is cached for the next."""
+        key = make_formula(self.formula, self.cuts, self.kernel.trail.values,
+                           var - 1, self.cache_mode)
+        node = self.solved.get(key)
+        if node is not None:
+            self.kernel.stats.cache_hits += 1
+            return node
+        node = self.store.new_node(var)
+        self.solved[key] = node
+        self.kernel.budget.charge(_KEY_BYTES)
+        return node
 
     def _block_and_restart(self, clause: Clause) -> Clause | None:
         pending = super()._block_and_restart(clause)

@@ -28,16 +28,13 @@ class BlockingConfig:
 
 
 class ProgressArray:
-    """Saved phases plus the ordered decision list from the last restart."""
+    """The ordered decision list from the last restart."""
 
-    def __init__(self, num_vars: int):
-        self.phase = [UNASSIGNED] * (num_vars + 1)
+    def __init__(self):
         self.saved: list[tuple[int, int]] = []
 
     def record(self, decisions: list[int]) -> None:
         self.saved = [(abs(l), 1 if l > 0 else 0) for l in decisions]
-        for var, val in self.saved:
-            self.phase[var] = val
 
 
 def simplify_assignment(trail: Trail, store: ClauseStore) -> list[int]:
@@ -121,8 +118,7 @@ class BlockingSolver:
         self.cfg = cfg or BlockingConfig()
         self.sink = sink
         self.kernel = Kernel(formula, budget=budget, decide_order=decide_order)
-        self.kernel.use_saved_phase = self.cfg.continue_search
-        self.progress = ProgressArray(formula.num_vars)
+        self.progress = ProgressArray()
         self.count = 0            # cubes emitted
         self.covered = 0          # total assignments the cubes expand to
         self.emitted_clauses: list[tuple[int, ...]] = []
@@ -213,7 +209,6 @@ class BlockingSolver:
             self.progress.record(k.trail.decisions())
         self.emitted_clauses.append(tuple(sorted(clause.lits, key=abs)))
         k.cancel_to(0)
-        k.stats.restarts += 1
         k.add_blocking(clause)
         status = k.attach_clause(clause)
         if status == FALSIFIED:

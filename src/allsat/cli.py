@@ -5,8 +5,9 @@
     allsat verify <file> --a "FLAGS" --b "FLAGS"
     allsat oracle <file>
 
-Exit codes: 0 complete, 10 limit exceeded (partial result), 20 input error;
-verify exits 1 on a detected mismatch.
+Exit codes: 0 complete, 10 limit exceeded (partial result), 20 input error
+(in verify, also when either configuration rejects the instance); verify
+exits 1 on a detected mismatch.
 """
 
 from __future__ import annotations
@@ -130,6 +131,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if report.ok:
         print("agree")
         return EXIT_OK
+    if report.input_error:
+        for p in report.problems:
+            print(f"error: {p}", file=sys.stderr)
+        return EXIT_INPUT
     for p in report.problems:
         print(f"MISMATCH: {p}")
     if report.counterexample:

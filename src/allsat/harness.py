@@ -385,6 +385,7 @@ class VerifyReport:
     ok: bool
     problems: list[str] = field(default_factory=list)
     counterexample: str | None = None
+    input_error: bool = False   # a run rejected its input; nothing compared
 
 
 def _collect_run(path, cfg: RunConfig, formula: CnfFormula):
@@ -397,11 +398,13 @@ def verify(path: str | Path, cfg_a: RunConfig, cfg_b: RunConfig,
            save_dir: str | Path | None = None) -> VerifyReport:
     """Run two configurations plus the oracle and cross-check counts,
     duplicate solutions, and cube overlaps.  On mismatch a minimized
-    counterexample is saved next to the instance (or in ``save_dir``)."""
+    counterexample is saved next to the instance (or in ``save_dir``).  An
+    input error of either run is reported as such: no formula could make it
+    go away, so there is nothing to minimize or save."""
     with open(path) as fh:
         formula = parse_dimacs(fh.read())
     report = _verify_formula(formula, cfg_a, cfg_b, str(path))
-    if not report.ok:
+    if not report.ok and not report.input_error:
         counter = _minimize(formula, cfg_a, cfg_b)
         directory = Path(save_dir) if save_dir else Path(path).parent
         directory.mkdir(parents=True, exist_ok=True)
@@ -421,12 +424,13 @@ def verify(path: str | Path, cfg_a: RunConfig, cfg_b: RunConfig,
 
 def _verify_formula(formula: CnfFormula, cfg_a: RunConfig, cfg_b: RunConfig,
                     name: str) -> VerifyReport:
-    problems: list[str] = []
     stats_a, cubes_a = _collect_run(name, cfg_a, formula)
     stats_b, cubes_b = _collect_run(name, cfg_b, formula)
-    for s in (stats_a, stats_b):
-        if s.exit_code == EXIT_INPUT:
-            problems.append(f"{s.config}: {s.error}")
+    problems = [f"{s.config}: {s.error}" for s in (stats_a, stats_b)
+                if s.exit_code == EXIT_INPUT]
+    if problems:
+        return VerifyReport(name, stats_a.solutions, stats_b.solutions, None,
+                            False, problems, input_error=True)
     oracle_count = None
     if formula.num_vars <= 25:
         oracle_count = enumerate_all(formula).count

@@ -74,11 +74,9 @@ class SolverStats:
     conflicts: int = 0
     learned_clauses: int = 0
     blocking_clauses: int = 0
-    max_trail: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     solutions: int = 0
-    restarts: int = 0
 
 
 # attach_clause statuses
@@ -141,8 +139,6 @@ class Kernel:
         self._decide_cursor = 0
         self.activity = [0.0] * (self.n + 1)
         self.var_inc = 1.0
-        self.saved_phase: list[int] = [UNASSIGNED] * (self.n + 1)
-        self.use_saved_phase = False
         self.qhead = 0
         self.root_conflict = False
         for c in self.store.problem:
@@ -212,9 +208,6 @@ class Kernel:
     def enqueue(self, lit: int, reason: Clause | None = None,
                 is_decision: bool = False) -> None:
         self.trail.assign(lit, reason=reason, is_decision=is_decision)
-        size = len(self.trail.lits)
-        if size > self.stats.max_trail:
-            self.stats.max_trail = size
 
     def cancel_to(self, level: int) -> None:
         self.trail.cancel_to(level)
@@ -284,8 +277,6 @@ class Kernel:
             # on a conflict the unvisited tail watchers[i:] stays as it is
             del watchers[j:i]
         self.stats.propagations += len(trail_lits) - start
-        if len(trail_lits) > self.stats.max_trail:
-            self.stats.max_trail = len(trail_lits)
         if conflict is not None:
             self.qhead = len(trail_lits)
             self.stats.conflicts += 1
@@ -330,7 +321,7 @@ class Kernel:
         """Pick the next decision literal, or None when all assigned.
 
         Consumes the injected decision order first, then falls back to the
-        heuristic; the default phase is false unless a saved phase exists.
+        heuristic, deciding the variable false.
         """
         while self._decide_cursor < len(self.decide_order):
             lit = self.decide_order[self._decide_cursor]
@@ -340,8 +331,6 @@ class Kernel:
         var = self.pick_branch_var()
         if var is None:
             return None
-        if self.use_saved_phase and self.saved_phase[var] != UNASSIGNED:
-            return var if self.saved_phase[var] == 1 else -var
         return -var
 
     def make_decision(self, lit: int) -> None:

@@ -102,17 +102,28 @@ class NonBlockingSolver:
                         break
                     conflict = self._normalize(conflict)
                     pending = self._resolve(conflict)
-                elif k.trail.all_assigned():
-                    self._report()
-                    if k.trail.level <= 0:
-                        break
-                    self.backtrack_bt()
-                    self.lim = k.trail.level
                 else:
-                    k.make_decision(k.decide())
+                    lit = self._next_decision()
+                    if lit is not None:
+                        k.make_decision(lit)
+                    elif k.trail.level <= 0:
+                        break
+                    else:
+                        self.backtrack_bt()
+                        self.lim = k.trail.level
         except SearchHalted:
             pass
         return self.count
+
+    # hook point: formula-BDD caching looks the prefix up in its cache here
+    def _next_decision(self) -> int | None:
+        """The next decision literal, or None once the branch is closed (a
+        total model was reported)."""
+        k = self.kernel
+        if k.trail.all_assigned():
+            self._report()
+            return None
+        return k.decide()
 
     def _report(self) -> None:
         self.count += 1
@@ -160,14 +171,7 @@ class NonBlockingSolver:
     # conflict resolution strategies
 
     def _resolve(self, conflict: Clause) -> Clause | None:
-        strategy = self.cfg.strategy
-        if strategy == "bt":
-            return self.resolve_bt(conflict)
-        if strategy == "bj":
-            return self.resolve_bj(conflict)
-        if strategy == "cbj":
-            return self.resolve_cbj(conflict)
-        return self.resolve_bjcbj(conflict)
+        return getattr(self, "resolve_" + self.cfg.strategy)(conflict)
 
     def _attach_learned(self, clause: Clause) -> Clause | None:
         """Attach a recorded clause under the post-backtrack trail; enqueue

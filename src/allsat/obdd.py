@@ -11,6 +11,7 @@ has exhausted without extending provably holds no solutions.
 from __future__ import annotations
 
 import io
+from collections.abc import Callable
 
 
 class ObddCorruption(Exception):
@@ -75,13 +76,17 @@ class ObddStore:
 
 def extend_obdd(store: ObddStore, g: int, values: list[int],
                 path: list[tuple[int, int]] | None = None,
-                keep: int = 0) -> list[tuple[int, int]]:
+                keep: int = 0, new_node: Callable[[int], int] | None = None
+                ) -> list[tuple[int, int]]:
     """Add the path described by ``values`` (value of variable d at index
     d-1) from the root to the already-solved node ``g``.
 
-    Missing interior nodes are created with both arcs at the false sink; the
-    final arc is upgraded from the false sink to ``g``.  Returns the path as
-    (node id, direction taken) pairs, root first.
+    This is the one walk that creates nodes along a path.  A missing root
+    is a fresh node; a missing interior arc to variable v gets the node
+    ``new_node(v)`` returns (by default ``store.new_node(v)``, a fresh node
+    with both arcs at the false sink).  The final arc is upgraded from the
+    false sink to ``g``.  Returns the path as (node id, direction taken)
+    pairs, root first.
 
     ``path`` may be the list an earlier call on this store returned.  When
     its first ``keep`` entries still take the directions ``values`` gives
@@ -93,6 +98,8 @@ def extend_obdd(store: ObddStore, g: int, values: list[int],
     k = len(values)
     if path is None:
         path = []
+    if new_node is None:
+        new_node = store.new_node
     # the last step is always walked again, since it is the one that grafts
     keep = min(keep, k - 1, len(path) - 1)
     if keep > 0:
@@ -124,7 +131,7 @@ def extend_obdd(store: ObddStore, g: int, values: list[int],
                     f"arc of node {u} already set to {cur}, expected {g}")
             break
         if cur == BOT:
-            nxt = store.new_node(d + 1)
+            nxt = new_node(d + 1)
             store.set_arc(u, v, nxt)
             u = nxt
         else:

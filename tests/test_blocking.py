@@ -108,7 +108,7 @@ def test_continuation_replays_saved_decisions(ex31):
         k.make_decision(lit)
         assert k.propagate() is None
     assert k.trail.all_assigned()
-    progress = ProgressArray(6)
+    progress = ProgressArray()
     progress.record(k.trail.decisions())
     assert progress.saved == [(5, 0), (3, 1), (2, 1)]
 
@@ -141,7 +141,7 @@ def test_replay_empty_progress_is_noop(ex31):
     k = Kernel(ex31)
     k.propagate()
     before = len(k.trail)
-    assert replay_decisions(k, ProgressArray(6)) is None
+    assert replay_decisions(k, ProgressArray()) is None
     assert len(k.trail) == before
 
 

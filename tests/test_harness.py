@@ -194,6 +194,48 @@ def test_refresh_threshold_not_above_variables_is_input_error(ex41_file,
     assert any("refresh threshold 3" in p for p in report.problems)
 
 
+def test_verify_input_error_saves_no_counterexample(ex31_file, tmp_path,
+                                                    capsys):
+    """A configuration that rejects the instance is an input error, not a
+    disagreement: verify lists it, minimizes nothing and exits 20."""
+    code = main(["verify", str(ex31_file), "--a", "--mode nonblocking",
+                 "--b", "--mode bdd --refresh-threshold 6"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert "refresh threshold 6" in captured.err
+    assert "MISMATCH" not in captured.out
+    assert not list(tmp_path.glob("*.counterexample.*"))
+    report = verify(ex31_file, parse_config_string("--mode nonblocking"),
+                    parse_config_string("--mode bdd --refresh-threshold 6"),
+                    save_dir=tmp_path / "saved")
+    assert report.input_error and not report.ok
+    assert report.counterexample is None
+    assert not (tmp_path / "saved").exists()
+
+
+@pytest.mark.parametrize("text", ["p cnf 0 0\n", "p cnf 2 0\n"])
+def test_formulas_without_clauses_match_the_oracle(tmp_path, capsys, text):
+    """Every mode counts a clause-free formula, also one over no variables,
+    like the oracle, and the diagram of each diagram mode loads back with
+    the same count."""
+    from allsat import count_models, load
+    path = tmp_path / "free.cnf"
+    path.write_text(text)
+    assert main(["oracle", str(path)]) == EXIT_OK
+    want = capsys.readouterr().out
+    assert want.strip() == str(2 ** int(text.split()[2]))
+    for mode, row in MODES.items():
+        for cache in CACHE_MODES if "cache" in row.flags else (None,):
+            flags = ["--mode", mode] + (["--cache", cache] if cache else [])
+            assert main(["solve", str(path), *flags]) == EXIT_OK, flags
+            assert capsys.readouterr().out == want, flags
+            if row.diagram:
+                assert main(["solve", str(path), *flags,
+                             "--output", "obdd"]) == EXIT_OK, flags
+                out = capsys.readouterr().out
+                assert str(count_models(load(out))) == want.strip(), flags
+
+
 def test_bench_records_refresh_threshold_error(tmp_path, capsys):
     suite = tmp_path / "suite"
     suite.mkdir()

@@ -196,25 +196,11 @@ def test_decide_fixed_order():
     assert k.decide() == -2
 
 
-def test_decide_saved_phase():
-    f = from_clause_lists(5, [[1, 2]])
-    k = Kernel(f)
-    k.use_saved_phase = True
-    k.saved_phase[5] = 0
-    k.saved_phase[3] = 1
-    k.activity[5] = 2.0
-    k.activity[3] = 1.0
-    assert k.decide() == -5
-    k.make_decision(-5)
-    assert k.decide() == 3
-
-
 def test_stats_counters(ex31):
     k = Kernel(ex31)
     drive(k, [-5, 3, 2])
     assert k.stats.decisions == 3
     assert k.stats.propagations == 3   # -6, 1, 4
-    assert k.stats.max_trail == 6
 
 
 def test_pick_branch_var_highest_activity_lowest_index():

@@ -7,10 +7,10 @@ from contextlib import contextmanager
 from hypothesis import given
 from hypothesis import strategies as st
 
-from allsat import (BddSolver, BlockingConfig, BlockingSolver,
-                    NonBlockingConfig, NonBlockingSolver, RefreshPolicy,
-                    apply_order, count_models, dump, enumerate_all,
-                    from_clause_lists, load)
+from allsat import (BddBlockingSolver, BddSolver, BlockingConfig,
+                    BlockingSolver, NonBlockingConfig, NonBlockingSolver,
+                    RefreshPolicy, apply_order, count_models, dump,
+                    enumerate_all, from_clause_lists, load)
 from allsat.bddcache import CACHE_MODES
 from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
 from allsat.obdd import ObddLoadError, iter_paths
@@ -21,13 +21,15 @@ from conftest import solution_mask
 
 @st.composite
 def cases(draw, max_n=12):
-    """A CNF over 1..max_n variables, a variable order and a refresh
+    """A CNF over 0..max_n variables, a variable order and a refresh
     threshold (None for no refresh)."""
-    n = draw(st.integers(1, max_n))
-    clause = st.lists(st.integers(1, n), min_size=1, max_size=min(4, n),
-                      unique=True).flatmap(
-        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)))
-    clauses = draw(st.lists(clause, max_size=4 * n))
+    n = draw(st.integers(0, max_n))
+    clauses = []
+    if n:
+        clause = st.lists(st.integers(1, n), min_size=1, max_size=min(4, n),
+                          unique=True).flatmap(
+            lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)))
+        clauses = draw(st.lists(clause, max_size=4 * n))
     perm = [0] + draw(st.permutations(range(1, n + 1)))
     # a threshold just above n dumps nearly every model on its own: up to
     # 2^12 dumps per configuration would dominate the suite's time
@@ -40,11 +42,31 @@ def path_mask(path) -> int:
     return sum(1 << (var - 1) for var, value in path if value)
 
 
+def check_partition(result, n: int, want: set[int], label) -> None:
+    """The dumped parts and the final diagram of a diagram engine's result
+    are ordered, never skip a variable, and split the models ``want``
+    between them."""
+    assert result.total == len(want), label
+    stores = []
+    for part, count in result.dumps:
+        with open(part) as fh:
+            stores.append((load(fh.read()), count))
+    stores.append((result.store, result.final))
+    masks = []
+    for store, count in stores:
+        store.check_ordered()
+        paths = list(iter_paths(store))
+        assert len(paths) == count, label
+        assert all(len(p) == n for p in paths), label
+        masks += [path_mask(p) for p in paths]
+    assert len(masks) == len(set(masks)), label
+    assert set(masks) == want, label
+
+
 @given(cases())
 def test_bdd_counts_orders_and_partitions(case):
     formula, perm, threshold = case
     f = apply_order(formula, perm)
-    n = f.num_vars
     want = set(enumerate_all(f).masks)
     with tempfile.TemporaryDirectory() as tmp:
         for cfg in (NonBlockingConfig(u, b)
@@ -54,22 +76,22 @@ def test_bdd_counts_orders_and_partitions(case):
                                        f"{cfg.uip_scheme}-{cfg.strategy}-{mode}")
                 result = BddSolver(f, cfg=cfg, cache_mode=mode,
                                    policy=policy).run_bdd()
-                label = (cfg, mode)
-                assert result.total == len(want), label
-                stores = []
-                for part, count in result.dumps:
-                    with open(part) as fh:
-                        stores.append((load(fh.read()), count))
-                stores.append((result.store, result.final))
-                masks = []
-                for store, count in stores:
-                    store.check_ordered()
-                    paths = list(iter_paths(store))
-                    assert len(paths) == count, label
-                    assert all(len(p) == n for p in paths), label
-                    masks += [path_mask(p) for p in paths]
-                assert len(masks) == len(set(masks)), label
-                assert set(masks) == want, label
+                check_partition(result, f.num_vars, want, (cfg, mode))
+
+
+# bdd-blocking restarts after every model, like blocking
+@given(cases(max_n=9))
+def test_bdd_blocking_counts_orders_and_partitions(case):
+    formula, perm, threshold = case
+    f = apply_order(formula, perm)
+    want = set(enumerate_all(f).masks)
+    with tempfile.TemporaryDirectory() as tmp:
+        for theta in {None, threshold}:
+            for mode in CACHE_MODES:
+                policy = RefreshPolicy(theta, tmp, f"{mode}-{theta}")
+                result = BddBlockingSolver(f, cache_mode=mode,
+                                           policy=policy).run_bdd()
+                check_partition(result, f.num_vars, want, (mode, theta))
 
 
 @given(cases())
