@@ -6,26 +6,22 @@ from .formula import (Clause, CnfFormula, CutStructure, DimacsError,
                       parse_dimacs, render_dimacs)
 from .kernel import Budget, Kernel, LimitExceeded, SolverStats
 from .oracle import ModelSet, entails, enumerate_all, subinstance_models
-from .blocking import (BlockingConfig, BlockingSolver, enumerate_blocking,
-                       make_blocking_clause, replay_decisions,
-                       simplify_assignment)
-from .nonblocking import (NonBlockingConfig, NonBlockingSolver,
-                          enumerate_nonblocking)
+from .blocking import (BlockingConfig, BlockingSolver, make_blocking_clause,
+                       replay_decisions, simplify_assignment)
+from .nonblocking import NonBlockingConfig, NonBlockingSolver
 from .obdd import ObddStore, count_models, dump, extend_obdd, load
-from .bddcache import (BddBlockingSolver, BddSolver, RefreshPolicy,
-                       enumerate_bdd, enumerate_bdd_blocking, make_formula)
+from .bddcache import BddBlockingSolver, BddSolver, RefreshPolicy, make_formula
 
 __all__ = [
     "Clause", "CnfFormula", "CutStructure", "DimacsError", "apply_order",
     "compute_cuts", "from_clause_lists", "parse_dimacs", "render_dimacs",
     "Budget", "Kernel", "LimitExceeded", "SolverStats",
     "ModelSet", "entails", "enumerate_all", "subinstance_models",
-    "BlockingConfig", "BlockingSolver", "enumerate_blocking",
-    "make_blocking_clause", "replay_decisions", "simplify_assignment",
-    "NonBlockingConfig", "NonBlockingSolver", "enumerate_nonblocking",
+    "BlockingConfig", "BlockingSolver", "make_blocking_clause",
+    "replay_decisions", "simplify_assignment",
+    "NonBlockingConfig", "NonBlockingSolver",
     "ObddStore", "count_models", "dump", "extend_obdd", "load",
-    "BddBlockingSolver", "BddSolver", "RefreshPolicy", "enumerate_bdd",
-    "enumerate_bdd_blocking", "make_formula",
+    "BddBlockingSolver", "BddSolver", "RefreshPolicy", "make_formula",
 ]
 
 __version__ = "0.1.0"

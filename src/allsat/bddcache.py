@@ -1,10 +1,21 @@
 """Formula-BDD caching: enumeration that builds an OBDD of all solutions and
 memoizes solved subinstances by an encoded key.
 
-Keys pair a cut index with a canonical code of the prefix assignment:
+Keys pair a cut index i with an exact code of the prefix assignment
+``values[1..i]``, a bitset:
 
-* cutset mode    - the sorted ids of boundary clauses the prefix satisfies;
-* separator mode - the sorted boundary variables assigned true.
+* cutset mode    - bit p set for each clause p of cutset(i) the prefix
+                   satisfies;
+* separator mode - bit v set for each variable v of separator(i) assigned
+                   true.
+
+The code at cut i follows from the code at cut i-1 and the value of
+variable i alone, by the step tables ``CutStructure.steps`` of the mode:
+``S[i] = S[i-1] & keep[i] | add[i][value of i]`` with ``S[0] = 0``.  So
+``make_formula``, the one key function of both engines, has no branch on
+the mode and extends a caller-owned list of prefix codes instead of
+rescanning a cut: a lookup costs one step per cut past the end of the
+list.
 
 Equal keys imply logically equivalent subinstances, so a key lookup that
 hits lets the search graft the cached OBDD node onto the current prefix and
@@ -29,7 +40,9 @@ contain paths for solutions the search has yet to report.
 Both engines add nodes through ``obdd.extend_obdd``, the one walk from the
 root that creates them: a graft on the non-blocking engine, each reported
 model on the blocking engine, whose cache lookup supplies the node for a
-missing interior arc when sharing is on.
+missing interior arc when sharing is on.  That walk visits the variables
+in order, so each model starts a fresh list of codes and the lookups extend
+it as the walk goes.
 
 The non-blocking host always decides the first unassigned variable.  So a
 cancel to level L unassigns exactly the variables at levels above L, all of
@@ -40,6 +53,10 @@ that invariant, so each step touches only what the cancel changed:
 * ``cursor``    - every variable below it is assigned; the lookup for the
                   first unassigned variable resumes there, and a cancel
                   lowers it to d;
+* ``codes``     - the prefix codes at cuts 0, 1, ..., as far as the last
+                  lookup reached; a cancel truncates them to cuts below d,
+                  the next lookup extends them from there, and a refresh
+                  leaves them alone, since they depend on the trail only;
 * ``path``      - the OBDD path of the last graft, one (node, direction)
                   entry per prefix variable; ``path_ok`` counts its leading
                   entries whose variables kept their values since, a cancel
@@ -65,7 +82,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .formula import Clause, CnfFormula, CutStructure, compute_cuts
+from .formula import Clause, CnfFormula, compute_cuts
 from .kernel import Budget
 from .nonblocking import NonBlockingConfig, NonBlockingSolver
 from .obdd import TOP, ObddStore, count_models, dump, extend_obdd
@@ -104,30 +121,25 @@ class RefreshPolicy:
         return Path(override) if override else Path(self.dump_dir)
 
 
-def make_formula(formula: CnfFormula, cuts: CutStructure, values: list[int],
-                 cut_index, mode: str) -> tuple:
-    """Canonical cache key for the subinstance induced by the prefix
-    ``values[1..cut_index]`` (``values`` indexed by variable).
+def make_formula(steps: tuple[list[int], list], values: list[int],
+                 codes: list[int], cut_index) -> tuple:
+    """Cache key of the subinstance induced by the prefix
+    ``values[1..cut_index]`` (``values`` indexed by variable), under the
+    step tables ``steps`` of one mode (``CutStructure.steps``).
 
-    ``cut_index`` of ``math.inf`` (or anything beyond the last variable)
-    yields the reserved all-assigned key.
+    ``codes`` is the caller's prefix list: ``codes[i]`` is the code at cut
+    i for every i below its length, starting from ``[0]``.  It is extended
+    up to ``cut_index`` by the step recurrence.  ``cut_index`` of
+    ``math.inf`` yields the reserved all-assigned key.
     """
     if cut_index == math.inf:
         return TOP_KEY
-    if mode == "cutset":
-        code = []
-        clauses = formula.clauses
-        for cid in cuts.cutsets[cut_index]:
-            for l in clauses[cid].lits:
-                v = abs(l)
-                if v <= cut_index and values[v] == (1 if l > 0 else 0):
-                    code.append(cid)
-                    break
-        return (cut_index, tuple(code))
-    if mode == "separator":
-        code = tuple(v for v in cuts.separators[cut_index] if values[v] == 1)
-        return (cut_index, code)
-    raise ValueError(f"unknown cache mode {mode!r}")
+    keep, add = steps
+    code = codes[-1]
+    for v in range(len(codes), cut_index + 1):
+        code = code & keep[v] | add[v][values[v]]
+        codes.append(code)
+    return (cut_index, codes[cut_index])
 
 
 def _refresh(solver) -> bool:
@@ -178,15 +190,14 @@ def _result(solver) -> BddResult:
                      final + sum(c for _, c in solver.dumps))
 
 
-def _init_cache(solver, cuts: CutStructure | None, cache_mode: str,
+def _init_cache(solver, cache_mode: str,
                 policy: RefreshPolicy | None) -> None:
-    """Cache state both engines keep: the cut structure, the key mode, the
+    """Cache state both engines keep: the key mode's step tables, the
     refresh policy, the diagram, the solved cache and the dumped parts."""
     if cache_mode not in CACHE_MODES:
         raise ValueError(f"unknown cache mode {cache_mode!r}")
     formula = solver.formula
-    solver.cuts = cuts if cuts is not None else compute_cuts(formula)
-    solver.cache_mode = cache_mode
+    solver.steps = compute_cuts(formula).steps[cache_mode]
     solver.policy = policy or RefreshPolicy()
     solver.policy.validate(formula.num_vars)
     solver.store = ObddStore(formula.num_vars)
@@ -198,16 +209,18 @@ class BddSolver(NonBlockingSolver):
     """Non-blocking engine with the encode / extend / enroll stages wired
     into its decision step and every cancel."""
 
-    def __init__(self, formula: CnfFormula, cuts: CutStructure | None = None,
+    def __init__(self, formula: CnfFormula,
                  cfg: NonBlockingConfig | None = None,
                  cache_mode: str = "cutset",
                  policy: RefreshPolicy | None = None,
                  budget: Budget | None = None):
         super().__init__(formula, cfg, sink=None, budget=budget,
                          fixed_order=True)
-        _init_cache(self, cuts, cache_mode, policy)
+        _init_cache(self, cache_mode, policy)
+        # codes of the prefix at cuts 0, 1, ... for the values on the trail
+        self.codes = [0]
         # cut index -> code, in increasing cut order
-        self.pending_keys: dict[int, tuple] = {}
+        self.pending_keys: dict[int, int] = {}
         self.path: list[tuple[int, int]] = []
         # leading path entries whose variables kept their values since the
         # path was grafted
@@ -218,8 +231,8 @@ class BddSolver(NonBlockingSolver):
     # ------------------------------------------------------------------
 
     def _key_at(self, cut_index) -> tuple:
-        return make_formula(self.formula, self.cuts, self.kernel.trail.values,
-                            cut_index, self.cache_mode)
+        return make_formula(self.steps, self.kernel.trail.values, self.codes,
+                            cut_index)
 
     def _first_unassigned(self) -> int | None:
         values = self.kernel.trail.values
@@ -262,8 +275,8 @@ class BddSolver(NonBlockingSolver):
     def _before_cancel(self, level: int) -> None:
         """Enroll stage: solved-subinstance keys migrate from the pending
         set to the cache just before their spine is canceled.  Variables
-        below the canceled decision keep their values, so the cursor and
-        the valid path prefix drop to it."""
+        below the canceled decision keep their values, so the cursor, the
+        prefix codes and the valid path prefix drop to it."""
         d = self._canceled_var(level)
         if d is None:
             return
@@ -280,6 +293,7 @@ class BddSolver(NonBlockingSolver):
         while pending and next(reversed(pending)) >= d - 1:
             pending.popitem()
         self.cursor = min(self.cursor, d)
+        del self.codes[d:]
         self.path_ok = min(self.path_ok, d - 1)
 
     def _enroll(self, bl: int) -> None:
@@ -322,24 +336,11 @@ class BddSolver(NonBlockingSolver):
         return result
 
 
-def enumerate_bdd(formula: CnfFormula, cuts: CutStructure | None = None,
-                  cfg: NonBlockingConfig | None = None,
-                  cache_mode: str = "cutset",
-                  policy: RefreshPolicy | None = None,
-                  budget: Budget | None = None) -> tuple[ObddStore, list[str], int]:
-    """Compile all solutions into an OBDD (plus refresh dumps); the total
-    count is the sum over dumped parts and the final diagram."""
-    solver = BddSolver(formula, cuts, cfg, cache_mode, policy, budget)
-    result = solver.run_bdd()
-    return result.store, result.dump_files, result.total
-
-
 class BddBlockingSolver(BlockingSolver):
     """Blocking engine that materializes every reported solution as an OBDD
     path, with creation-time node merging keyed by the formula cache."""
 
-    def __init__(self, formula: CnfFormula, cuts: CutStructure | None = None,
-                 cache_mode: str = "cutset",
+    def __init__(self, formula: CnfFormula, cache_mode: str = "cutset",
                  policy: RefreshPolicy | None = None,
                  budget: Budget | None = None,
                  blocking_cfg: BlockingConfig | None = None):
@@ -348,7 +349,7 @@ class BddBlockingSolver(BlockingSolver):
             raise ValueError("simplification emits partial cubes; the OBDD "
                              "path builder needs total assignments")
         super().__init__(formula, cfg, sink=None, budget=budget)
-        _init_cache(self, cuts, cache_mode, policy)
+        _init_cache(self, cache_mode, policy)
         # sharing across equivalent prefixes is only sound when no dump can
         # freeze a node before the search finishes filling it
         self.sharing = self.policy.threshold is None
@@ -361,6 +362,7 @@ class BddBlockingSolver(BlockingSolver):
         """Add the path of the total model on the trail."""
         store = self.store
         before = store.size
+        self.codes = [0]
         extend_obdd(store, TOP, self.kernel.trail.values[1:],
                     new_node=self._shared_node if self.sharing else None)
         self.kernel.budget.charge(_NODE_BYTES * (store.size - before))
@@ -369,8 +371,8 @@ class BddBlockingSolver(BlockingSolver):
         """Node for the subinstance below the trail's prefix of variables
         before ``var``: the cached node of an equivalent prefix, or a fresh
         one that is cached for the next."""
-        key = make_formula(self.formula, self.cuts, self.kernel.trail.values,
-                           var - 1, self.cache_mode)
+        key = make_formula(self.steps, self.kernel.trail.values, self.codes,
+                           var - 1)
         node = self.solved.get(key)
         if node is not None:
             self.kernel.stats.cache_hits += 1
@@ -389,16 +391,3 @@ class BddBlockingSolver(BlockingSolver):
         self.run()
         return _result(self)
 
-
-def enumerate_bdd_blocking(formula: CnfFormula,
-                           cuts: CutStructure | None = None,
-                           cache_mode: str = "cutset",
-                           policy: RefreshPolicy | None = None,
-                           budget: Budget | None = None
-                           ) -> tuple[ObddStore, list[str], int]:
-    """Blocking-engine counterpart of :func:`enumerate_bdd` (same count
-    contract)."""
-    solver = BddBlockingSolver(formula, cuts, cache_mode, policy,
-                               budget=budget)
-    result = solver.run_bdd()
-    return result.store, result.dump_files, result.total

@@ -219,13 +219,3 @@ class BlockingSolver:
             return replay_decisions(k, self.progress)
         return None
 
-
-def enumerate_blocking(formula: CnfFormula, cfg: BlockingConfig | None = None,
-                       sink=None, budget: Budget | None = None) -> int:
-    """Emit every satisfying cube of ``formula``; returns the cube count.
-
-    Without simplification each cube is a total assignment, so the count
-    equals the model count.
-    """
-    solver = BlockingSolver(formula, cfg, sink=sink, budget=budget)
-    return solver.run()

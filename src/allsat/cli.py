@@ -124,6 +124,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = verify(args.file, cfg_a, cfg_b, save_dir=args.save_dir)
+    if report.input_error:
+        for p in report.problems:
+            print(f"error: {p}", file=sys.stderr)
+        return EXIT_INPUT
     print(f"a={cfg_a.label()} count={report.count_a}")
     print(f"b={cfg_b.label()} count={report.count_b}")
     if report.oracle_count is not None:
@@ -131,10 +135,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if report.ok:
         print("agree")
         return EXIT_OK
-    if report.input_error:
-        for p in report.problems:
-            print(f"error: {p}", file=sys.stderr)
-        return EXIT_INPUT
     for p in report.problems:
         print(f"MISMATCH: {p}")
     if report.counterexample:

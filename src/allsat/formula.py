@@ -274,73 +274,83 @@ def read_order_file(text: str, num_vars: int) -> list[int]:
 
 @dataclass
 class CutStructure:
-    """Static cutsets/separators of a formula under its variable order.
+    """Cut structure of a formula under its variable order, kept as clause
+    spans and as the step tables of both cache keys.
 
-    ``cutsets[i]`` holds the ids of clauses spanning the boundary between
-    variables <= i and > i; ``separators[i]`` the variables <= i occurring in
-    those clauses.  Both are defined for i in 0..n with position 0 and n
-    always empty.
+    Cut i (0 <= i <= n) is the boundary between variables <= i and > i.  A
+    clause spans it when its smallest variable is <= i and its largest is
+    > i; ``cutset(i)`` lists the spanning clauses by position and
+    ``separator(i)`` their variables <= i.  ``spans[p]`` is the (smallest,
+    largest) variable of clause p, (0, 0) when it is empty; ``reach[v]`` is
+    the largest variable sharing a clause with v (v itself if none is
+    larger), so v is in separator(i) exactly when v <= i < reach[v].
+
+    ``steps[mode]`` is a pair ``(keep, add)`` indexed by variable.  The key
+    code of a prefix at cut i is the bitset S[i], where S[0] = 0 and
+    S[v] = S[v-1] & keep[v] | add[v][value of v]:
+
+    * cutset - bit p is clause p.  ``keep[v]`` drops the clauses whose
+      largest variable is v, ``add[v][b]`` holds the clauses that literal
+      (v = b) satisfies and whose largest variable is beyond v; S[i] is the
+      clauses of cutset(i) that the prefix satisfies.
+    * separator - bit v is variable v.  ``keep[v]`` drops the variables
+      whose reach is v, ``add[v][1]`` is bit v when reach[v] > v and
+      ``add[v][0]`` is empty; S[i] is the variables of separator(i) that
+      the prefix sets true.
     """
 
-    cutsets: list[list[int]]
-    separators: list[list[int]]
+    spans: list[tuple[int, int]]
+    reach: list[int]
+    steps: dict[str, tuple[list[int], list]]
     cutwidth: int
     pathwidth: int
 
     def cutset(self, i: int) -> list[int]:
-        return self.cutsets[i]
+        return [p for p, (lo, hi) in enumerate(self.spans) if lo <= i < hi]
 
     def separator(self, i: int) -> list[int]:
-        return self.separators[i]
+        return [v for v in range(1, i + 1) if i < self.reach[v]]
 
 
 def compute_cuts(f: CnfFormula) -> CutStructure:
-    """Compute every cutset and separator of ``f``.
-
-    A clause belongs to cutset(i) iff its minimum variable index is <= i and
-    its maximum is > i; separator(i) collects the clause variables <= i.
-
-    One sweep over i = 0..n: a clause joins the cutsets at its minimum
-    variable and leaves at its maximum, and each of its variables v below
-    the maximum is in the separators from v until the clause leaves.
-    Cutsets keep clause order and separators ascending order.
-    """
+    """Clause spans, variable reaches and both modes' step tables of ``f``
+    in one pass over the clauses; ``cutwidth`` and ``pathwidth`` (the
+    largest cutset and separator) are running maxima of one sweep over the
+    cuts, where a clause joins at its smallest variable and leaves at its
+    largest and a variable joins at itself and leaves at its reach."""
     n = f.num_vars
-    opens: list[list[int]] = [[] for _ in range(n + 1)]   # clause positions
-    closes: list[list[int]] = [[] for _ in range(n + 1)]
-    drops: list[list[int]] = [[] for _ in range(n + 1)]   # variables
-    joins = [0] * (n + 1)      # clauses variable i joins the separators in
-    clauses = f.clauses
-    for pos, c in enumerate(clauses):
-        if len(c) == 0:
-            continue
-        vs = {var_of(l) for l in c.lits}
-        lo, hi = min(vs), max(vs)
+    spans = []
+    reach = list(range(n + 1))
+    opens = [0] * (n + 1)          # spans starting at v
+    closes = [0] * (n + 1)         # clause bits of spans ending at v
+    cut_add = [[0, 0] for _ in range(n + 1)]
+    for p, c in enumerate(f.clauses):
+        vs = [var_of(l) for l in c.lits]
+        lo, hi = (min(vs), max(vs)) if vs else (0, 0)
+        spans.append((lo, hi))
         if lo == hi:
             continue
-        opens[lo].append(pos)
-        closes[hi].append(pos)
-        for v in vs:
+        bit = 1 << p
+        opens[lo] += 1
+        closes[hi] |= bit
+        for l in c.lits:
+            v = var_of(l)
             if v < hi:
-                joins[v] += 1
-                drops[hi].append(v)
-    cutsets: list[list[int]] = []
-    separators: list[list[int]] = []
-    active: set[int] = set()
-    # variable -> active clauses holding it; variable i only ever enters at
-    # step i, so insertion order is ascending
-    live: dict[int, int] = {}
-    for i in range(n + 1):
-        active.difference_update(closes[i])
-        active.update(opens[i])
-        for v in drops[i]:
-            live[v] -= 1
-            if not live[v]:
-                del live[v]
-        if joins[i]:
-            live[i] = joins[i]
-        cutsets.append([clauses[pos].cid for pos in sorted(active)])
-        separators.append(list(live))
-    cutwidth = max((len(cs) for cs in cutsets), default=0)
-    pathwidth = max((len(s) for s in separators), default=0)
-    return CutStructure(cutsets, separators, cutwidth, pathwidth)
+                cut_add[v][l > 0] |= bit
+                if reach[v] < hi:
+                    reach[v] = hi
+    leaves = [0] * (n + 1)         # variable bits whose reach is v
+    sep_add = [(0, 0)] * (n + 1)
+    cutwidth = pathwidth = width = seps = 0
+    for v in range(1, n + 1):
+        if reach[v] > v:
+            leaves[reach[v]] |= 1 << v
+            sep_add[v] = (0, 1 << v)
+            seps += 1
+        seps -= leaves[v].bit_count()
+        width += opens[v] - closes[v].bit_count()
+        cutwidth = max(cutwidth, width)
+        pathwidth = max(pathwidth, seps)
+    steps = {"cutset": ([~b for b in closes], cut_add),
+             "separator": ([~b for b in leaves], sep_add)}
+    return CutStructure(spans, reach, steps, cutwidth, pathwidth)

@@ -74,12 +74,12 @@ MODES = {
     "bdd": Mode(
         ("uip", "backtrack", "cache", "refresh_threshold"), diagram=True,
         build=lambda f, cfg, emit, budget, policy: BddSolver(
-            f, None, cfg.nonblocking_config(), cfg.setting("cache"),
-            policy, budget)),
+            f, cfg.nonblocking_config(), cfg.setting("cache"), policy,
+            budget)),
     "bdd-blocking": Mode(
         ("cache", "refresh_threshold"), diagram=True,
         build=lambda f, cfg, emit, budget, policy: BddBlockingSolver(
-            f, None, cfg.setting("cache"), policy, budget=budget)),
+            f, cfg.setting("cache"), policy, budget=budget)),
     "oracle": Mode(),
 }
 
@@ -166,12 +166,15 @@ class RunStats:
         return [getattr(self, c) for c in self.CSV_COLUMNS]
 
 
-def load_instance(path: str | Path, cfg: RunConfig) -> CnfFormula:
-    with open(path) as fh:
-        formula = parse_dimacs(fh.read())
+def load_instance(path: str | Path, cfg: RunConfig,
+                  formula: CnfFormula | None = None) -> CnfFormula:
+    """The instance at ``path`` (or ``formula``, when given) under the
+    variable order of ``cfg``."""
+    if formula is None:
+        formula = parse_dimacs(Path(path).read_text())
     if cfg.order_file:
-        with open(cfg.order_file) as fh:
-            perm = read_order_file(fh.read(), formula.num_vars)
+        perm = read_order_file(Path(cfg.order_file).read_text(),
+                               formula.num_vars)
         formula = apply_order(formula, perm)
     return formula
 
@@ -181,16 +184,17 @@ def run_instance(path: str | Path, cfg: RunConfig, sink=None,
                  out=None) -> RunStats:
     """Run one solver configuration on one instance under its limits.
 
-    ``sink`` (if given) receives each emitted cube in original variable
-    names.  ``out`` is the stream for --output rendering (defaults to
-    nothing; the CLI passes stdout).
+    ``formula`` (if given) stands for the file at ``path``; the order file
+    of ``cfg`` applies to either.  ``sink`` (if given) receives each
+    emitted cube in original variable names.  ``out`` is the stream for
+    --output rendering (defaults to nothing; the CLI passes stdout).
     """
     stats = RunStats(instance=str(path), config=cfg.label())
     policy = RefreshPolicy(threshold=cfg.refresh_threshold,
                            dump_dir=Path(path).parent, stem=Path(path).stem)
     try:
         cfg.validate()
-        f = formula if formula is not None else load_instance(path, cfg)
+        f = load_instance(path, cfg, formula)
         policy.validate(f.num_vars)
     except (ConfigError, OSError, DimacsError, ValueError) as exc:
         stats.exit_code = EXIT_INPUT
@@ -401,8 +405,11 @@ def verify(path: str | Path, cfg_a: RunConfig, cfg_b: RunConfig,
     counterexample is saved next to the instance (or in ``save_dir``).  An
     input error of either run is reported as such: no formula could make it
     go away, so there is nothing to minimize or save."""
-    with open(path) as fh:
-        formula = parse_dimacs(fh.read())
+    try:
+        formula = parse_dimacs(Path(path).read_text())
+    except (OSError, DimacsError) as exc:
+        return VerifyReport(str(path), 0, 0, None, False, [f"{path}: {exc}"],
+                            input_error=True)
     report = _verify_formula(formula, cfg_a, cfg_b, str(path))
     if not report.ok and not report.input_error:
         counter = _minimize(formula, cfg_a, cfg_b)

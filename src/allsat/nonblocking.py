@@ -262,10 +262,3 @@ class NonBlockingSolver:
             return self.resolve_bj(conflict)
         return self.resolve_cbj(conflict)
 
-
-def enumerate_nonblocking(formula: CnfFormula,
-                          cfg: NonBlockingConfig | None = None, sink=None,
-                          budget: Budget | None = None) -> int:
-    """Emit every total satisfying assignment exactly once."""
-    solver = NonBlockingSolver(formula, cfg, sink=sink, budget=budget)
-    return solver.run()

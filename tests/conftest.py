@@ -49,6 +49,24 @@ def random_instances(seed: int, count: int, n_range=(3, 12), ratio=(1.0, 4.0)):
     return out
 
 
+def brute_force_cuts(f):
+    """Independent oracle: apply the two definitions literally."""
+    n = f.num_vars
+    cutsets = [[] for _ in range(n + 1)]
+    separators = [[] for _ in range(n + 1)]
+    for i in range(n + 1):
+        sep = set()
+        for c in f.clauses:
+            if not c.lits:
+                continue
+            vs = [abs(l) for l in c.lits]
+            if min(vs) <= i < max(vs):
+                cutsets[i].append(c.cid)
+                sep.update(v for v in vs if v <= i)
+        separators[i] = sorted(sep)
+    return cutsets, separators
+
+
 def trail_trace(trail):
     """(literal, level, reason cid or None) for each assignment in trail
     order."""

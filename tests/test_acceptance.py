@@ -19,7 +19,7 @@ from allsat import (BddBlockingSolver, BddSolver, BlockingConfig,
                     BlockingSolver, Budget, Kernel, LimitExceeded,
                     NonBlockingConfig, NonBlockingSolver, RefreshPolicy,
                     compute_cuts, count_models, dump, enumerate_all,
-                    enumerate_bdd, from_clause_lists, load)
+                    from_clause_lists, load)
 from allsat.obdd import iter_paths
 from allsat.oracle import check_cube_cover
 
@@ -310,7 +310,7 @@ def test_criterion_5_scalability_smoke():
         f60 = from_clause_lists(60, chain)
         want = enumerate_all(from_clause_lists(12, chain)).count * 2 ** 48
         started = time.monotonic()
-        _, _, total = enumerate_bdd(f60)
+        total = BddSolver(f60).run_bdd().total
         elapsed = time.monotonic() - started
         assert total == want
         assert elapsed < 5.0
@@ -336,17 +336,17 @@ def test_criterion_6_refresh_partition(tmp_path):
             checked += 1
             policy = RefreshPolicy(threshold=n + 1, dump_dir=tmp_path,
                                    stem=f"acc6_{checked}")
-            store, dumps, total = enumerate_bdd(f, policy=policy)
-            assert total == models.count
-            assert dumps
+            result = BddSolver(f, policy=policy).run_bdd()
+            assert result.total == models.count
+            assert result.dumps
             seen = set()
-            for part in dumps:
+            for part in result.dump_files:
                 with open(part) as fh:
                     part_store = load(fh.read())
                 for path in iter_paths(part_store):
                     assert path not in seen, "assignment in two dumps"
                     seen.add(path)
-            for path in iter_paths(store):
+            for path in iter_paths(result.store):
                 assert path not in seen
                 seen.add(path)
             assert len(seen) == models.count

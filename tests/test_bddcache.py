@@ -4,9 +4,8 @@ import random
 import pytest
 
 from allsat import (BddSolver, NonBlockingConfig, RefreshPolicy, compute_cuts,
-                    enumerate_all, enumerate_bdd, enumerate_bdd_blocking,
-                    entails, from_clause_lists, load, make_formula,
-                    subinstance_models)
+                    enumerate_all, entails, from_clause_lists, load,
+                    make_formula, subinstance_models)
 from allsat.bddcache import TOP_KEY, BddBlockingSolver
 from allsat.harness import EXIT_LIMIT, EXIT_OK, RunConfig, run_instance
 from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
@@ -17,18 +16,23 @@ from allsat.trail import UNASSIGNED
 from conftest import random_3cnf, random_instances
 
 
+def fresh_key(cuts, mode, values, cut_index):
+    """Key of a fresh fold from cut 0."""
+    return make_formula(cuts.steps[mode], values, [0], cut_index)
+
+
 def test_make_formula_worked_prefix(ex31):
     cuts = compute_cuts(ex31)
     values = [None, 1, 0, 1, None, None, None]   # x1=1, x2=0, x3=1
-    cut_key = make_formula(ex31, cuts, values, 3, "cutset")
-    assert cut_key == (3, (1,))                  # C2 satisfied, C3 not
-    sep_key = make_formula(ex31, cuts, values, 3, "separator")
-    assert sep_key == (3, (1, 3))                # separator vars assigned 1
+    cut_key = fresh_key(cuts, "cutset", values, 3)
+    assert cut_key == (3, 1 << 1)                # C2 satisfied, C3 not
+    sep_key = fresh_key(cuts, "separator", values, 3)
+    assert sep_key == (3, 1 << 1 | 1 << 3)       # separator vars assigned 1
 
 
 def test_make_formula_all_assigned(ex31):
     cuts = compute_cuts(ex31)
-    key = make_formula(ex31, cuts, [None] * 7, math.inf, "cutset")
+    key = fresh_key(cuts, "cutset", [None] * 7, math.inf)
     assert key == TOP_KEY
 
 
@@ -38,25 +42,24 @@ def test_make_formula_reads_prefix_only(ex31):
     a = [None, 1, 0, 1, 0, 0, 0]
     b = [None, 1, 0, 1, 1, 1, 1]
     for mode in ("cutset", "separator"):
-        assert (make_formula(ex31, cuts, a, 3, mode)
-                == make_formula(ex31, cuts, b, 3, mode))
+        assert fresh_key(cuts, mode, a, 3) == fresh_key(cuts, mode, b, 3)
 
 
 def test_counts_match_oracle_both_modes(ex31, ex41):
     for f in (ex31, ex41):
         want = enumerate_all(f).count
         for mode in ("cutset", "separator"):
-            _, _, total = enumerate_bdd(f, cache_mode=mode)
+            total = BddSolver(f, cache_mode=mode).run_bdd().total
             assert total == want
-            _, _, total = enumerate_bdd_blocking(f, cache_mode=mode)
+            total = BddBlockingSolver(f, cache_mode=mode).run_bdd().total
             assert total == want
 
 
 def test_every_path_satisfies_formula(ex31):
-    store, _, total = enumerate_bdd(ex31)
+    result = BddSolver(ex31).run_bdd()
     n = ex31.num_vars
-    paths = list(iter_paths(store))
-    assert len(paths) == total == 22
+    paths = list(iter_paths(result.store))
+    assert len(paths) == result.total == 22
     for path in paths:
         assert len(path) == n
         mask = 0
@@ -68,15 +71,15 @@ def test_every_path_satisfies_formula(ex31):
 
 def test_unsat_instance_gives_false_root():
     f = from_clause_lists(2, [[1], [-1]])
-    store, dumps, total = enumerate_bdd(f)
-    assert total == 0 and store.root == 0 and not dumps
-    store, dumps, total = enumerate_bdd_blocking(f)
-    assert total == 0 and store.root == 0
+    result = BddSolver(f).run_bdd()
+    assert result.total == 0 and result.store.root == 0 and not result.dumps
+    result = BddBlockingSolver(f).run_bdd()
+    assert result.total == 0 and result.store.root == 0
 
 
 def test_free_variables_double_the_count():
     f = from_clause_lists(6, [[1, 2]])     # vars 3..6 unconstrained
-    _, _, total = enumerate_bdd(f)
+    total = BddSolver(f).run_bdd().total
     assert total == 3 * 2 ** 4
 
 
@@ -84,7 +87,7 @@ def test_wide_suffix_absorbed_fast():
     chain = [[k, -(k + 1)] for k in range(1, 12)]
     f = from_clause_lists(50, chain)
     want12 = enumerate_all(from_clause_lists(12, chain)).count
-    _, _, total = enumerate_bdd(f)
+    total = BddSolver(f).run_bdd().total
     assert total == want12 * 2 ** 38
 
 
@@ -92,8 +95,8 @@ def test_all_four_cache_configs_match_oracle():
     for f in random_instances(seed=61, count=25, n_range=(3, 12)):
         want = enumerate_all(f).count
         for mode in ("cutset", "separator"):
-            _, _, t1 = enumerate_bdd(f, cache_mode=mode)
-            _, _, t2 = enumerate_bdd_blocking(f, cache_mode=mode)
+            t1 = BddSolver(f, cache_mode=mode).run_bdd().total
+            t2 = BddBlockingSolver(f, cache_mode=mode).run_bdd().total
             assert t1 == want, f"bdd/{mode}"
             assert t2 == want, f"bdd-blocking/{mode}"
 
@@ -101,8 +104,8 @@ def test_all_four_cache_configs_match_oracle():
 def test_underlying_resolvers_all_work(ex31):
     for scheme in ("sublevel", "dlevel"):
         for strat in ("bt", "bj", "cbj", "bjcbj"):
-            _, _, total = enumerate_bdd(
-                ex31, cfg=NonBlockingConfig(scheme, strat))
+            total = BddSolver(
+                ex31, cfg=NonBlockingConfig(scheme, strat)).run_bdd().total
             assert total == 22, (scheme, strat)
 
 
@@ -144,8 +147,8 @@ def test_separator_agreement_implies_cutset_agreement():
                 values = [None] * (n + 1)
                 for v in range(1, i + 1):
                     values[v] = (bits >> (v - 1)) & 1
-                sep = make_formula(f, cuts, values, i, "separator")
-                cut = make_formula(f, cuts, values, i, "cutset")
+                sep = fresh_key(cuts, "separator", values, i)
+                cut = fresh_key(cuts, "cutset", values, i)
                 groups.setdefault(sep, []).append(cut)
             for sep, cut_keys in groups.items():
                 assert len(set(cut_keys)) == 1
@@ -169,17 +172,17 @@ def test_refresh_partition(tmp_path):
         n = f.num_vars
         policy = RefreshPolicy(threshold=n + 1, dump_dir=tmp_path,
                                stem=f"r{checked}")
-        store, dumps, total = enumerate_bdd(f, policy=policy)
-        assert total == want
-        assert dumps        # theta = n+1 forces dumping
+        result = BddSolver(f, policy=policy).run_bdd()
+        assert result.total == want
+        assert result.dumps        # theta = n+1 forces dumping
         seen = set()
-        for part in dumps:
+        for part in result.dump_files:
             with open(part) as fh:
                 part_store = load(fh.read())
             for path in iter_paths(part_store):
                 assert path not in seen
                 seen.add(path)
-        for path in iter_paths(store):
+        for path in iter_paths(result.store):
             assert path not in seen
             seen.add(path)
         assert len(seen) == want
@@ -195,29 +198,29 @@ def test_refresh_blocking_engine(tmp_path):
             continue
         policy = RefreshPolicy(threshold=f.num_vars + 1, dump_dir=tmp_path,
                                stem="blk")
-        _, dumps, total = enumerate_bdd_blocking(f, policy=policy)
+        total = BddBlockingSolver(f, policy=policy).run_bdd().total
         assert total == want
         break
 
 
 def test_refresh_threshold_validated(ex31):
     with pytest.raises(ValueError):
-        enumerate_bdd(ex31, policy=RefreshPolicy(threshold=6))
+        BddSolver(ex31, policy=RefreshPolicy(threshold=6))
 
 
 def test_huge_threshold_no_dumps(ex31):
     policy = RefreshPolicy(threshold=10 ** 9)
-    _, dumps, total = enumerate_bdd(ex31, policy=policy)
-    assert total == 22 and not dumps
+    result = BddSolver(ex31, policy=policy).run_bdd()
+    assert result.total == 22 and not result.dumps
 
 
 def test_dump_dir_env_override(tmp_path, monkeypatch, ex31):
     monkeypatch.setenv("ALLSAT_DUMP_DIR", str(tmp_path / "override"))
     policy = RefreshPolicy(threshold=ex31.num_vars + 1,
                            dump_dir=tmp_path / "ignored", stem="env")
-    _, dumps, total = enumerate_bdd(ex31, policy=policy)
-    assert total == 22
-    assert all(str(tmp_path / "override") in d for d in dumps)
+    result = BddSolver(ex31, policy=policy).run_bdd()
+    assert result.total == 22
+    assert all(str(tmp_path / "override") in d for d in result.dump_files)
 
 
 def test_blocking_engine_rejects_simplify(ex31):
@@ -249,15 +252,15 @@ def test_enroll_and_prune_mechanics():
     result = solver.run_bdd()
     assert result.total == 4
 
-    # first backtrack: bl=1 < level(x2)=2 enrolls (1, ()); (0, ()) survives
+    # first backtrack: bl=1 < level(x2)=2 enrolls (1, 0); (0, 0) survives
     bl, solved, pending = trace[0]
     assert bl == 1
-    assert (1, ()) in solved and (0, ()) not in solved
-    assert pending == {0: ()}
-    # second backtrack: bl=0 enrolls (0, ()); nothing left pending
+    assert (1, 0) in solved and (0, 0) not in solved
+    assert pending == {0: 0}
+    # second backtrack: bl=0 enrolls (0, 0); nothing left pending
     bl, solved, pending = trace[1]
     assert bl == 0
-    assert (0, ()) in solved
+    assert (0, 0) in solved
     assert pending == {}
     # the x1=1 branch was served by the cache, not re-explored
     assert k.stats.cache_hits == 1
@@ -279,8 +282,8 @@ def test_enroll_noop_when_nothing_canceled_below():
 
 class CheckedSolver(BddSolver):
     """Checks the trail-synced state against full read-only recomputations:
-    after every graft the path and the cursor, and at every enrollment the
-    keys a walk of the whole path would enroll."""
+    after every graft the path, the cursor and the prefix codes, and at
+    every enrollment the keys a walk of the whole path would enroll."""
 
     grafts = 0
 
@@ -312,6 +315,9 @@ class CheckedSolver(BddSolver):
         assert u == node
         assert self.path == walk
         assert self.path_ok == len(walk)
+        codes = [0]
+        make_formula(self.steps, values, codes, len(self.codes) - 1)
+        assert self.codes == codes
 
 
 def test_trail_synced_state_matches_full_walks(tmp_path):

@@ -1,8 +1,7 @@
 import random
 
 from allsat import (BlockingConfig, BlockingSolver, enumerate_all,
-                    enumerate_blocking, from_clause_lists,
-                    make_blocking_clause)
+                    from_clause_lists, make_blocking_clause)
 from allsat.oracle import check_cube_cover, cube_expansion_count
 
 from conftest import random_instances
@@ -34,7 +33,7 @@ def test_all_literal_run_matches_textbook(ex41):
 
 def test_empty_clause_formula_yields_nothing():
     f = from_clause_lists(2, [[]])
-    assert enumerate_blocking(f) == 0
+    assert BlockingSolver(f).run() == 0
 
 
 def test_worked_expansion_count(ex31):
@@ -149,9 +148,9 @@ def test_continuation_stream_equals_plain_stream_as_set():
     for f in random_instances(seed=45, count=20, n_range=(3, 11)):
         base = set()
         cont = set()
-        enumerate_blocking(f, BlockingConfig(), sink=lambda c: base.add(c))
-        enumerate_blocking(f, BlockingConfig(continue_search=True),
-                           sink=lambda c: cont.add(c))
+        BlockingSolver(f, BlockingConfig(), sink=lambda c: base.add(c)).run()
+        BlockingSolver(f, BlockingConfig(continue_search=True),
+                       sink=lambda c: cont.add(c)).run()
         assert base == cont
 
 

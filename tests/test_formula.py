@@ -6,7 +6,7 @@ from allsat import (DimacsError, apply_order, compute_cuts, from_clause_lists,
                     parse_dimacs, render_dimacs)
 from allsat.formula import read_order_file
 
-from conftest import random_instances
+from conftest import brute_force_cuts, random_instances
 
 
 def test_parse_basic():
@@ -90,22 +90,12 @@ def test_apply_order_rejects_non_bijection(ex31):
         apply_order(ex31, [0, 1, 1, 3, 4, 5, 6])
 
 
-def brute_force_cuts(f):
-    """Independent oracle: apply the two definitions literally."""
-    n = f.num_vars
-    cutsets = [[] for _ in range(n + 1)]
-    separators = [[] for _ in range(n + 1)]
-    for i in range(n + 1):
-        sep = set()
-        for c in f.clauses:
-            if not c.lits:
-                continue
-            vs = [abs(l) for l in c.lits]
-            if min(vs) <= i < max(vs):
-                cutsets[i].append(c.cid)
-                sep.update(v for v in vs if v <= i)
-        separators[i] = sorted(sep)
-    return cutsets, separators
+def all_cuts(f):
+    """Every cutset and separator of ``f`` as ``compute_cuts`` gives them."""
+    cuts = compute_cuts(f)
+    cuts_at = range(f.num_vars + 1)
+    return ([cuts.cutset(i) for i in cuts_at],
+            [cuts.separator(i) for i in cuts_at])
 
 
 def test_cuts_worked_example(ex31):
@@ -129,10 +119,7 @@ def test_cuts_single_clause():
 def test_cuts_match_definition_after_reorder(ex31):
     perm = [0, 5, 3, 1, 4, 2, 6]
     g = apply_order(ex31, perm)
-    cuts = compute_cuts(g)
-    want_cutsets, want_separators = brute_force_cuts(g)
-    assert cuts.cutsets == want_cutsets
-    assert cuts.separators == want_separators
+    assert all_cuts(g) == brute_force_cuts(g)
 
 
 def irregular_formulas(seed: int, count: int):
@@ -152,11 +139,12 @@ def irregular_formulas(seed: int, count: int):
 def test_cuts_match_definition_random():
     for f in (random_instances(seed=77, count=20)
               + irregular_formulas(seed=78, count=40)):
+        cutsets, separators = all_cuts(f)
+        assert (cutsets, separators) == brute_force_cuts(f)
         cuts = compute_cuts(f)
-        want_cutsets, want_separators = brute_force_cuts(f)
-        assert cuts.cutsets == want_cutsets
-        assert cuts.separators == want_separators
-        for i, sep in enumerate(cuts.separators):
+        assert cuts.cutwidth == max(map(len, cutsets))
+        assert cuts.pathwidth == max(map(len, separators))
+        for i, sep in enumerate(separators):
             assert all(v <= i for v in sep)
 
 

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import io
+import os
 import random
 import subprocess
 import sys
@@ -211,6 +212,53 @@ def test_verify_input_error_saves_no_counterexample(ex31_file, tmp_path,
     assert report.input_error and not report.ok
     assert report.counterexample is None
     assert not (tmp_path / "saved").exists()
+
+
+@pytest.mark.parametrize("text, message", [("p cnf 2 1\n1 x 0\n", "bad token"),
+                                           (None, "No such file")])
+def test_verify_unreadable_instance_is_input_error(tmp_path, capsys, text,
+                                                   message):
+    """A malformed or missing instance ends verify with exit 20 and an
+    error line instead of an exception, and saves nothing."""
+    path = tmp_path / "bad.cnf"
+    if text is not None:
+        path.write_text(text)
+    code = main(["verify", str(path), "--a", "--mode blocking",
+                 "--b", "--mode nonblocking"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert "error:" in captured.err and message in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == ([path] if text else [])
+
+
+def test_verify_applies_each_configurations_order(ex31_file, tmp_path,
+                                                  capsys):
+    """The --order of a configuration string applies in verify as in
+    solve: a missing order file is an input error, a valid one runs."""
+    missing = tmp_path / "missing.txt"
+    code = main(["verify", str(ex31_file),
+                 "--a", f"--mode bdd --order {missing}",
+                 "--b", "--mode nonblocking"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert "missing.txt" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == [ex31_file]
+    order = tmp_path / "order.txt"
+    order.write_text("5\n3\n1\n4\n2\n6\n")
+    code = main(["verify", str(ex31_file),
+                 "--a", f"--mode bdd --order {order}",
+                 "--b", f"--mode nonblocking --order {order}"])
+    assert code == EXIT_OK
+    assert "count=22" in capsys.readouterr().out
+
+
+def test_run_instance_applies_the_order_to_a_given_formula(ex31_file,
+                                                           tmp_path):
+    from allsat import parse_dimacs
+    cfg = RunConfig(order_file=str(tmp_path / "missing.txt"))
+    stats = run_instance(ex31_file, cfg, formula=parse_dimacs(EX31_TEXT))
+    assert stats.exit_code == EXIT_INPUT and "missing.txt" in stats.error
 
 
 @pytest.mark.parametrize("text", ["p cnf 0 0\n", "p cnf 2 0\n"])
@@ -463,8 +511,13 @@ def test_cli_bench(tmp_path, capsys):
 
 
 def test_cli_entry_point_runs():
+    # the child imports the package under test, installed or not
+    import allsat
+    src = str(Path(allsat.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "allsat.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "solve" in proc.stdout
 

@@ -1,8 +1,7 @@
 import random
 
 from allsat import (Kernel, NonBlockingConfig, NonBlockingSolver,
-                    enumerate_all, enumerate_nonblocking, entails,
-                    from_clause_lists)
+                    enumerate_all, entails, from_clause_lists)
 from allsat.formula import Clause
 from allsat.nonblocking import resolve_clauses
 
@@ -19,18 +18,18 @@ def masks_of(cubes):
 
 def test_worked_small(ex41):
     sols = []
-    assert enumerate_nonblocking(ex41, sink=sols.append) == 2
+    assert NonBlockingSolver(ex41, sink=sols.append).run() == 2
     assert {frozenset(s) for s in sols} == {
         frozenset({-1, -2, -3}), frozenset({1, 2, 3})}
 
 
 def test_worked_count(ex31):
-    assert enumerate_nonblocking(ex31) == 22
+    assert NonBlockingSolver(ex31).run() == 22
 
 
 def test_unsat_halts_immediately():
     f = from_clause_lists(1, [[1], [-1]])
-    assert enumerate_nonblocking(f) == 0
+    assert NonBlockingSolver(f).run() == 0
 
 
 def test_backtrack_bt_inserts_flip():
@@ -91,7 +90,7 @@ def test_all_configs_match_oracle():
         want_masks = set(want.masks)
         for cfg in ALL_CONFIGS:
             sols = []
-            count = enumerate_nonblocking(f, cfg, sink=sols.append)
+            count = NonBlockingSolver(f, cfg, sink=sols.append).run()
             got = masks_of(sols)
             assert count == want.count, f"{cfg} count"
             assert len(got) == len(set(got)), f"{cfg} emitted a duplicate"
@@ -184,26 +183,26 @@ def test_learned_clause_may_stay_non_unit():
     backtracking; the loop must keep going regardless (count stays exact)."""
     for f in random_instances(seed=56, count=10, n_range=(5, 10)):
         want = enumerate_all(f).count
-        assert enumerate_nonblocking(
-            f, NonBlockingConfig("sublevel", "bt")) == want
+        assert NonBlockingSolver(
+            f, NonBlockingConfig("sublevel", "bt")).run() == want
 
 
 def test_solution_at_level_zero_halts():
     f = from_clause_lists(2, [[1], [2]])
     sols = []
-    assert enumerate_nonblocking(f, sink=sols.append) == 1
+    assert NonBlockingSolver(f, sink=sols.append).run() == 1
     assert sols == [(1, 2)]
 
 
 def test_zero_variable_formula_has_one_model():
     from allsat.formula import parse_dimacs
-    assert enumerate_nonblocking(parse_dimacs("p cnf 0 0\n")) == 1
+    assert NonBlockingSolver(parse_dimacs("p cnf 0 0\n")).run() == 1
 
 
 def test_free_variables_still_assigned():
     f = from_clause_lists(4, [[1, 2]])
     sols = []
-    count = enumerate_nonblocking(f, sink=sols.append)
+    count = NonBlockingSolver(f, sink=sols.append).run()
     assert count == 3 * 2 ** 2
     assert all(len(s) == 4 for s in sols)
 

@@ -70,9 +70,10 @@ def test_count_unconstrained_chain():
 
 
 def test_count_equals_model_count(ex41):
-    from allsat import enumerate_bdd
-    store, _, total = enumerate_bdd(ex41)
-    assert total == 2
+    from allsat import BddSolver
+    result = BddSolver(ex41).run_bdd()
+    store = result.store
+    assert result.total == 2
     assert count_models(store) == enumerate_all(ex41).count
     for path in iter_paths(store):
         assert len(path) == 3       # no index skipping: paths are total
@@ -92,11 +93,12 @@ def test_dump_empty():
 
 
 def test_round_trip(ex31):
-    from allsat import enumerate_bdd
-    store, _, total = enumerate_bdd(ex31)
+    from allsat import BddSolver
+    result = BddSolver(ex31).run_bdd()
+    store = result.store
     text = dump(store)
     again = load(text)
-    assert count_models(again) == total == 22
+    assert count_models(again) == result.total == 22
     assert dump(again) == text
     buf = io.StringIO()
     dump(store, out=buf)
@@ -128,8 +130,8 @@ def test_load_rejects_corrupt_diagrams(text):
 
 
 def test_ordering_invariant_after_runs(ex31):
-    from allsat import enumerate_bdd
-    store, _, _ = enumerate_bdd(ex31)
+    from allsat import BddSolver
+    store = BddSolver(ex31).run_bdd().store
     store.check_ordered()
 
 

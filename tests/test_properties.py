@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from allsat import (BddBlockingSolver, BddSolver, BlockingConfig,
                     BlockingSolver, NonBlockingConfig, NonBlockingSolver,
-                    RefreshPolicy, apply_order, count_models, dump,
-                    enumerate_all, from_clause_lists, load)
+                    RefreshPolicy, apply_order, compute_cuts, count_models,
+                    dump, enumerate_all, from_clause_lists, load,
+                    make_formula)
 from allsat.bddcache import CACHE_MODES
 from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
 from allsat.obdd import ObddLoadError, iter_paths
 from allsat.oracle import expand_cube
 
-from conftest import solution_mask
+from conftest import brute_force_cuts, solution_mask
 
 
 @st.composite
@@ -92,6 +93,68 @@ def test_bdd_blocking_counts_orders_and_partitions(case):
                 result = BddBlockingSolver(f, cache_mode=mode,
                                            policy=policy).run_bdd()
                 check_partition(result, f.num_vars, want, (mode, theta))
+
+
+@st.composite
+def assigned_formulas(draw, max_n=10):
+    """A formula with empty, unit and wide clauses and repeated or
+    complementary literals, and a total assignment of its variables
+    (indexed by variable)."""
+    n = draw(st.integers(0, max_n))
+    lit = st.integers(1, max(n, 1)).flatmap(
+        lambda v: st.sampled_from((v, -v)))
+    clause = st.lists(lit, max_size=2 * n + 1) if n else st.just([])
+    f = from_clause_lists(n, draw(st.lists(clause, max_size=3 * n + 2)))
+    values = [None] + draw(st.lists(st.integers(0, 1), min_size=n,
+                                    max_size=n))
+    return f, values
+
+
+def bits(code: int) -> set[int]:
+    return {b for b in range(code.bit_length()) if code >> b & 1}
+
+
+@given(assigned_formulas())
+def test_keys_decode_to_the_cut_definitions(case):
+    """The cutset code at cut i holds the clauses of cutset(i) that the
+    prefix satisfies, the separator code the variables of separator(i) the
+    prefix sets true."""
+    f, values = case
+    cuts = compute_cuts(f)
+    cutsets, separators = brute_force_cuts(f)
+    for mode in CACHE_MODES:
+        codes = [0]
+        for i in range(f.num_vars + 1):
+            if mode == "cutset":
+                want = {p for p in cutsets[i] if any(
+                    abs(l) <= i and values[abs(l)] == (l > 0)
+                    for l in f.clauses[p].lits)}
+            else:
+                want = {v for v in separators[i] if values[v] == 1}
+            cut, code = make_formula(cuts.steps[mode], values, codes, i)
+            assert cut == i and bits(code) == want, (mode, i)
+
+
+@given(assigned_formulas(), st.data())
+def test_truncated_prefix_codes_extend_like_a_fresh_fold(case, data):
+    """Prefix codes truncated below a variable d, as a cancel to d's
+    decision does, and extended under values that agree below d give the
+    keys of a fresh fold."""
+    f, values = case
+    n = f.num_vars
+    d = data.draw(st.integers(1, n + 1))
+    again = values[:d] + data.draw(st.lists(
+        st.integers(0, 1), min_size=n + 1 - d, max_size=n + 1 - d))
+    first = data.draw(st.integers(d - 1, n))
+    cuts = compute_cuts(f)
+    for mode in CACHE_MODES:
+        steps = cuts.steps[mode]
+        codes = [0]
+        make_formula(steps, values, codes, n)
+        del codes[d:]
+        for i in [first] + list(range(d - 1, n + 1)):
+            assert (make_formula(steps, again, codes, i)
+                    == make_formula(steps, again, [0], i)), (mode, i)
 
 
 @given(cases())
