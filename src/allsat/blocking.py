@@ -155,7 +155,7 @@ class BlockingSolver:
                 if status == FALSIFIED:
                     pending = learned.clause
                     continue
-                k.enqueue(learned.clause.lits[0], reason=learned.clause)
+                k.trail.assign(learned.clause.lits[0], learned.clause)
             elif k.trail.all_assigned():
                 halt, pending = self._handle_solution()
                 if halt:
@@ -214,7 +214,7 @@ class BlockingSolver:
         if status == FALSIFIED:
             return clause
         if status == UNIT:
-            k.enqueue(clause.lits[0], reason=clause)
+            k.trail.assign(clause.lits[0], clause)
         if self.cfg.continue_search:
             return replay_decisions(k, self.progress)
         return None

@@ -19,6 +19,7 @@ learned and blocking clauses staying put.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -51,6 +52,11 @@ class Budget:
     mem_used: int = 0
     peak_mem: int = 0
 
+    def __post_init__(self) -> None:
+        # the monotonic time at which the run is out of time
+        self.deadline = math.inf if self.time_limit is None \
+            else self.started + self.time_limit
+
     def charge(self, nbytes: int) -> None:
         self.mem_used += nbytes
         if self.mem_used > self.peak_mem:
@@ -62,9 +68,8 @@ class Budget:
         self.mem_used -= nbytes
 
     def check_time(self) -> None:
-        if self.time_limit is not None:
-            if time.monotonic() - self.started >= self.time_limit:
-                raise LimitExceeded("time")
+        if time.monotonic() >= self.deadline:
+            raise LimitExceeded("time")
 
 
 @dataclass
@@ -205,10 +210,6 @@ class Kernel:
         self.store.blocking.append(clause)
         self.stats.blocking_clauses += 1
 
-    def enqueue(self, lit: int, reason: Clause | None = None,
-                is_decision: bool = False) -> None:
-        self.trail.assign(lit, reason=reason, is_decision=is_decision)
-
     def cancel_to(self, level: int) -> None:
         self.trail.cancel_to(level)
         self.qhead = min(self.qhead, len(self.trail.lits))
@@ -219,7 +220,8 @@ class Kernel:
     def propagate(self) -> Clause | None:
         """Run unit propagation to fixpoint; return the falsified clause on
         conflict (halting immediately), else None."""
-        self.budget.check_time()
+        if time.monotonic() >= self.budget.deadline:
+            raise LimitExceeded("time")
         trail = self.trail
         values = trail.values
         watches = self.store.watches
@@ -228,7 +230,7 @@ class Kernel:
             lit = c.lits[0]
             v = values[abs(lit)]
             if v == UNASSIGNED:
-                self.enqueue(lit, reason=c)
+                trail.assign(lit, c)
                 self.stats.propagations += 1
             elif (v == 1) != (lit > 0):
                 self.qhead = len(trail.lits)
@@ -337,8 +339,9 @@ class Kernel:
         if self._decide_cursor < len(self.decide_order) and \
                 self.decide_order[self._decide_cursor] == lit:
             self._decide_cursor += 1
-        self.trail.new_level()
-        self.enqueue(lit, reason=None, is_decision=True)
+        trail = self.trail
+        trail.new_level()
+        trail.assign(lit, None, True)
         self.stats.decisions += 1
 
     # ------------------------------------------------------------------

@@ -162,7 +162,7 @@ class NonBlockingSolver:
         dec = t.decision_of(level)
         self._cancel(level - 1)
         t.begin_sublevel()
-        k.enqueue(-dec, reason=None, is_decision=False)
+        t.assign(-dec)
 
     # the name CBJ calls it by, kept because tracing wraps it by name
     _backtrack_flip_at = backtrack_bt
@@ -181,7 +181,7 @@ class NonBlockingSolver:
         if status == FALSIFIED:
             return clause
         if status == UNIT:
-            k.enqueue(clause.lits[0], reason=clause)
+            k.trail.assign(clause.lits[0], clause)
         return None
 
     def resolve_bt(self, conflict: Clause) -> Clause | None:
@@ -228,7 +228,7 @@ class NonBlockingSolver:
                 cl1 = stack.pop()
                 status, unit = clause_status(k, cl1)
                 if status == UNIT:
-                    k.enqueue(unit, reason=cl1)
+                    k.trail.assign(unit, cl1)
                     follow_up = k.propagate()
                     if follow_up is not None:
                         if k.trail.level <= 0:

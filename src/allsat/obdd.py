@@ -6,6 +6,11 @@ nodes start at 2.  Diagrams built by the enumerators never skip variable
 indices along a path, so counting root-to-true paths counts models directly.
 Arcs start at the false sink and are only ever upgraded: a branch the search
 has exhausted without extending provably holds no solutions.
+
+Every arc into a branch node goes to a higher variable (``load`` rejects a
+dump that breaks this), so visiting the nodes by decreasing variable visits
+every node after all of its children.  Counting is one such bottom-up sweep
+over the flat ``var``/``lo``/``hi`` arrays.
 """
 
 from __future__ import annotations
@@ -53,12 +58,6 @@ class ObddStore:
 
     def arc(self, nid: int, direction: int) -> int:
         return self.hi[nid] if direction else self.lo[nid]
-
-    def set_arc(self, nid: int, direction: int, target: int) -> None:
-        if direction:
-            self.hi[nid] = target
-        else:
-            self.lo[nid] = target
 
     def reset(self) -> None:
         del self.var[2:]
@@ -119,53 +118,39 @@ def extend_obdd(store: ObddStore, g: int, values: list[int],
         if u < 2 or store.var[u] != 1:
             raise ObddCorruption(
                 "root is not a branch node over the first variable")
+    var, lo, hi = store.var, store.lo, store.hi
     for d in range(keep + 1, k + 1):
         v = values[d - 1]
         path.append((u, v))
-        cur = store.arc(u, v)
+        arcs = hi if v else lo
+        cur = arcs[u]
         if d == k:
             if cur == BOT:
-                store.set_arc(u, v, g)
+                arcs[u] = g
             elif cur != g:
                 raise ObddCorruption(
                     f"arc of node {u} already set to {cur}, expected {g}")
             break
         if cur == BOT:
-            nxt = new_node(d + 1)
-            store.set_arc(u, v, nxt)
-            u = nxt
-        else:
-            if cur < 2 or store.var[cur] != d + 1:
-                raise ObddCorruption(
-                    f"interior arc of node {u} skips an index")
-            u = cur
+            cur = arcs[u] = new_node(d + 1)
+        elif cur < 2 or var[cur] != d + 1:
+            raise ObddCorruption(
+                f"interior arc of node {u} skips an index")
+        u = cur
     return path
 
 
 def count_models(store: ObddStore, root: int | None = None) -> int:
-    """Number of root-to-true-sink paths (memoized, iterative)."""
+    """Number of root-to-true-sink paths: one bottom-up sweep that visits
+    the branch nodes by decreasing variable."""
     if root is None:
         root = store.root
-    if root == BOT:
-        return 0
-    if root == TOP:
-        return 1
-    memo: dict[int, int] = {BOT: 0, TOP: 1}
-    stack = [root]
-    lo, hi = store.lo, store.hi
-    while stack:
-        nid = stack[-1]
-        if nid in memo:
-            stack.pop()
-            continue
-        l, h = lo[nid], hi[nid]
-        missing = [c for c in (l, h) if c not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
-        memo[nid] = memo[l] + memo[h]
-        stack.pop()
-    return memo[root]
+    var, lo, hi = store.var, store.lo, store.hi
+    paths = [0] * len(var)
+    paths[TOP] = 1
+    for u in sorted(range(2, len(var)), key=var.__getitem__, reverse=True):
+        paths[u] = paths[lo[u]] + paths[hi[u]]
+    return paths[root]
 
 
 def iter_paths(store: ObddStore, root: int | None = None):

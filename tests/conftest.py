@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -84,3 +86,39 @@ def solution_mask(cube) -> int:
         if l > 0:
             mask |= 1 << (l - 1)
     return mask
+
+
+def reference_count(store, root=None) -> int:
+    """Root-to-true-sink paths by a memoised depth-first search that only
+    follows arcs, so it assumes no variable order (the reference for
+    ``count_models``)."""
+    if root is None:
+        root = store.root
+    memo = {0: 0, 1: 1}
+    stack = [root]
+    while stack:
+        u = stack[-1]
+        if u in memo:
+            stack.pop()
+            continue
+        missing = [c for c in (store.lo[u], store.hi[u]) if c not in memo]
+        if missing:
+            stack.extend(missing)
+        else:
+            memo[u] = memo[store.lo[u]] + memo[store.hi[u]]
+            stack.pop()
+    return memo[root]
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Fail with TimeoutError instead of hanging past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,15 +1,17 @@
 import csv
 import importlib.util
 import io
+import math
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from allsat import render_dimacs
+from allsat import Budget, LimitExceeded, from_clause_lists, render_dimacs
 from allsat.bddcache import CACHE_MODES
 from allsat.cli import main, parse_config_string
 from allsat.harness import (EXIT_INPUT, EXIT_LIMIT, EXIT_OK, FLAGS, MODES,
@@ -17,7 +19,7 @@ from allsat.harness import (EXIT_INPUT, EXIT_LIMIT, EXIT_OK, FLAGS, MODES,
                             run_suite, verify)
 from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
 
-from conftest import random_3cnf
+from conftest import random_3cnf, time_limit
 
 EX41_TEXT = "p cnf 3 3\n1 -2 0\n2 -3 0\n3 -1 0\n"
 EX31_TEXT = ("p cnf 6 5\n1 -3 0\n2 3 5 0\n-1 -3 4 0\n"
@@ -483,6 +485,32 @@ def test_cli_solve_time_limit_exit(ex31_file):
     code = main(["solve", str(ex31_file), "--mode", "nonblocking",
                  "--time-limit", "0"])
     assert code == EXIT_LIMIT
+
+
+def test_cli_time_limit_stops_a_long_run_on_time(tmp_path):
+    """The 60-variable chain of acceptance criterion 5 has 13 * 2^48
+    models, far more than nonblocking enumerates in the limit: the run
+    stops at the limit, a bounded time after it."""
+    chain = [[k, -(k + 1)] for k in range(1, 12)]
+    path = tmp_path / "f60.cnf"
+    path.write_text(render_dimacs(from_clause_lists(60, chain)))
+    limit = 0.5
+    started = time.monotonic()
+    with time_limit(limit + 10):
+        code = main(["solve", str(path), "--mode", "nonblocking",
+                     "--time-limit", str(limit)])
+    elapsed = time.monotonic() - started
+    assert code == EXIT_LIMIT
+    assert limit <= elapsed < limit + 1.0
+
+
+def test_budget_deadline():
+    assert Budget().deadline == math.inf
+    Budget().check_time()
+    budget = Budget(time_limit=2.5)
+    assert budget.deadline == budget.started + 2.5
+    with pytest.raises(LimitExceeded):
+        Budget(time_limit=0.0).check_time()
 
 
 def test_cli_oracle(ex31_file, capsys):

@@ -7,6 +7,8 @@ from allsat import count_models, dump, enumerate_all, extend_obdd, load
 from allsat.obdd import ObddCorruption
 from allsat.obdd import BOT, TOP, ObddLoadError, ObddStore, iter_paths
 
+from conftest import reference_count
+
 
 def test_first_path_builds_chain():
     store = ObddStore(4)
@@ -47,6 +49,31 @@ def test_overwrite_guard():
     assert count_models(store) == 1
 
 
+def test_interior_arc_that_skips_an_index_is_corruption():
+    store = ObddStore(3)
+    extend_obdd(store, TOP, [0, 0, 0])
+    # the root's hi arc jumps straight to the variable-3 node
+    node_var3 = store.var.index(3)
+    store.hi[store.root] = node_var3
+    with pytest.raises(ObddCorruption, match="skips an index"):
+        extend_obdd(store, TOP, [1, 0, 1])
+    # an interior arc into a sink skips the rest of the path
+    extend_obdd(store, TOP, [0, 1])
+    with pytest.raises(ObddCorruption, match="skips an index"):
+        extend_obdd(store, TOP, [0, 1, 1])
+
+
+@pytest.mark.parametrize("root", ["sink", "second variable"])
+def test_root_not_over_the_first_variable_is_corruption(root):
+    store = ObddStore(2)
+    if root == "sink":
+        extend_obdd(store, TOP, [])
+    else:
+        store.root = store.new_node(2)
+    with pytest.raises(ObddCorruption, match="first variable"):
+        extend_obdd(store, TOP, [0, 1])
+
+
 def test_empty_prefix_sets_root():
     store = ObddStore(2)
     path = extend_obdd(store, TOP, [])
@@ -57,8 +84,56 @@ def test_empty_prefix_sets_root():
 
 def test_count_terminals():
     store = ObddStore(0)
-    assert count_models(store, BOT) == 0
-    assert count_models(store, TOP) == 1
+    assert count_models(store, BOT) == reference_count(store, BOT) == 0
+    assert count_models(store, TOP) == reference_count(store, TOP) == 1
+    # a sink root counts the same with branch nodes in the store
+    store = ObddStore(2)
+    extend_obdd(store, TOP, [1, 0])
+    assert count_models(store, BOT) == reference_count(store, BOT) == 0
+    assert count_models(store, TOP) == reference_count(store, TOP) == 1
+
+
+def test_count_sweep_matches_reference_on_a_long_chain():
+    """800 variables, numbered against the ids: the sweep needs no
+    recursion and follows the variables, not the ids."""
+    n = 800
+    store = ObddStore(n)
+    # node of variable v gets id 2 + n - v, so every arc goes to a lower id
+    for v in range(n, 0, -1):
+        nid = store.new_node(v)
+        store.lo[nid] = TOP if v == n else nid - 1
+        store.hi[nid] = store.lo[nid] if v % 3 else BOT
+    store.root = len(store.var) - 1
+    store.check_ordered()
+    want = 2 ** (n - n // 3)
+    assert count_models(store) == reference_count(store) == want
+    # paths laid by extend_obdd, grafted onto the chain's nodes
+    rng = random.Random(8)
+    built = ObddStore(n)
+    for _ in range(30):
+        values = [rng.randint(0, 1) for _ in range(rng.randint(1, n))]
+        later = [u for u in range(2, len(built.var))
+                 if built.var[u] == len(values) + 1]
+        g = rng.choice(later) if later and len(values) < n else TOP
+        try:
+            extend_obdd(built, g, values)
+        except ObddCorruption:
+            pass
+    assert count_models(built) == reference_count(built)
+    for u in rng.sample(range(len(built.var)), 40):
+        assert count_models(built, u) == reference_count(built, u)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("obdd 2 3\n2 1 3 1\n3 3 0 1\nroot 2\n", 2),      # lo skips var 2
+    ("obdd 3 3\n2 3 0 1\n3 2 2 1\n4 1 3 2\nroot 4\n", 3),  # hi skips var 2
+    ("obdd 2 4\n2 4 1 1\n3 1 2 0\nroot 3\n", 2),      # ids against vars
+])
+def test_count_loaded_diagrams_that_skip_variables(text, want):
+    store = load(text)
+    assert count_models(store) == reference_count(store) == want
+    for u in range(len(store.var)):
+        assert count_models(store, u) == reference_count(store, u)
 
 
 def test_count_unconstrained_chain():
