@@ -363,7 +363,8 @@ class BddBlockingSolver(BlockingSolver):
         store = self.store
         before = store.size
         self.codes = [0]
-        extend_obdd(store, TOP, self.kernel.trail.values[1:],
+        extend_obdd(store, TOP,
+                    self.kernel.trail.values[1:self.formula.num_vars + 1],
                     new_node=self._shared_node if self.sharing else None)
         self.kernel.budget.charge(_NODE_BYTES * (store.size - before))
 

@@ -133,7 +133,7 @@ class BlockingSolver:
 
     def run(self) -> int:
         k = self.kernel
-        if self.formula.has_empty_clause() or k.root_conflict:
+        if self.formula.has_empty_clause():
             return 0
         pending: Clause | None = None
         while True:
@@ -167,13 +167,14 @@ class BlockingSolver:
 
     # ------------------------------------------------------------------
 
-    def _emit(self, cube: tuple[int, ...]) -> None:
+    def _emit(self, lits: list[int]) -> None:
+        """Report the cube of ``lits``, in any order."""
         self.count += 1
-        expansion = 1 << (self.formula.num_vars - len(cube))
+        expansion = 1 << (self.formula.num_vars - len(lits))
         self.covered += expansion
         self.kernel.stats.solutions += expansion
         if self.sink is not None:
-            self.sink(cube)
+            self.sink(tuple(sorted(lits, key=abs)))
 
     def _handle_solution(self) -> tuple[bool, Clause | None]:
         """Report the current total assignment, add its blocking clause, and
@@ -183,21 +184,20 @@ class BlockingSolver:
         cfg = self.cfg
 
         if cfg.all_literals:
-            self._emit(tuple(sorted(t.lits, key=abs)))
+            self._emit(t.lits)
             clause = make_blocking_clause(t, cfg)
             return False, self._block_and_restart(clause)
 
         if cfg.simplify:
             selected = simplify_assignment(t, k.store)
             chosen = set(selected)
-            cube = sorted((l for l in t.lits
-                           if not t.decision[abs(l)] or l in chosen), key=abs)
-            self._emit(tuple(cube))
+            self._emit([l for l in t.lits
+                        if not t.decision[abs(l)] or l in chosen])
             if t.level <= 0 or not selected:
                 return True, None
             clause = Clause([-l for l in selected], origin=BLOCKING)
         else:
-            self._emit(tuple(sorted(t.lits, key=abs)))
+            self._emit(t.lits)
             if t.level <= 0:
                 return True, None
             clause = make_blocking_clause(t, cfg)

@@ -106,6 +106,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     try:
         results = run_suite(args.dir, configs, args.out, jobs=args.jobs)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -117,6 +117,12 @@ class RunConfig:
                 or self.output == "obdd" and not mode.diagram):
             raise ConfigError(
                 f"--output {self.output} does not apply to {self.mode} mode")
+        # written so that NaN fails too
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise ConfigError(f"--time-limit {self.time_limit} is not a "
+                              f"number of seconds >= 0")
+        if self.mem_limit is not None and self.mem_limit < 0:
+            raise ConfigError(f"--mem-limit {self.mem_limit} is negative")
 
     def label(self) -> str:
         parts = [self.mode]
@@ -299,8 +305,13 @@ def run_suite(directory: str | Path, configs: list[RunConfig],
     by powers of ten of the solution count, unsolved runs included by the
     count they reached).  When ``oracle_check`` is on, complete runs on
     oracle-sized instances are compared against the exhaustive count.
+    A ``directory`` that is not one, or ``jobs`` below 1, is a ConfigError.
     """
     directory = Path(directory)
+    if not directory.is_dir():
+        raise ConfigError(f"{directory} is not a directory")
+    if jobs < 1:
+        raise ConfigError(f"--jobs {jobs} is below 1")
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     instances = sorted(directory.glob("*.cnf"))

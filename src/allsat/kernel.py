@@ -13,6 +13,9 @@ Three analysis scopes are supported:
                  (NULL antecedent) are not expanded but negated into the
                  clause.
 
+Watch lists, like the trail's values, are indexed by the signed literal
+(``watches[lit]``), so propagation needs no sign test or encoding.
+
 Restarts and clause deletion are deliberately absent: enumeration relies on
 learned and blocking clauses staying put.
 """
@@ -95,11 +98,6 @@ _CLAUSE_BASE_BYTES = 64
 _LIT_BYTES = 8
 
 
-def _enc(lit: int) -> int:
-    v = lit if lit > 0 else -lit
-    return (v << 1) | (lit < 0)
-
-
 class ClauseStore:
     """Problem, learned, and blocking clauses plus their watch lists.
 
@@ -115,12 +113,9 @@ class ClauseStore:
                                       for c in formula.clauses if len(c) > 0]
         self.learned: list[Clause] = []
         self.blocking: list[Clause] = []
-        n = formula.num_vars
-        self.watches: list[list[Clause]] = [[] for _ in range(2 * (n + 1))]
+        self.watches: list[list[Clause]] = [   # signed literal -> watchers
+            [] for _ in range(2 * formula.num_vars + 1)]
         self.pending_units: list[Clause] = []
-
-    def watchers_of(self, lit: int) -> list[Clause]:
-        return self.watches[_enc(lit)]
 
     def all_clauses(self) -> list[Clause]:
         return self.problem + self.learned + self.blocking
@@ -145,10 +140,16 @@ class Kernel:
         self.activity = [0.0] * (self.n + 1)
         self.var_inc = 1.0
         self.qhead = 0
-        self.root_conflict = False
+        # nothing is assigned yet: watch each problem clause on its first
+        # two literals (the store holds no empty clause)
         for c in self.store.problem:
-            if self.attach_clause(c) == FALSIFIED:
-                self.root_conflict = True
+            if len(c) == 1:
+                self.store.pending_units.append(c)
+            else:
+                self.store.watches[c.lits[0]].append(c)
+                self.store.watches[c.lits[1]].append(c)
+        self.budget.charge(sum(_CLAUSE_BASE_BYTES + _LIT_BYTES * len(c)
+                               for c in self.store.problem))
 
     # ------------------------------------------------------------------
     # clause attachment and the trail
@@ -164,27 +165,27 @@ class Kernel:
         lits = clause.lits
         if len(lits) == 0:
             return FALSIFIED
+        values = self.trail.values
         if len(lits) == 1:
             self.store.pending_units.append(clause)
-            v = self.trail.value_of(lits[0])
+            v = values[lits[0]]
             if v == 1:
                 return SATISFIED
             if v == 0:
                 return FALSIFIED
             return UNIT
-        value_of = self.trail.value_of
-        free = [i for i, l in enumerate(lits) if value_of(l) != 0]
+        free = [i for i, l in enumerate(lits) if values[l] != 0]
         pos = self.trail.positions
         if len(free) >= 2:
             i0, i1 = free[0], free[1]
             status = OPEN
-            if any(value_of(lits[i]) == 1 for i in free):
+            if any(values[lits[i]] == 1 for i in free):
                 status = SATISFIED
         elif len(free) == 1:
             i0 = free[0]
             false_idx = [i for i in range(len(lits)) if i != i0]
             i1 = max(false_idx, key=lambda i: pos[abs(lits[i])])
-            status = SATISFIED if value_of(lits[i0]) == 1 else UNIT
+            status = SATISFIED if values[lits[i0]] == 1 else UNIT
         else:
             by_pos = sorted(range(len(lits)),
                             key=lambda i: pos[abs(lits[i])], reverse=True)
@@ -194,8 +195,8 @@ class Kernel:
         if i1 == 0:
             i1 = i0   # original head moved there in the swap above
         lits[1], lits[i1] = lits[i1], lits[1]
-        self.store.watchers_of(lits[0]).append(clause)
-        self.store.watchers_of(lits[1]).append(clause)
+        self.store.watches[lits[0]].append(clause)
+        self.store.watches[lits[1]].append(clause)
         return status
 
     def add_learned(self, clause: Clause) -> None:
@@ -228,11 +229,11 @@ class Kernel:
         # single-literal clauses have no watches; re-assert them here
         for c in self.store.pending_units:
             lit = c.lits[0]
-            v = values[abs(lit)]
+            v = values[lit]
             if v == UNASSIGNED:
                 trail.assign(lit, c)
                 self.stats.propagations += 1
-            elif (v == 1) != (lit > 0):
+            elif v == 0:
                 self.qhead = len(trail.lits)
                 self.stats.conflicts += 1
                 return c
@@ -244,8 +245,7 @@ class Kernel:
         while qhead < len(trail_lits) and conflict is None:
             false_lit = -trail_lits[qhead]
             qhead += 1
-            v = false_lit if false_lit > 0 else -false_lit
-            watchers = watches[(v << 1) | (false_lit < 0)]
+            watchers = watches[false_lit]
             # compact in place: watchers[:j] are the clauses that stay
             i = j = 0
             end = len(watchers)
@@ -256,23 +256,21 @@ class Kernel:
                 if lits[0] == false_lit:
                     lits[0], lits[1] = lits[1], lits[0]
                 other = lits[0]
-                ov = values[other if other > 0 else -other]
-                if ov != UNASSIGNED and (ov == 1) == (other > 0):
+                ov = values[other]
+                if ov == 1:
                     watchers[j] = clause
                     j += 1
                     continue
                 for k in range(2, len(lits)):
                     cand = lits[k]
-                    cv = values[cand if cand > 0 else -cand]
-                    if cv == UNASSIGNED or (cv == 1) == (cand > 0):
+                    if values[cand] != 0:
                         lits[1], lits[k] = lits[k], lits[1]
-                        w = cand if cand > 0 else -cand
-                        watches[(w << 1) | (cand < 0)].append(clause)
+                        watches[cand].append(clause)
                         break
                 else:
                     watchers[j] = clause
                     j += 1
-                    if ov != UNASSIGNED:
+                    if ov == 0:
                         conflict = clause
                         break
                     assign(other, clause)
@@ -469,8 +467,9 @@ def clause_status(kernel: Kernel, clause: Clause) -> tuple[str, int | None]:
     """
     unit_lit = None
     free = 0
+    values = kernel.trail.values
     for l in clause.lits:
-        v = kernel.trail.value_of(l)
+        v = values[l]
         if v == 1:
             return SATISFIED, None
         if v == UNASSIGNED:

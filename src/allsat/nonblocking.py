@@ -89,7 +89,7 @@ class NonBlockingSolver:
 
     def run(self) -> int:
         k = self.kernel
-        if self.formula.has_empty_clause() or k.root_conflict:
+        if self.formula.has_empty_clause():
             return 0
         pending: Clause | None = None
         try:

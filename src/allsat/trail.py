@@ -1,11 +1,13 @@
 """Assignment trail with decision levels, sublevels, and antecedents.
 
-The trail is a flat list of literals in assignment order.  Everything else
-about an assignment lives in per-variable arrays indexed by its variable:
-value, level, sublevel, antecedent (reason), trail position and whether it
-is a decision.  These arrays are meaningful only while the variable is
-assigned; a cancel resets the value and leaves the rest to be overwritten
-by the next assignment.
+The trail is a flat list of literals in assignment order.  ``values`` is
+indexed by the signed literal (length 2n+1): ``values[lit]`` is 1 when
+``lit`` is true and 0 when false, so ``values[v]`` is variable v's value
+and ``values[-v]`` (read from the end of the list) its negation's.  Level,
+sublevel, antecedent (reason), trail position and whether it is a decision
+live in per-variable arrays.  An assignment writes both halves of
+``values`` and a cancel resets both, leaving the per-variable arrays to be
+overwritten by the next assignment.
 
 The trail doubles as the implication graph: an assignment's antecedent
 clause names the assignments that forced it, and assignments with no
@@ -30,7 +32,8 @@ class Trail:
         self.num_vars = num_vars
         self.lits: list[int] = []         # assigned literals in trail order
         n1 = num_vars + 1
-        self.values = [UNASSIGNED] * n1   # var -> 0/1/UNASSIGNED
+        # signed literal -> 0/1/UNASSIGNED; values[v] is variable v's value
+        self.values = [UNASSIGNED] * (2 * num_vars + 1)
         self.var_level = [0] * n1
         self.var_sublevel = [0] * n1
         self.reasons: list[Clause | None] = [None] * n1
@@ -48,13 +51,6 @@ class Trail:
 
     def __len__(self) -> int:
         return len(self.lits)
-
-    def value_of(self, lit: int) -> int:
-        """Truth value of a literal: 1 true, 0 false, UNASSIGNED otherwise."""
-        v = self.values[abs(lit)]
-        if v == UNASSIGNED:
-            return UNASSIGNED
-        return v if lit > 0 else 1 - v
 
     def is_assigned(self, var: int) -> bool:
         return self.values[var] != UNASSIGNED
@@ -78,12 +74,13 @@ class Trail:
         """Append an assignment at the current level and sublevel."""
         var = lit if lit > 0 else -lit
         values = self.values
-        if values[var] != UNASSIGNED:
+        if values[lit] != UNASSIGNED:
             raise RuntimeError(f"variable {var} already assigned")
         level = self.level
         self.positions[var] = len(self.lits)
         self.lits.append(lit)
-        values[var] = 1 if lit > 0 else 0
+        values[lit] = 1
+        values[-lit] = 0
         self.var_level[var] = level
         self.var_sublevel[var] = self.cur_sublevel[level]
         self.reasons[var] = reason
@@ -117,7 +114,8 @@ class Trail:
         keep = self.level_start[level + 1]
         values = self.values
         for lit in self.lits[keep:]:
-            values[lit if lit > 0 else -lit] = UNASSIGNED
+            values[lit] = UNASSIGNED
+            values[-lit] = UNASSIGNED
         del self.lits[keep:]
         del self.level_start[level + 1:]
         del self.cur_sublevel[level + 1:]
@@ -125,7 +123,8 @@ class Trail:
 
     def check_consistent(self) -> None:
         """Internal consistency: the per-variable view mirrors the trail,
-        and exactly the first assignment of each level >= 1 is a decision."""
+        the negative half of ``values`` mirrors the positive one, and
+        exactly the first assignment of each level >= 1 is a decision."""
         seen = set()
         last_level = 0
         for idx, lit in enumerate(self.lits):
@@ -142,6 +141,9 @@ class Trail:
             assert self.decision[var] == opens, \
                 f"decision flag of variable {var} disagrees with level_start"
         assert len(self.level_start) == self.level + 1
+        values = self.values
         for var in range(1, self.num_vars + 1):
-            if var not in seen:
-                assert self.values[var] == UNASSIGNED
+            if var in seen:
+                assert values[-var] == 1 - values[var]
+            else:
+                assert values[var] == values[-var] == UNASSIGNED

@@ -487,6 +487,43 @@ def test_cli_solve_time_limit_exit(ex31_file):
     assert code == EXIT_LIMIT
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--time-limit", "-1"], "--time-limit -1.0"),
+    (["--time-limit", "nan"], "--time-limit nan"),
+    (["--mem-limit", "-5"], "--mem-limit -5")])
+def test_invalid_limits_are_input_errors(ex31_file, tmp_path, capsys, flags,
+                                         message):
+    """A negative or NaN limit is rejected by solve and bench, recorded as
+    an input error row by a suite run and listed by verify, never run as a
+    limit."""
+    code = main(["solve", str(ex31_file), "--mode", "nonblocking"] + flags)
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert f"error: {message}" in captured.err and captured.out == ""
+    cfg = parse_config_string("--mode blocking " + " ".join(flags))
+    [row] = run_suite(ex31_file.parent, [cfg], tmp_path / "out")
+    assert row.exit_code == EXIT_INPUT and message in row.error
+    assert not row.solved and row.solutions == 0
+    cfgs = tmp_path / "configs.txt"
+    cfgs.write_text("--mode nonblocking\n--mode blocking " + " ".join(flags))
+    code = main(["bench", str(ex31_file.parent), "--configs", str(cfgs),
+                 "--out", str(tmp_path / "bench")])
+    assert code == EXIT_INPUT
+    assert f"error: {message}" in capsys.readouterr().err
+    report = verify(ex31_file, parse_config_string("--mode nonblocking"),
+                    cfg)
+    assert report.input_error and any(message in p for p in report.problems)
+    code = main(["verify", str(ex31_file), "--a", "--mode nonblocking",
+                 "--b", " ".join(flags)])
+    assert code == EXIT_INPUT
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_zero_limits_are_limits_not_input_errors():
+    RunConfig(time_limit=0.0, mem_limit=0).validate()
+    RunConfig(time_limit=math.inf).validate()
+
+
 def test_cli_time_limit_stops_a_long_run_on_time(tmp_path):
     """The 60-variable chain of acceptance criterion 5 has 13 * 2^48
     models, far more than nonblocking enumerates in the limit: the run
@@ -536,6 +573,27 @@ def test_cli_bench(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_OK
     assert (tmp_path / "out" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("target, jobs, message", [
+    ("missing", "1", "is not a directory"),
+    ("file", "1", "is not a directory"),
+    ("suite", "0", "--jobs 0 is below 1")])
+def test_cli_bench_input_errors(tmp_path, capsys, target, jobs, message):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "a.cnf").write_text(EX41_TEXT)
+    paths = {"missing": tmp_path / "missing", "file": suite / "a.cnf",
+             "suite": suite}
+    cfgs = tmp_path / "configs.txt"
+    cfgs.write_text("--mode blocking\n")
+    code = main(["bench", str(paths[target]), "--configs", str(cfgs),
+                 "--out", str(tmp_path / "out"), "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert "error:" in captured.err and message in captured.err
+    assert "runs" not in captured.out
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_entry_point_runs():

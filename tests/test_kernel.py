@@ -4,8 +4,7 @@ from collections import Counter
 from allsat import (BlockingConfig, BlockingSolver, Kernel,
                     NonBlockingConfig, NonBlockingSolver, entails,
                     from_clause_lists)
-from allsat.kernel import (ACTIVITY_RESCALE, FALSIFIED, UNIT, _enc,
-                           clause_status)
+from allsat.kernel import ACTIVITY_RESCALE, FALSIFIED, UNIT, clause_status
 from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
 from allsat.trail import UNASSIGNED
 
@@ -132,8 +131,6 @@ def test_watched_literals_match_naive_scan():
 def test_propagation_fixpoint_no_unit_or_false_clause():
     for f in random_instances(seed=21, count=20):
         k = Kernel(f)
-        if k.root_conflict:
-            continue
         conflict = drive(k, [-v for v in range(1, f.num_vars + 1)])
         if conflict is not None:
             continue
@@ -169,7 +166,7 @@ def test_learned_clauses_entailed_and_falsified():
     for f in random_instances(seed=31, count=40, n_range=(4, 10)):
         for k, learned in collect_conflicts(f, rng, "level"):
             # falsified by the pre-conflict trail
-            assert all(k.trail.value_of(l) == 0 for l in learned.lits)
+            assert all(k.trail.values[l] == 0 for l in learned.lits)
             # entailed by problem clauses (nothing else was learned yet)
             assert entails(f, learned.lits)
             # exactly one literal of the conflict level
@@ -235,15 +232,17 @@ def test_pick_branch_var_highest_activity_lowest_index():
 def check_watches(kernel, attached):
     """Each attached clause of length >= 2 sits exactly once in the watch
     list of lits[0], once in that of lits[1], and in no other list."""
+    watches = kernel.store.watches
+    assert len(watches) == 2 * kernel.n + 1
     where = {}
-    for enc, watchers in enumerate(kernel.store.watches):
+    for idx, watchers in enumerate(watches):
+        lit = idx if idx <= kernel.n else idx - len(watches)
         for clause in watchers:
-            where.setdefault(id(clause), Counter())[enc] += 1
+            where.setdefault(id(clause), Counter())[lit] += 1
     assert set(where) == set(attached)
     for key, clause in attached.items():
         lits = clause.lits
-        assert where[key] == Counter({_enc(lits[0]): 1, _enc(lits[1]): 1}), \
-            lits
+        assert where[key] == Counter({lits[0]: 1, lits[1]: 1}), lits
 
 
 def test_watch_lists_stay_exact_during_full_runs(monkeypatch):
@@ -252,7 +251,14 @@ def test_watch_lists_stay_exact_during_full_runs(monkeypatch):
     clauses under their first two literals, and the trail is consistent."""
     attached = {}
     calls = []
+    init = Kernel.__init__
     attach, propagate = Kernel.attach_clause, Kernel.propagate
+
+    def init_and_record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        # the constructor watches the problem clauses itself
+        attached.update((id(c), c) for c in self.store.problem
+                        if len(c.lits) >= 2)
 
     def attach_and_record(self, clause):
         status = attach(self, clause)
@@ -267,6 +273,7 @@ def test_watch_lists_stay_exact_during_full_runs(monkeypatch):
         calls.append(conflict is None)
         return conflict
 
+    monkeypatch.setattr(Kernel, "__init__", init_and_record)
     monkeypatch.setattr(Kernel, "attach_clause", attach_and_record)
     monkeypatch.setattr(Kernel, "propagate", propagate_and_check)
     solvers = [lambda f, u=u, b=b: NonBlockingSolver(f, NonBlockingConfig(u, b))

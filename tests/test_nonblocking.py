@@ -61,7 +61,7 @@ def test_flip_increments_sublevel_once():
     for f in random_instances(seed=51, count=10, n_range=(4, 8)):
         solver = NonBlockingSolver(f, NonBlockingConfig("dlevel", "bt"))
         k = solver.kernel
-        if k.root_conflict or f.has_empty_clause():
+        if f.has_empty_clause():
             continue
         conflict = k.propagate()
         while conflict is None and not k.trail.all_assigned():

@@ -55,6 +55,33 @@ def test_cancel_to_removes_upper_levels():
     t.check_consistent()
 
 
+def test_values_are_indexed_by_signed_literal():
+    """values[lit] is the value of the literal, for either sign; an
+    assignment sets both halves and a cancel resets both."""
+    t = build_three_levels()
+    assert len(t.values) == 2 * 6 + 1
+    for lit in (1, 2, 3, 4, -5, 6):
+        assert t.values[lit] == 1
+        assert t.values[-lit] == 0
+    t.cancel_to(1)
+    for var in (4, 5, 6):
+        assert t.values[var] == t.values[-var] == UNASSIGNED
+    t.check_consistent()
+    t.new_level()
+    t.assign(5, is_decision=True)      # the other sign of a canceled one
+    assert t.values[5] == 1 and t.values[-5] == 0
+    t.check_consistent()
+
+
+@pytest.mark.parametrize("var, stale", [(5, 0), (4, UNASSIGNED), (2, 1)])
+def test_check_consistent_reads_the_negative_half(var, stale):
+    t = build_three_levels()
+    t.cancel_to(2)                     # 5 and 6 unassigned, 4 assigned
+    t.values[-var] = stale
+    with pytest.raises(AssertionError):
+        t.check_consistent()
+
+
 def test_cancel_to_current_level_is_noop():
     t = build_three_levels()
     before = list(t.lits)
