@@ -264,23 +264,18 @@ class BddSolver(NonBlockingSolver):
         self._graft(node, i)
         return None
 
-    def _canceled_var(self, bl: int) -> int | None:
-        """Lowest variable a cancel to level ``bl`` unassigns: the decision
-        of level ``bl + 1`` (None when the cancel removes nothing)."""
-        t = self.kernel.trail
-        if bl >= t.level:
-            return None
-        return abs(t.decision_of(bl + 1))
-
     def _before_cancel(self, level: int) -> None:
         """Enroll stage: solved-subinstance keys migrate from the pending
         set to the cache just before their spine is canceled.  Variables
         below the canceled decision keep their values, so the cursor, the
         prefix codes and the valid path prefix drop to it."""
-        d = self._canceled_var(level)
-        if d is None:
+        t = self.kernel.trail
+        if level >= t.level:
             return
-        self._enroll(level)
+        # under the fixed order, the decision of the lowest canceled level
+        # is the lowest variable the cancel unassigns
+        d = abs(t.decision_of(level + 1))
+        self._enroll(level, d)
         # only a graft adds nodes, and the backtrack closing its branch is
         # the first cancel after it: refresh once its keys are enrolled
         if self.policy.threshold is not None and _refresh(self):
@@ -296,10 +291,9 @@ class BddSolver(NonBlockingSolver):
         del self.codes[d:]
         self.path_ok = min(self.path_ok, d - 1)
 
-    def _enroll(self, bl: int) -> None:
-        d = self._canceled_var(bl)
-        if d is None:
-            return
+    def _enroll(self, bl: int, d: int) -> None:
+        """Cache the pending keys that a cancel to level ``bl`` completes;
+        ``d`` is the lowest variable the cancel unassigns."""
         t = self.kernel.trail
         store = self.store
         path = self.path

@@ -84,11 +84,14 @@ class CnfFormula:
         # order[ext] = internal index; index 0 unused.
         self.order = order if order is not None else list(range(num_vars + 1))
         self.parse_stats = parse_stats or ParseStats()
-        self._inverse = [0] * (num_vars + 1)
+        # signed internal literal -> external literal, indexed like
+        # Trail.values (external[-v] is read from the end)
+        self.external = [0] * (2 * num_vars + 1)
         for ext, internal in enumerate(self.order):
             if ext == 0:
                 continue
-            self._inverse[internal] = ext
+            self.external[internal] = ext
+            self.external[-internal] = -ext
 
     @property
     def num_clauses(self) -> int:
@@ -99,9 +102,7 @@ class CnfFormula:
 
     def to_external(self, lit: int) -> int:
         """Map an internal literal back to the original variable name."""
-        v = var_of(lit)
-        ext = self._inverse[v]
-        return ext if lit > 0 else -ext
+        return self.external[lit]
 
     def lit_sets(self) -> list[frozenset[int]]:
         return [c.lit_set() for c in self.clauses]

@@ -216,8 +216,10 @@ def run_instance(path: str | Path, cfg: RunConfig, sink=None,
     if cfg.output == "cubes":
         sinks.append(cubes_out.append)
 
+    to_external = f.external.__getitem__
+
     def emit(cube):
-        external = tuple(f.to_external(l) for l in cube)
+        external = tuple(map(to_external, cube))
         for s in sinks:
             s(external)
 

@@ -16,6 +16,15 @@ Three analysis scopes are supported:
 Watch lists, like the trail's values, are indexed by the signed literal
 (``watches[lit]``), so propagation needs no sign test or encoding.
 
+Decisions read a cached decision order: the variables in index order under
+``fixed_order``, else sorted by decreasing activity with ties kept in index
+order, followed by the never-assigned sentinel ``values[0]``.  An
+``itemgetter`` over the order reads their values in one C call, and
+``index(UNASSIGNED)`` on the result finds the first unassigned variable.
+Without ``fixed_order``, every activity bump (a rescale included) marks the
+order stale, and it is sorted again on the next pick, so at most once per
+conflict.
+
 Restarts and clause deletion are deliberately absent: enumeration relies on
 learned and blocking clauses staying put.
 """
@@ -25,6 +34,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .formula import BLOCKING, LEARNED, Clause, CnfFormula
 from .trail import UNASSIGNED, Trail
@@ -134,11 +144,12 @@ class Kernel:
         self.budget = budget or Budget()
         self.stats = SolverStats()
         self.fixed_order = fixed_order
-        # test hook: literals decided (in order) before the heuristic kicks in
-        self.decide_order = list(decide_order) if decide_order else []
-        self._decide_cursor = 0
+        # test hook: literals decided (in order) before the heuristic kicks
+        # in, as a stack whose top is the next one
+        self._injected = list(reversed(decide_order)) if decide_order else []
         self.activity = [0.0] * (self.n + 1)
         self.var_inc = 1.0
+        self._sort_order()
         self.qhead = 0
         # nothing is assigned yet: watch each problem clause on its first
         # two literals (the store holds no empty clause)
@@ -288,6 +299,8 @@ class Kernel:
     # decision heuristics
 
     def bump_activity(self, var: int) -> None:
+        # the fixed order never changes, so it is never sorted again
+        self._order_stale = not self.fixed_order
         act = self.activity[var] + self.var_inc
         self.activity[var] = act
         if act > ACTIVITY_RESCALE:
@@ -299,23 +312,27 @@ class Kernel:
     def decay_activity(self) -> None:
         self.var_inc /= ACTIVITY_DECAY
 
+    def _sort_order(self) -> None:
+        """Put the variables in decision order: index order under
+        ``fixed_order``, else by decreasing activity (the sort is stable, so
+        ties keep the lowest index)."""
+        order = list(range(1, self.n + 1))
+        if not self.fixed_order:
+            order.sort(key=self.activity.__getitem__, reverse=True)
+        # values[0] is never assigned, so a trailing 0 ends every search; a
+        # second one keeps the getter returning a tuple when n == 0
+        order += (0, 0)
+        self._order = order
+        self._order_values = itemgetter(*order)
+        self._order_stale = False
+
     def pick_branch_var(self) -> int | None:
         """Next unassigned variable: fixed index order, or highest activity
         with lowest-index tie-break."""
-        values = self.trail.values
-        if self.fixed_order:
-            for v in range(1, self.n + 1):
-                if values[v] == UNASSIGNED:
-                    return v
-            return None
-        best = None
-        best_act = -1.0
-        activity = self.activity
-        for v in range(1, self.n + 1):
-            if values[v] == UNASSIGNED and activity[v] > best_act:
-                best = v
-                best_act = activity[v]
-        return best
+        if self._order_stale:
+            self._sort_order()
+        found = self._order_values(self.trail.values).index(UNASSIGNED)
+        return self._order[found] or None
 
     def decide(self) -> int | None:
         """Pick the next decision literal, or None when all assigned.
@@ -323,23 +340,22 @@ class Kernel:
         Consumes the injected decision order first, then falls back to the
         heuristic, deciding the variable false.
         """
-        while self._decide_cursor < len(self.decide_order):
-            lit = self.decide_order[self._decide_cursor]
+        injected = self._injected
+        while injected:
+            lit = injected[-1]
             if not self.trail.is_assigned(abs(lit)):
                 return lit
-            self._decide_cursor += 1
+            injected.pop()
         var = self.pick_branch_var()
         if var is None:
             return None
         return -var
 
     def make_decision(self, lit: int) -> None:
-        if self._decide_cursor < len(self.decide_order) and \
-                self.decide_order[self._decide_cursor] == lit:
-            self._decide_cursor += 1
-        trail = self.trail
-        trail.new_level()
-        trail.assign(lit, None, True)
+        injected = self._injected
+        if injected and injected[-1] == lit:
+            injected.pop()
+        self.trail.decide(lit)
         self.stats.decisions += 1
 
     # ------------------------------------------------------------------

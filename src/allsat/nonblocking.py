@@ -120,7 +120,7 @@ class NonBlockingSolver:
         """The next decision literal, or None once the branch is closed (a
         total model was reported)."""
         k = self.kernel
-        if k.trail.all_assigned():
+        if len(k.trail.lits) == k.n:
             self._report()
             return None
         return k.decide()
@@ -159,10 +159,11 @@ class NonBlockingSolver:
         t = k.trail
         if level is None:
             level = t.level
-        dec = t.decision_of(level)
-        self._cancel(level - 1)
-        t.begin_sublevel()
-        t.assign(-dec)
+        self._before_cancel(level - 1)
+        t.flip(level)
+        # the flipped literal, at the top of the trail, is not propagated yet
+        if k.qhead >= len(t.lits):
+            k.qhead = len(t.lits) - 1
 
     # the name CBJ calls it by, kept because tracing wraps it by name
     _backtrack_flip_at = backtrack_bt

@@ -14,6 +14,14 @@ clause names the assignments that forced it, and assignments with no
 antecedent (NULL) are decisions or flipped decisions inserted by
 chronological backtracking.  A new sublevel opens at every flip, so conflict
 analysis can treat earlier sublevels of the current level like lower levels.
+
+Three calls change the levels.  ``decide(lit)`` opens a level and assigns
+its decision.  ``flip(level)`` is the chronological backtrack of the
+nonblocking engines in one call: it cancels ``level`` and every level above
+it and assigns the negated decision one level down, in a new sublevel, with
+no antecedent; the decision's trail slot is reused, so of the canceled
+assignments only those above it are reset.  ``cancel_to(level)`` removes
+every level above ``level`` (backjumps and restarts).
 """
 
 from __future__ import annotations
@@ -58,20 +66,28 @@ class Trail:
     def all_assigned(self) -> bool:
         return len(self.lits) == self.num_vars
 
-    def new_level(self) -> int:
-        self.level += 1
-        self.level_start.append(len(self.lits))
+    def decide(self, lit: int) -> None:
+        """Open a new level whose decision is ``lit``."""
+        var = lit if lit > 0 else -lit
+        values = self.values
+        if values[lit] != UNASSIGNED:
+            raise RuntimeError(f"variable {var} already assigned")
+        level = self.level = self.level + 1
+        lits = self.lits
+        self.positions[var] = len(lits)
+        self.level_start.append(len(lits))
         self.cur_sublevel.append(0)
-        return self.level
+        lits.append(lit)
+        values[lit] = 1
+        values[-lit] = 0
+        self.var_level[var] = level
+        self.var_sublevel[var] = 0
+        self.reasons[var] = None
+        self.decision[var] = True
 
-    def begin_sublevel(self) -> int:
-        """Open a new sublevel at the current level (called at each flip)."""
-        self.cur_sublevel[self.level] += 1
-        return self.cur_sublevel[self.level]
-
-    def assign(self, lit: int, reason: Clause | None = None,
-               is_decision: bool = False) -> None:
-        """Append an assignment at the current level and sublevel."""
+    def assign(self, lit: int, reason: Clause | None = None) -> None:
+        """Append an implied assignment at the current level and sublevel
+        (decisions go through :meth:`decide`)."""
         var = lit if lit > 0 else -lit
         values = self.values
         if values[lit] != UNASSIGNED:
@@ -84,12 +100,12 @@ class Trail:
         self.var_level[var] = level
         self.var_sublevel[var] = self.cur_sublevel[level]
         self.reasons[var] = reason
-        self.decision[var] = is_decision
+        self.decision[var] = False
         if level == 0:
             # a level-0 reason holds only level-0 variables
             tainted = self.tainted
             if reason is None:
-                tainted[var] = not is_decision   # flipped decision
+                tainted[var] = True   # a search choice, like a flip
             else:
                 tainted[var] = any(tainted[abs(q)]
                                    for q in reason.lits if abs(q) != var)
@@ -120,6 +136,40 @@ class Trail:
         del self.level_start[level + 1:]
         del self.cur_sublevel[level + 1:]
         self.level = level
+
+    def flip(self, level: int) -> None:
+        """Cancel ``level`` (>= 1) and every level above it, then assign the
+        negation of its decision at ``level - 1`` in a new sublevel: no
+        antecedent, not a decision, tainted when it lands at level 0."""
+        if not 1 <= level <= self.level:
+            raise RuntimeError(f"no decision at level {level}")
+        lits = self.lits
+        keep = self.level_start[level]
+        dec = lits[keep]
+        var = dec if dec > 0 else -dec
+        if not self.decision[var]:
+            raise RuntimeError(f"level {level} does not start with a decision")
+        values = self.values
+        for lit in lits[keep + 1:]:
+            values[lit] = UNASSIGNED
+            values[-lit] = UNASSIGNED
+        del lits[keep + 1:]
+        del self.level_start[level:]
+        cur_sublevel = self.cur_sublevel
+        del cur_sublevel[level:]
+        level -= 1
+        self.level = level
+        sub = cur_sublevel[level] = cur_sublevel[level] + 1
+        # the decision's slot and both halves of ``values`` turn over; its
+        # position and its NULL reason stay as they are
+        lits[keep] = -dec
+        values[-dec] = 1
+        values[dec] = 0
+        self.var_level[var] = level
+        self.var_sublevel[var] = sub
+        self.decision[var] = False
+        if level == 0:
+            self.tainted[var] = True
 
     def check_consistent(self) -> None:
         """Internal consistency: the per-variable view mirrors the trail,

@@ -276,7 +276,7 @@ def test_enroll_noop_when_nothing_canceled_below():
     solver.kernel.make_decision(-1)
     solver.kernel.make_decision(-2)
     solver.path = []
-    solver._enroll(2)
+    solver._before_cancel(2)
     assert solver.solved == before
 
 
@@ -287,7 +287,8 @@ class CheckedSolver(BddSolver):
 
     grafts = 0
 
-    def _enroll(self, bl):
+    def _enroll(self, bl, d):
+        assert d == abs(self.kernel.trail.decision_of(bl + 1))
         want = dict(self.solved)
         t = self.kernel.trail
         for nid, direction in self.path:
@@ -296,7 +297,7 @@ class CheckedSolver(BddSolver):
                 break
             if bl < t.var_level[j] and j - 1 in self.pending_keys:
                 want[(j - 1, self.pending_keys[j - 1])] = nid
-        super()._enroll(bl)
+        super()._enroll(bl, d)
         assert self.solved == want
 
     def _graft(self, node, i):

@@ -1,6 +1,10 @@
 import random
 from collections import Counter
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from allsat import (BlockingConfig, BlockingSolver, Kernel,
                     NonBlockingConfig, NonBlockingSolver, entails,
                     from_clause_lists)
@@ -227,6 +231,69 @@ def test_pick_branch_var_highest_activity_lowest_index():
     assert k.pick_branch_var() == 6
     k.make_decision(6)
     assert k.pick_branch_var() == 2          # tie after the rescale
+
+
+def reference_pick(k):
+    """The linear scan ``pick_branch_var`` replaced: the first unassigned
+    variable in index order, or the highest activity, lowest index first."""
+    values = k.trail.values
+    if k.fixed_order:
+        for v in range(1, k.n + 1):
+            if values[v] == UNASSIGNED:
+                return v
+        return None
+    best = None
+    best_act = -1.0
+    for v in range(1, k.n + 1):
+        if values[v] == UNASSIGNED and k.activity[v] > best_act:
+            best = v
+            best_act = k.activity[v]
+    return best
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+@pytest.mark.parametrize("n", [0, 1])
+def test_pick_branch_var_on_tiny_formulas(n, fixed):
+    k = Kernel(from_clause_lists(n, []), fixed_order=fixed)
+    assert k.pick_branch_var() == (1 if n else None)
+    if n:
+        k.bump_activity(1)
+        k.make_decision(1)
+        assert k.pick_branch_var() is None
+    assert k.decide() is None
+
+
+@given(st.integers(0, 8), st.booleans(), st.data())
+def test_pick_branch_var_matches_the_linear_scan(n, fixed, data):
+    """Random bump / decay / rescale / decide / assign / cancel sequences:
+    the cached order picks what the linear scan picks after every step."""
+    k = Kernel(from_clause_lists(n, []), fixed_order=fixed)
+    t = k.trail
+    variables = st.integers(1, n)
+    for _ in range(data.draw(st.integers(0, 40))):
+        free = [v for v in range(1, n + 1) if t.values[v] == UNASSIGNED]
+        ops = ["decay", "cancel"] + (["bump", "rescale"] if n else []) \
+            + (["decide", "assign"] if free else [])
+        op = data.draw(st.sampled_from(ops))
+        if op == "bump":
+            for v in data.draw(st.lists(variables, max_size=4)):
+                k.bump_activity(v)
+        elif op == "decay":
+            k.decay_activity()
+        elif op == "rescale":
+            k.var_inc = ACTIVITY_RESCALE * data.draw(st.sampled_from(
+                (0.5, 1.0, 2.0)))
+            k.bump_activity(data.draw(variables))
+        elif op == "cancel":
+            k.cancel_to(data.draw(st.integers(0, t.level)))
+        else:
+            lit = data.draw(st.sampled_from(free)) \
+                * data.draw(st.sampled_from((1, -1)))
+            if op == "decide":
+                k.make_decision(lit)
+            else:
+                t.assign(lit)
+        assert k.pick_branch_var() == reference_pick(k)
 
 
 def check_watches(kernel, attached):

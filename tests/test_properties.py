@@ -1,6 +1,10 @@
 """Property tests of the enumeration engines on random small CNFs."""
 
+import os
 import tempfile
+from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +15,8 @@ from allsat import (BddBlockingSolver, BddSolver, BlockingConfig,
                     dump, enumerate_all, from_clause_lists, load,
                     make_formula)
 from allsat.bddcache import CACHE_MODES
+from allsat.harness import (EXIT_LIMIT, EXIT_OK, FLAGS, MODES, RunConfig,
+                            run_instance)
 from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
 from allsat.obdd import ObddLoadError, iter_paths
 from allsat.oracle import expand_cube
@@ -220,3 +226,49 @@ def test_load_of_a_mutated_dump_fails_typed_or_loads_a_sound_diagram(
         # any root as the order-free reference does
         for root in range(len(store.var)):
             assert count_models(store, root) == reference_count(store, root)
+
+
+@given(cases(max_n=9), st.data())
+def test_memory_limit_stops_every_mode_with_a_lower_bound(case, data):
+    """Every engine of ``MODES``, run again under a memory limit below the
+    peak its full run accounted, stops at the limit (exit 10, not solved)
+    with a count no higher than the oracle's; every part a diagram mode
+    dumped before it stopped loads with the count its manifest gives."""
+    formula, perm, threshold = case
+    f = apply_order(formula, perm)
+    want = enumerate_all(f).count
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("ALLSAT_DUMP_DIR", None)
+        for mode, row in MODES.items():
+            if row.build is None:
+                continue
+            flags = {name: data.draw(st.sampled_from(FLAGS[name][1])
+                                     if FLAGS[name][1] else st.booleans())
+                     for name in row.flags if name != "refresh_threshold"}
+            if "refresh_threshold" in row.flags:
+                flags["refresh_threshold"] = threshold
+            cfg = RunConfig(mode=mode, **flags)
+            runs = Path(tmp) / mode
+            full = run_instance(runs / "full" / "f.cnf", cfg, formula=f)
+            assert full.exit_code == EXIT_OK and full.solutions == want, \
+                cfg.label()
+            if full.peak_mem == 0:
+                continue
+            # drawn down from the peak, so the limits Hypothesis favours stop
+            # late runs, after they found models and dumped parts
+            limit = full.peak_mem - 1 - data.draw(
+                st.integers(0, full.peak_mem - 1))
+            stopped = run_instance(runs / "limit" / "f.cnf",
+                                   replace(cfg, mem_limit=limit), formula=f)
+            label = (cfg.label(), limit)
+            assert stopped.exit_code == EXIT_LIMIT, label
+            assert not stopped.solved, label
+            assert stopped.solutions <= want, label
+            parts = sorted((runs / "limit").glob("f.part*.obdd"))
+            assert len(parts) == stopped.dumps, label
+            if parts:
+                manifest = (runs / "limit" / "f.obdd.manifest").read_text()
+                counts = dict(line.split() for line in manifest.splitlines())
+                for part in parts:
+                    store = load(part.read_text())
+                    assert count_models(store) == int(counts[str(part)]), label

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from allsat.formula import Clause
 from allsat.trail import UNASSIGNED, Trail
@@ -6,9 +8,8 @@ from allsat.trail import UNASSIGNED, Trail
 
 def test_assign_levels_and_views():
     t = Trail(6)
-    t.new_level()
-    t.assign(-5, is_decision=True)
-    assert t.var_level[5] == 1
+    t.decide(-5)
+    assert t.var_level[5] == 1 and t.decision[5]
     assert t.values[5] == 0
     c5 = Clause([5, -6], cid=4)
     t.assign(-6, reason=c5)
@@ -35,13 +36,10 @@ def test_double_assign_rejected():
 def build_three_levels():
     t = Trail(6)
     t.assign(1)                       # level 0
-    t.new_level()
-    t.assign(2, is_decision=True)
+    t.decide(2)
     t.assign(3, reason=Clause([-2, 3]))
-    t.new_level()
-    t.assign(4, is_decision=True)
-    t.new_level()
-    t.assign(-5, is_decision=True)
+    t.decide(4)
+    t.decide(-5)
     t.assign(6, reason=Clause([5, 6]))
     return t
 
@@ -67,8 +65,7 @@ def test_values_are_indexed_by_signed_literal():
     for var in (4, 5, 6):
         assert t.values[var] == t.values[-var] == UNASSIGNED
     t.check_consistent()
-    t.new_level()
-    t.assign(5, is_decision=True)      # the other sign of a canceled one
+    t.decide(5)                        # the other sign of a canceled one
     assert t.values[5] == 1 and t.values[-5] == 0
     t.check_consistent()
 
@@ -99,17 +96,14 @@ def test_cancel_to_root_keeps_level0():
 
 def test_sublevels_open_at_flips():
     t = Trail(4)
-    t.new_level()
-    t.assign(1, is_decision=True)
+    t.decide(1)
     assert t.var_sublevel[1] == 0
-    t.new_level()
-    t.assign(2, is_decision=True)
-    t.cancel_to(1)
-    t.begin_sublevel()
-    t.assign(-2)                      # flipped decision
-    assert t.lits[-1] == -2
+    t.decide(2)
+    t.flip(2)                         # flipped decision
+    assert t.lits[-1] == -2 and t.level == 1
     assert t.var_sublevel[2] == 1
     assert t.var_level[2] == 1
+    assert not t.decision[2] and t.reasons[2] is None
     t.assign(3, reason=Clause([2, 3]))
     assert t.lits[-1] == 3
     assert t.var_sublevel[3] == 1       # implied entries inherit
@@ -137,3 +131,99 @@ def test_decision_of():
     assert t.decision_of(3) == -5
     with pytest.raises(RuntimeError):
         Trail(2).decision_of(0)
+
+
+def test_decide_rejects_an_assigned_variable():
+    t = Trail(2)
+    t.decide(1)
+    with pytest.raises(RuntimeError):
+        t.decide(-1)
+    assert t.level == 1 and t.lits == [1]
+
+
+def test_flip_into_level_0_taints():
+    t = Trail(4)
+    t.assign(1, reason=Clause([1]))    # a fact of the formula
+    t.decide(2)
+    t.assign(3, reason=Clause([-2, 3]))
+    t.decide(4)
+    t.flip(1)                          # cancels every level, -2 lands at 0
+    assert t.lits == [1, -2] and t.level == 0
+    assert t.var_level[2] == 0 and t.var_sublevel[2] == 1
+    assert t.tainted[2] and not t.tainted[1]
+    for var in (3, 4):
+        assert t.values[var] == t.values[-var] == UNASSIGNED
+    t.check_consistent()
+
+
+def test_flip_needs_a_decision_level():
+    t = build_three_levels()
+    for level in (0, 4):
+        with pytest.raises(RuntimeError):
+            t.flip(level)
+    t.cancel_to(0)
+    t.assign(2)                        # level 0 holds no decision
+    with pytest.raises(RuntimeError):
+        t.flip(1)
+
+
+def reference_decide(t: Trail, lit: int) -> None:
+    """The decision as separate steps: open a level, assign ``lit`` there
+    with no antecedent and mark it as the level's decision."""
+    t.level += 1
+    t.level_start.append(len(t.lits))
+    t.cur_sublevel.append(0)
+    t.assign(lit)
+    t.decision[abs(lit)] = True
+
+
+def reference_flip(t: Trail, level: int) -> None:
+    """The flip as separate steps: cancel to the level below, open a new
+    sublevel there and assign the negated decision with no antecedent."""
+    dec = t.decision_of(level)
+    t.cancel_to(level - 1)
+    t.cur_sublevel[t.level] += 1
+    t.assign(-dec)
+
+
+def trail_state(t: Trail) -> tuple:
+    return (t.lits, t.values, t.var_level, t.var_sublevel,
+            [id(r) for r in t.reasons], t.positions, t.decision, t.tainted,
+            t.level, t.level_start, t.cur_sublevel)
+
+
+@given(st.integers(1, 8), st.data())
+def test_flip_matches_cancel_sublevel_assign(n, data):
+    """Random decide / assign / flip / cancel sequences on two trails:
+    ``decide`` and ``flip`` on one and the step-by-step references on the
+    other leave the same state, and the trail stays consistent."""
+    t, ref = Trail(n), Trail(n)
+    for _ in range(data.draw(st.integers(0, 40))):
+        free = [v for v in range(1, n + 1) if t.values[v] == UNASSIGNED]
+        ops = ["cancel"] + (["flip"] if t.level else []) \
+            + (["decide", "assign"] if free else [])
+        op = data.draw(st.sampled_from(ops))
+        if op in ("decide", "assign"):
+            lit = data.draw(st.sampled_from(free)) \
+                * data.draw(st.sampled_from((1, -1)))
+            if op == "decide":
+                t.decide(lit)
+                reference_decide(ref, lit)
+            else:
+                # an antecedent over some assigned literals, or none
+                body = data.draw(st.lists(st.sampled_from(t.lits), unique=True)
+                                 if t.lits else st.just([]))
+                reason = data.draw(st.sampled_from(
+                    (None, Clause([lit] + [-q for q in body]))))
+                t.assign(lit, reason)
+                ref.assign(lit, reason)
+        elif op == "flip":
+            level = data.draw(st.integers(1, t.level))
+            t.flip(level)
+            reference_flip(ref, level)
+        else:
+            level = data.draw(st.integers(0, t.level))
+            t.cancel_to(level)
+            ref.cancel_to(level)
+        assert trail_state(t) == trail_state(ref)
+        t.check_consistent()
