@@ -40,7 +40,8 @@ contain paths for solutions the search has yet to report.
 Both engines add nodes through ``obdd.extend_obdd``, the one walk from the
 root that creates them: a graft on the non-blocking engine, each reported
 model on the blocking engine, whose cache lookup supplies the node for a
-missing interior arc when sharing is on.  That walk visits the variables
+missing interior arc when sharing is on.  Both pass ``trail.values``
+itself, which the walk reads by variable.  That walk visits the variables
 in order, so each model starts a fresh list of codes and the lookups extend
 it as the walk goes.
 
@@ -48,23 +49,32 @@ The non-blocking host always decides the first unassigned variable.  So a
 cancel to level L unassigns exactly the variables at levels above L, all of
 which have index >= d, the variable decided at level L+1; every variable
 below d keeps its value.  The engine's per-step state follows the trail on
-that invariant, so each step touches only what the cancel changed:
+that invariant through two hooks, so each step touches only what it looks
+up or what the cancel changed.  The lookup (``_next_decision``) moves the
+cursor to the first unassigned variable, extends the codes to its cut and,
+on a hit, grafts along ``trail.values`` from ``path_ok`` on.  The cancel
+(``_before_cancel``) pops and enrolls the pending keys of the canceled
+decisions and lowers the rest of the state to d:
 
-* ``cursor``    - every variable below it is assigned; the lookup for the
-                  first unassigned variable resumes there, and a cancel
-                  lowers it to d;
+* ``cursor``    - every variable below it is assigned; the lookup resumes
+                  there, and a cancel lowers it to d;
 * ``codes``     - the prefix codes at cuts 0, 1, ..., as far as the last
                   lookup reached; a cancel truncates them to cuts below d,
                   the next lookup extends them from there, and a refresh
                   leaves them alone, since they depend on the trail only;
 * ``path``      - the OBDD path of the last graft, one (node, direction)
                   entry per prefix variable; ``path_ok`` counts its leading
-                  entries whose variables kept their values since, a cancel
-                  lowers it to d - 1 and a refresh to 0.  A graft walks only
-                  the entries past ``path_ok``, and enrollment starts its
-                  walk there too;
-* ``pending_keys`` - ordered by cut, so a cancel drops its last entries,
-                  those at cuts >= d - 1.
+                  entries whose variables kept their values since: a cancel
+                  lowers it to d - 1 and a refresh to 0, and a graft walks
+                  only the entries past it;
+* ``pending_keys`` - the key of each miss by its cut.  A miss decides the
+                  variable after its cut, so the pending cuts are those of
+                  the standing decisions made on misses, in the order of
+                  their levels, and a cancel pops the last ones, those at
+                  cuts >= d - 1.  Each popped key whose cut lies below
+                  ``path_ok`` (its decision stood through the last graft)
+                  enrolls the path's node at that cut; the others lie past
+                  the part of the path known to follow the trail.
 
 When the node arena reaches the refresh threshold the diagram is dumped to
 disk, the bytes accounted for its nodes and keys are released, and all
@@ -230,96 +240,66 @@ class BddSolver(NonBlockingSolver):
 
     # ------------------------------------------------------------------
 
-    def _key_at(self, cut_index) -> tuple:
-        return make_formula(self.steps, self.kernel.trail.values, self.codes,
-                            cut_index)
-
-    def _first_unassigned(self) -> int | None:
-        values = self.kernel.trail.values
-        n = self.formula.num_vars
-        v = self.cursor
-        while v <= n and values[v] != UNASSIGNED:
-            v += 1
-        self.cursor = v
-        return v if v <= n else None
-
     def _next_decision(self) -> int | None:
         """Encode stage: look the prefix below the first unassigned variable
         up.  A hit (every variable assigned always hits) grafts the solved
-        node and closes the branch; a miss leaves the key pending and
-        decides the variable false."""
+        node below the prefix and closes the branch; a miss leaves the key
+        pending and decides the variable false."""
         k = self.kernel
-        i = self._first_unassigned()
-        cut_index = math.inf if i is None else i - 1
-        key = self._key_at(cut_index)
+        values = k.trail.values
+        n = self.formula.num_vars
+        i = self.cursor
+        while i <= n and values[i] != UNASSIGNED:
+            i += 1
+        self.cursor = i
+        key = make_formula(self.steps, values, self.codes,
+                           i - 1 if i <= n else math.inf)
         node = self.solved.get(key)
         if node is None:
             k.stats.cache_misses += 1
-            self.pending_keys[cut_index] = key[1]
+            self.pending_keys[i - 1] = key[1]
             return -i
-        if i is None:
-            k.stats.solutions += 1
-        else:
+        if i <= n:
             k.stats.cache_hits += 1
-        self._graft(node, i)
+        else:
+            k.stats.solutions += 1
+        store = self.store
+        before = store.size
+        self.path = extend_obdd(store, node, values, i - 1, self.path,
+                                self.path_ok)
+        self.path_ok = len(self.path)
+        k.budget.charge(_NODE_BYTES * (store.size - before))
         return None
 
     def _before_cancel(self, level: int) -> None:
-        """Enroll stage: solved-subinstance keys migrate from the pending
-        set to the cache just before their spine is canceled.  Variables
-        below the canceled decision keep their values, so the cursor, the
-        prefix codes and the valid path prefix drop to it."""
+        """Enroll stage: the pending keys a cancel to ``level`` completes
+        migrate to the solved cache just before their spine is canceled.
+        Variables below the canceled decision keep their values, so the
+        cursor, the prefix codes and the valid path prefix drop to it."""
         t = self.kernel.trail
         if level >= t.level:
             return
         # under the fixed order, the decision of the lowest canceled level
         # is the lowest variable the cancel unassigns
         d = abs(t.decision_of(level + 1))
-        self._enroll(level, d)
+        # the pending keys at cuts >= d - 1 are the canceled decisions'; a
+        # cut below path_ok has its node on the path (module docstring)
+        pending = self.pending_keys
+        path, path_ok = self.path, self.path_ok
+        while pending and next(reversed(pending)) >= d - 1:
+            cut, code = pending.popitem()
+            if cut < path_ok:
+                self.solved[(cut, code)] = path[cut][0]
+                self.kernel.budget.charge(_KEY_BYTES)
         # only a graft adds nodes, and the backtrack closing its branch is
         # the first cancel after it: refresh once its keys are enrolled
         if self.policy.threshold is not None and _refresh(self):
-            self.pending_keys.clear()
+            pending.clear()
             self.path = []
-            self.path_ok = 0
-        # pending cuts ascend, so the keys whose decision the cancel
-        # removes (cuts >= d - 1) are the last ones
-        pending = self.pending_keys
-        while pending and next(reversed(pending)) >= d - 1:
-            pending.popitem()
+            path_ok = 0
         self.cursor = min(self.cursor, d)
         del self.codes[d:]
-        self.path_ok = min(self.path_ok, d - 1)
-
-    def _enroll(self, bl: int, d: int) -> None:
-        """Cache the pending keys that a cancel to level ``bl`` completes;
-        ``d`` is the lowest variable the cancel unassigns."""
-        t = self.kernel.trail
-        store = self.store
-        path = self.path
-        # entries below both bounds agree with the trail and sit at levels
-        # <= bl, so the walk would pass them without enrolling
-        for idx in range(min(d - 1, self.path_ok), len(path)):
-            nid, direction = path[idx]
-            j = store.var[nid]
-            if t.values[j] != direction:
-                break
-            if bl < t.var_level[j]:
-                code = self.pending_keys.get(j - 1)
-                if code is not None:
-                    self.solved[(j - 1, code)] = nid
-                    self.kernel.budget.charge(_KEY_BYTES)
-
-    def _graft(self, node: int, i: int | None) -> None:
-        """Extend the diagram from the root along the prefix below variable
-        ``i`` (every variable when None) to the solved ``node``."""
-        k = self.kernel
-        upto = self.formula.num_vars if i is None else i - 1
-        before = self.store.size
-        self.path = extend_obdd(self.store, node, k.trail.values[1:upto + 1],
-                                self.path, self.path_ok)
-        self.path_ok = len(self.path)
-        k.budget.charge(_NODE_BYTES * (self.store.size - before))
+        self.path_ok = min(path_ok, d - 1)
 
     # ------------------------------------------------------------------
 
@@ -357,8 +337,8 @@ class BddBlockingSolver(BlockingSolver):
         store = self.store
         before = store.size
         self.codes = [0]
-        extend_obdd(store, TOP,
-                    self.kernel.trail.values[1:self.formula.num_vars + 1],
+        extend_obdd(store, TOP, self.kernel.trail.values,
+                    self.formula.num_vars,
                     new_node=self._shared_node if self.sharing else None)
         self.kernel.budget.charge(_NODE_BYTES * (store.size - before))
 

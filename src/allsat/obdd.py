@@ -73,19 +73,20 @@ class ObddStore:
                         f"node {nid} violates variable ordering"
 
 
-def extend_obdd(store: ObddStore, g: int, values: list[int],
+def extend_obdd(store: ObddStore, g: int, values: list[int], last: int,
                 path: list[tuple[int, int]] | None = None,
                 keep: int = 0, new_node: Callable[[int], int] | None = None
                 ) -> list[tuple[int, int]]:
-    """Add the path described by ``values`` (value of variable d at index
-    d-1) from the root to the already-solved node ``g``.
+    """Add the path that ``values`` (indexed by variable, like
+    ``Trail.values``) gives variables 1..``last`` from the root to the
+    already-solved node ``g``.
 
     This is the one walk that creates nodes along a path.  A missing root
     is a fresh node; a missing interior arc to variable v gets the node
-    ``new_node(v)`` returns (by default ``store.new_node(v)``, a fresh node
-    with both arcs at the false sink).  The final arc is upgraded from the
-    false sink to ``g``.  Returns the path as (node id, direction taken)
-    pairs, root first.
+    ``new_node(v)`` returns, or without the hook a fresh node with both arcs
+    at the false sink.  The final arc is upgraded from the false sink to
+    ``g``.  Returns the path as (node id, direction taken) pairs, root
+    first.
 
     ``path`` may be the list an earlier call on this store returned.  When
     its first ``keep`` entries still take the directions ``values`` gives
@@ -94,20 +95,17 @@ def extend_obdd(store: ObddStore, g: int, values: list[int],
     so walking them again would reach the same nodes.  The list is updated
     in place and returned.
     """
-    k = len(values)
     if path is None:
         path = []
-    if new_node is None:
-        new_node = store.new_node
     # the last step is always walked again, since it is the one that grafts
-    keep = min(keep, k - 1, len(path) - 1)
+    keep = min(keep, last - 1, len(path) - 1)
     if keep > 0:
         u = path[keep][0]
         del path[keep:]
     else:
         keep = 0
         path.clear()
-        if k == 0:
+        if last == 0:
             if store.root not in (BOT, g):
                 raise ObddCorruption("root already points elsewhere")
             store.root = g
@@ -119,12 +117,12 @@ def extend_obdd(store: ObddStore, g: int, values: list[int],
             raise ObddCorruption(
                 "root is not a branch node over the first variable")
     var, lo, hi = store.var, store.lo, store.hi
-    for d in range(keep + 1, k + 1):
-        v = values[d - 1]
+    for d in range(keep + 1, last + 1):
+        v = values[d]
         path.append((u, v))
         arcs = hi if v else lo
         cur = arcs[u]
-        if d == k:
+        if d == last:
             if cur == BOT:
                 arcs[u] = g
             elif cur != g:
@@ -132,7 +130,13 @@ def extend_obdd(store: ObddStore, g: int, values: list[int],
                     f"arc of node {u} already set to {cur}, expected {g}")
             break
         if cur == BOT:
-            cur = arcs[u] = new_node(d + 1)
+            if new_node is None:
+                cur = arcs[u] = len(var)
+                var.append(d + 1)
+                lo.append(BOT)
+                hi.append(BOT)
+            else:
+                cur = arcs[u] = new_node(d + 1)
         elif cur < 2 or var[cur] != d + 1:
             raise ObddCorruption(
                 f"interior arc of node {u} skips an index")
@@ -181,11 +185,10 @@ def dump(store: ObddStore, root: int | None = None,
     <lo> <hi>`` line per branch node in id order, footer ``root <id>``."""
     if root is None:
         root = store.root
-    lines = [f"obdd {store.size} {store.num_vars}"]
-    for nid in range(2, len(store.var)):
-        lines.append(f"{nid} {store.var[nid]} {store.lo[nid]} {store.hi[nid]}")
-    lines.append(f"root {root}")
-    text = "\n".join(lines) + "\n"
+    var = store.var
+    nodes = "".join([f"{nid} {v} {lo} {hi}\n" for nid, v, lo, hi in zip(
+        range(2, len(var)), var[2:], store.lo[2:], store.hi[2:])])
+    text = f"obdd {store.size} {store.num_vars}\n{nodes}root {root}\n"
     if out is not None:
         out.write(text)
     return text

@@ -87,7 +87,8 @@ class Trail:
 
     def assign(self, lit: int, reason: Clause | None = None) -> None:
         """Append an implied assignment at the current level and sublevel
-        (decisions go through :meth:`decide`)."""
+        (decisions go through :meth:`decide`).  ``Kernel.propagate`` writes
+        the same assignment out itself above level 0."""
         var = lit if lit > 0 else -lit
         values = self.values
         if values[lit] != UNASSIGNED:

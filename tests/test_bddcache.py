@@ -4,12 +4,13 @@ import random
 import pytest
 
 from allsat import (BddSolver, NonBlockingConfig, RefreshPolicy, compute_cuts,
-                    enumerate_all, entails, from_clause_lists, load,
-                    make_formula, subinstance_models)
+                    enumerate_all, entails, extend_obdd, from_clause_lists,
+                    load, make_formula, subinstance_models)
+from allsat import bddcache
 from allsat.bddcache import TOP_KEY, BddBlockingSolver
 from allsat.harness import EXIT_LIMIT, EXIT_OK, RunConfig, run_instance
 from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
-from allsat.obdd import iter_paths
+from allsat.obdd import TOP, iter_paths
 from allsat.oracle import satisfies
 from allsat.trail import UNASSIGNED
 
@@ -109,29 +110,32 @@ def test_underlying_resolvers_all_work(ex31):
             assert total == 22, (scheme, strat)
 
 
-def test_cache_hits_are_sound():
+def test_cache_hits_are_sound(monkeypatch):
     """Whenever a lookup hits, the subinstances behind the key must have
     identical solution sets over the remaining variables."""
+    observed: dict[tuple, set] = {}
+
+    def probe(steps, values, codes, cut_index):
+        key = make_formula(steps, values, codes, cut_index)
+        if cut_index != math.inf:
+            observed.setdefault(key, set()).add(tuple(values[1:cut_index + 1]))
+        return key
+
+    # the engine's one lookup calls the key function by its module name
+    monkeypatch.setattr(bddcache, "make_formula", probe)
+    shared = 0
     for f in random_instances(seed=62, count=15, n_range=(4, 10)):
-        observed: dict[tuple, list] = {}
-
-        class Probing(BddSolver):
-            def _key_at(self, cut_index):
-                key = super()._key_at(cut_index)
-                if cut_index != math.inf:
-                    prefix = {v: self.kernel.trail.values[v]
-                              for v in range(1, cut_index + 1)}
-                    observed.setdefault(key, []).append(prefix)
-                return key
-
-        solver = Probing(f)
-        solver.run_bdd()
+        observed.clear()
+        BddSolver(f).run_bdd()
         for key, prefixes in observed.items():
             if len(prefixes) < 2:
                 continue
-            base = subinstance_models(f, prefixes[0]).masks
-            for other in prefixes[1:]:
+            shared += 1
+            first, *others = (dict(enumerate(p, start=1)) for p in prefixes)
+            base = subinstance_models(f, first).masks
+            for other in others:
                 assert subinstance_models(f, other).masks == base, (key, f)
+    assert shared > 0
 
 
 def test_separator_agreement_implies_cutset_agreement():
@@ -270,14 +274,22 @@ def test_enroll_and_prune_mechanics():
 def test_enroll_noop_when_nothing_canceled_below():
     """If the landing level keeps every path variable, the solved cache is
     unchanged (no key can have been completed)."""
-    f = from_clause_lists(2, [])
+    f = from_clause_lists(3, [])
     solver = BddSolver(f)
+    k = solver.kernel
+    for _ in range(3):                  # three misses decide x1, x2, x3
+        k.make_decision(solver._next_decision())
+    assert list(solver.pending_keys) == [0, 1, 2]
+    # a path to a node of x3 along x1, x2, both at or below level 2
+    node = solver.store.new_node(3)
+    solver.path = extend_obdd(solver.store, node, k.trail.values, 2)
+    solver.path_ok = len(solver.path)
     before = dict(solver.solved)
-    solver.kernel.make_decision(-1)
-    solver.kernel.make_decision(-2)
-    solver.path = []
-    solver._before_cancel(2)
+    solver._before_cancel(2)            # cancels level 3 (x3) alone
+    k.cancel_to(2)
     assert solver.solved == before
+    assert list(solver.pending_keys) == [0, 1]
+    assert solver.path_ok == 2 and solver.cursor == 3
 
 
 class CheckedSolver(BddSolver):
@@ -286,22 +298,32 @@ class CheckedSolver(BddSolver):
     every enrollment the keys a walk of the whole path would enroll."""
 
     grafts = 0
+    enrollments = 0
 
-    def _enroll(self, bl, d):
-        assert d == abs(self.kernel.trail.decision_of(bl + 1))
-        want = dict(self.solved)
+    def _before_cancel(self, level):
         t = self.kernel.trail
-        for nid, direction in self.path:
-            j = self.store.var[nid]
-            if t.values[j] != direction:
-                break
-            if bl < t.var_level[j] and j - 1 in self.pending_keys:
-                want[(j - 1, self.pending_keys[j - 1])] = nid
-        super()._enroll(bl, d)
-        assert self.solved == want
+        want = dict(self.solved)
+        enrolls = False
+        if level < t.level:
+            for nid, direction in self.path:
+                j = self.store.var[nid]
+                if t.values[j] != direction:
+                    break
+                if level < t.var_level[j] and j - 1 in self.pending_keys:
+                    want[(j - 1, self.pending_keys[j - 1])] = nid
+                    enrolls = True
+        dumps = len(self.dumps)
+        super()._before_cancel(level)
+        if len(self.dumps) == dumps:
+            assert self.solved == want
+            CheckedSolver.enrollments += enrolls
+        else:                           # a refresh empties the cache
+            assert self.solved == {TOP_KEY: TOP}
 
-    def _graft(self, node, i):
-        super()._graft(node, i)
+    def _next_decision(self):
+        lit = super()._next_decision()
+        if lit is not None:
+            return lit
         CheckedSolver.grafts += 1
         values = self.kernel.trail.values
         n = self.formula.num_vars
@@ -310,19 +332,22 @@ class CheckedSolver(BddSolver):
         assert self.cursor == first
         walk = []
         u = self.store.root
-        for d in range(1, (n if i is None else i - 1) + 1):
+        for d in range(1, first):
             walk.append((u, values[d]))
             u = self.store.arc(u, values[d])
-        assert u == node
+        assert u == self.solved[make_formula(self.steps, values, [0],
+                                             first - 1 if first <= n
+                                             else math.inf)]
         assert self.path == walk
         assert self.path_ok == len(walk)
         codes = [0]
         make_formula(self.steps, values, codes, len(self.codes) - 1)
         assert self.codes == codes
+        return None
 
 
 def test_trail_synced_state_matches_full_walks(tmp_path):
-    CheckedSolver.grafts = 0
+    CheckedSolver.grafts = CheckedSolver.enrollments = 0
     for f in random_instances(seed=67, count=12, n_range=(4, 11)):
         want = enumerate_all(f).count
         n = f.num_vars
@@ -335,6 +360,7 @@ def test_trail_synced_state_matches_full_walks(tmp_path):
                                            policy=policy)
                     assert solver.run_bdd().total == want
     assert CheckedSolver.grafts > 1000
+    assert CheckedSolver.enrollments > 1000
 
 
 def test_refresh_run_fits_a_memory_limit_the_plain_run_exceeds(tmp_path):

@@ -10,9 +10,14 @@ from allsat.obdd import BOT, TOP, ObddLoadError, ObddStore, iter_paths
 from conftest import reference_count
 
 
+def extend(store, g, bits, *args, **kwargs):
+    """``extend_obdd`` along ``bits``, the values of variables 1, 2, ..."""
+    return extend_obdd(store, g, [None, *bits], len(bits), *args, **kwargs)
+
+
 def test_first_path_builds_chain():
     store = ObddStore(4)
-    path = extend_obdd(store, TOP, [0, 1, 0, 1])
+    path = extend(store, TOP, [0, 1, 0, 1])
     assert store.size == 4
     assert [store.var[nid] for nid, _ in path] == [1, 2, 3, 4]
     assert count_models(store) == 1
@@ -20,63 +25,63 @@ def test_first_path_builds_chain():
 
 def test_paths_share_prefixes():
     store = ObddStore(3)
-    extend_obdd(store, TOP, [0, 0, 0])
-    extend_obdd(store, TOP, [0, 0, 1])
+    extend(store, TOP, [0, 0, 0])
+    extend(store, TOP, [0, 0, 1])
     assert store.size == 3          # shared prefix of length 2
     assert count_models(store) == 2
-    extend_obdd(store, TOP, [1, 1, 1])
+    extend(store, TOP, [1, 1, 1])
     assert store.size == 5
     assert count_models(store) == 3
 
 
 def test_join_to_cached_node():
     store = ObddStore(3)
-    extend_obdd(store, TOP, [0, 0, 0])
+    extend(store, TOP, [0, 0, 0])
     node_var3 = next(nid for nid in range(2, 2 + store.size)
                      if store.var[nid] == 3)
     # graft a second prefix onto the solved var-3 node
-    extend_obdd(store, node_var3, [1, 1])
+    extend(store, node_var3, [1, 1])
     assert count_models(store) == 2
 
 
 def test_overwrite_guard():
     store = ObddStore(2)
-    extend_obdd(store, TOP, [0, 0])
+    extend(store, TOP, [0, 0])
     with pytest.raises(ObddCorruption):
-        extend_obdd(store, BOT + 0, [0, 0])   # same arc, different target
+        extend(store, BOT + 0, [0, 0])   # same arc, different target
     # re-adding the same target is a no-op
-    extend_obdd(store, TOP, [0, 0])
+    extend(store, TOP, [0, 0])
     assert count_models(store) == 1
 
 
 def test_interior_arc_that_skips_an_index_is_corruption():
     store = ObddStore(3)
-    extend_obdd(store, TOP, [0, 0, 0])
+    extend(store, TOP, [0, 0, 0])
     # the root's hi arc jumps straight to the variable-3 node
     node_var3 = store.var.index(3)
     store.hi[store.root] = node_var3
     with pytest.raises(ObddCorruption, match="skips an index"):
-        extend_obdd(store, TOP, [1, 0, 1])
+        extend(store, TOP, [1, 0, 1])
     # an interior arc into a sink skips the rest of the path
-    extend_obdd(store, TOP, [0, 1])
+    extend(store, TOP, [0, 1])
     with pytest.raises(ObddCorruption, match="skips an index"):
-        extend_obdd(store, TOP, [0, 1, 1])
+        extend(store, TOP, [0, 1, 1])
 
 
 @pytest.mark.parametrize("root", ["sink", "second variable"])
 def test_root_not_over_the_first_variable_is_corruption(root):
     store = ObddStore(2)
     if root == "sink":
-        extend_obdd(store, TOP, [])
+        extend(store, TOP, [])
     else:
         store.root = store.new_node(2)
     with pytest.raises(ObddCorruption, match="first variable"):
-        extend_obdd(store, TOP, [0, 1])
+        extend(store, TOP, [0, 1])
 
 
 def test_empty_prefix_sets_root():
     store = ObddStore(2)
-    path = extend_obdd(store, TOP, [])
+    path = extend(store, TOP, [])
     assert path == []
     assert store.root == TOP
     assert count_models(store) == 1
@@ -88,7 +93,7 @@ def test_count_terminals():
     assert count_models(store, TOP) == reference_count(store, TOP) == 1
     # a sink root counts the same with branch nodes in the store
     store = ObddStore(2)
-    extend_obdd(store, TOP, [1, 0])
+    extend(store, TOP, [1, 0])
     assert count_models(store, BOT) == reference_count(store, BOT) == 0
     assert count_models(store, TOP) == reference_count(store, TOP) == 1
 
@@ -116,7 +121,7 @@ def test_count_sweep_matches_reference_on_a_long_chain():
                  if built.var[u] == len(values) + 1]
         g = rng.choice(later) if later and len(values) < n else TOP
         try:
-            extend_obdd(built, g, values)
+            extend(built, g, values)
         except ObddCorruption:
             pass
     assert count_models(built) == reference_count(built)
@@ -140,7 +145,7 @@ def test_count_unconstrained_chain():
     store = ObddStore(20)
     for mask in (0, (1 << 20) - 1):
         values = [(mask >> d) & 1 for d in range(20)]
-        extend_obdd(store, TOP, values)
+        extend(store, TOP, values)
     assert count_models(store) == 2   # two disjoint chains
 
 
@@ -231,7 +236,7 @@ def test_resumed_walk_matches_walk_from_root():
         outcomes = []
         for store, args in ((fresh, ()), (resumed, (path, keep))):
             try:
-                outcomes.append(list(extend_obdd(store, g, values, *args)))
+                outcomes.append(list(extend(store, g, values, *args)))
             except ObddCorruption:
                 outcomes.append("corrupt")
         assert outcomes[0] == outcomes[1]
@@ -241,3 +246,38 @@ def test_resumed_walk_matches_walk_from_root():
             path, prev = [], []
         else:
             prev = values
+
+
+def test_walk_reads_values_by_variable_up_to_last():
+    """The walk reads ``values[1..last]`` of an array shaped like
+    ``Trail.values`` and ignores every other entry."""
+    rng = random.Random(9)
+    n = 7
+    for _ in range(50):
+        bits = [rng.randint(0, 1) for _ in range(rng.randint(0, n))]
+        last = len(bits)
+        # positive half, then the negative half read from the end
+        values = [rng.choice((-1, 0, 1)) for _ in range(2 * n + 1)]
+        values[1:last + 1] = bits
+        a, b = ObddStore(n), ObddStore(n)
+        assert extend_obdd(a, TOP, values, last) == extend(b, TOP, bits)
+        assert (a.var, a.lo, a.hi, a.root) == (b.var, b.lo, b.hi, b.root)
+
+
+def test_dump_bytes_match_the_per_line_format():
+    """One header line, one ``<id> <var> <lo> <hi>`` line per branch node in
+    id order, and the root line, on a random store of many nodes."""
+    rng = random.Random(10)
+    store = ObddStore(30)
+    for _ in range(500):
+        nid = store.new_node(rng.randint(1, 30))
+        store.lo[nid] = rng.randrange(nid + 300)
+        store.hi[nid] = rng.randrange(nid + 300)
+    store.root = rng.randrange(len(store.var))
+    lines = [f"obdd {store.size} {store.num_vars}"]
+    for nid in range(2, len(store.var)):
+        lines.append(f"{nid} {store.var[nid]} {store.lo[nid]} {store.hi[nid]}")
+    want = "\n".join(lines + [f"root {store.root}"]) + "\n"
+    assert dump(store) == want
+    assert dump(store, root=3) == want.replace(f"root {store.root}\n",
+                                               "root 3\n")
