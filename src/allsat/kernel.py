@@ -249,15 +249,7 @@ class Kernel:
                 self.stats.conflicts += 1
                 return c
         trail_lits = trail.lits
-        # above level 0 an implied assignment is written out here (the body
-        # of Trail.assign without its checks: the literal is unassigned, and
-        # only level 0 computes taint); level 0 goes through assign
-        level = trail.level
         assign = trail.assign
-        sublevel = trail.cur_sublevel[level]
-        positions, var_level, var_sublevel = \
-            trail.positions, trail.var_level, trail.var_sublevel
-        reasons, decision = trail.reasons, trail.decision
         start = len(trail_lits)
         qhead = self.qhead
         conflict: Clause | None = None
@@ -292,18 +284,7 @@ class Kernel:
                     if ov == 0:
                         conflict = clause
                         break
-                    if level:
-                        var = other if other > 0 else -other
-                        positions[var] = len(trail_lits)
-                        trail_lits.append(other)
-                        values[other] = 1
-                        values[-other] = 0
-                        var_level[var] = level
-                        var_sublevel[var] = sublevel
-                        reasons[var] = clause
-                        decision[var] = False
-                    else:
-                        assign(other, clause)
+                    assign(other, clause)
             # on a conflict the unvisited tail watchers[i:] stays as it is
             del watchers[j:i]
         self.stats.propagations += len(trail_lits) - start

@@ -83,10 +83,10 @@ def extend_obdd(store: ObddStore, g: int, values: list[int], last: int,
 
     This is the one walk that creates nodes along a path.  A missing root
     is a fresh node; a missing interior arc to variable v gets the node
-    ``new_node(v)`` returns, or without the hook a fresh node with both arcs
-    at the false sink.  The final arc is upgraded from the false sink to
-    ``g``.  Returns the path as (node id, direction taken) pairs, root
-    first.
+    ``new_node(v)`` returns (by default ``store.new_node(v)``, a fresh node
+    with both arcs at the false sink).  The final arc is upgraded from the
+    false sink to ``g``.  Returns the path as (node id, direction taken)
+    pairs, root first.
 
     ``path`` may be the list an earlier call on this store returned.  When
     its first ``keep`` entries still take the directions ``values`` gives
@@ -97,6 +97,8 @@ def extend_obdd(store: ObddStore, g: int, values: list[int], last: int,
     """
     if path is None:
         path = []
+    if new_node is None:
+        new_node = store.new_node
     # the last step is always walked again, since it is the one that grafts
     keep = min(keep, last - 1, len(path) - 1)
     if keep > 0:
@@ -130,13 +132,7 @@ def extend_obdd(store: ObddStore, g: int, values: list[int], last: int,
                     f"arc of node {u} already set to {cur}, expected {g}")
             break
         if cur == BOT:
-            if new_node is None:
-                cur = arcs[u] = len(var)
-                var.append(d + 1)
-                lo.append(BOT)
-                hi.append(BOT)
-            else:
-                cur = arcs[u] = new_node(d + 1)
+            cur = arcs[u] = new_node(d + 1)
         elif cur < 2 or var[cur] != d + 1:
             raise ObddCorruption(
                 f"interior arc of node {u} skips an index")
@@ -185,10 +181,11 @@ def dump(store: ObddStore, root: int | None = None,
     <lo> <hi>`` line per branch node in id order, footer ``root <id>``."""
     if root is None:
         root = store.root
-    var = store.var
-    nodes = "".join([f"{nid} {v} {lo} {hi}\n" for nid, v, lo, hi in zip(
-        range(2, len(var)), var[2:], store.lo[2:], store.hi[2:])])
-    text = f"obdd {store.size} {store.num_vars}\n{nodes}root {root}\n"
+    lines = [f"obdd {store.size} {store.num_vars}"]
+    for nid in range(2, len(store.var)):
+        lines.append(f"{nid} {store.var[nid]} {store.lo[nid]} {store.hi[nid]}")
+    lines.append(f"root {root}")
+    text = "\n".join(lines) + "\n"
     if out is not None:
         out.write(text)
     return text

@@ -87,8 +87,7 @@ class Trail:
 
     def assign(self, lit: int, reason: Clause | None = None) -> None:
         """Append an implied assignment at the current level and sublevel
-        (decisions go through :meth:`decide`).  ``Kernel.propagate`` writes
-        the same assignment out itself above level 0."""
+        (decisions go through :meth:`decide`)."""
         var = lit if lit > 0 else -lit
         values = self.values
         if values[lit] != UNASSIGNED:
