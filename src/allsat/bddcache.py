@@ -76,13 +76,23 @@ decisions and lowers the rest of the state to d:
                   enrolls the path's node at that cut; the others lie past
                   the part of the path known to follow the trail.
 
-When the node arena reaches the refresh threshold the diagram is dumped to
-disk, the bytes accounted for its nodes and keys are released, and all
-caching state restarts empty; the underlying search state is untouched, so
-dumped path sets partition the solution set.  The non-blocking engine
-checks at each cancel, after enrollment, since the backtrack that closes a
-grafted branch is the first cancel after the graft; the blocking engine
-checks after each restart.
+The refresh threshold θ bounds the arena at θ - n nodes (n variables).
+The non-blocking engine checks at each cancel, after enrollment, since the
+backtrack that closes a grafted branch is the first cancel after the
+graft.  Once the arena is full it first compacts it (``obdd.compact``):
+every node off the last graft's path is final, so those nodes are
+hash-consed by (variable, lo, hi) and renumbered, and the root, the solved
+cache and the path follow the new ids.  The cache keeps every key, and the
+keys stay charged to the memory budget.  Only if the compacted arena still
+holds at least three quarters of θ - n does the refresh go on, so each
+compaction follows at least (θ - n) / 4 fresh nodes.  The blocking engine
+checks after each restart and does not compact, because a restart can
+reopen any node.  A refresh dumps the diagram to disk, releases the bytes
+accounted for its nodes and keys, and restarts all caching state empty;
+the underlying search state is untouched, so dumped path sets partition
+the solution set.  Dumps are independent parts, so a threshold below what
+the final diagram needs after compaction still makes a run dump over and
+over (README, known limit).
 """
 
 from __future__ import annotations
@@ -95,7 +105,8 @@ from pathlib import Path
 from .formula import Clause, CnfFormula, compute_cuts
 from .kernel import Budget
 from .nonblocking import NonBlockingConfig, NonBlockingSolver
-from .obdd import TOP, ObddStore, count_models, dump, extend_obdd
+from .obdd import (TOP, ObddStore, compact, count_models, dump,
+                   extend_obdd)
 from .blocking import BlockingConfig, BlockingSolver
 from .trail import UNASSIGNED
 
@@ -112,8 +123,11 @@ _KEY_BYTES = 48
 class RefreshPolicy:
     """OBDD size threshold and where dumped parts go.
 
-    ``threshold`` of None disables refreshing.  A finite threshold must
-    exceed the variable count so a single path always fits.
+    ``threshold`` of None disables refreshing.  A finite threshold θ must
+    exceed the variable count n so a single path always fits.  The arena
+    is refreshed at θ - n nodes: the non-blocking engine compacts it first
+    and dumps only if at least three quarters of θ - n nodes remain,
+    keeping the cache keys charged until then; the blocking engine dumps.
     """
 
     threshold: int | None = None
@@ -152,16 +166,30 @@ def make_formula(steps: tuple[list[int], list], values: list[int],
     return (cut_index, codes[cut_index])
 
 
-def _refresh(solver) -> bool:
-    """Refresh step of both engines: once the arena reaches the threshold,
-    dump the diagram, release the bytes accounted for its nodes and cached
-    keys, and restart the store and the solved cache empty.  Returns whether
-    it did; the engine then clears whatever other cache state it keeps."""
+def _refresh(solver, shrink=None) -> bool:
+    """Refresh step of both engines, once the arena reaches the threshold
+    less the variable count (so one path always fits).
+
+    ``shrink``, when given, runs first: it merges isomorphic nodes of the
+    arena in place, and the refresh goes on only if the arena still holds
+    at least three quarters of that limit.  So every compaction follows at
+    least a quarter of the limit in fresh nodes; the cache keys it keeps
+    stay charged to the budget until a dump.  The refresh dumps the
+    diagram, releases the bytes accounted for its nodes and cached keys, and
+    restarts the store and the solved cache empty.  Returns whether it
+    dumped; the engine then clears whatever other cache state it keeps."""
     policy = solver.policy
     store = solver.store
     theta = policy.threshold
-    if theta is None or store.size < theta - solver.formula.num_vars:
+    if theta is None:
         return False
+    limit = theta - solver.formula.num_vars
+    if store.size < limit:
+        return False
+    if shrink is not None:
+        shrink()
+        if 4 * store.size < 3 * limit:
+            return False
     directory = policy.resolve_dir()
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{policy.stem}.part{len(solver.dumps)}.obdd"
@@ -292,14 +320,33 @@ class BddSolver(NonBlockingSolver):
                 self.solved[(cut, code)] = path[cut][0]
                 self.kernel.budget.charge(_KEY_BYTES)
         # only a graft adds nodes, and the backtrack closing its branch is
-        # the first cancel after it: refresh once its keys are enrolled
-        if self.policy.threshold is not None and _refresh(self):
+        # the first cancel after it: compact, and refresh if that is not
+        # enough, once its keys are enrolled
+        if (self.policy.threshold is not None
+                and _refresh(self, self._compact)):
             pending.clear()
             self.path = []
             path_ok = 0
         self.cursor = min(self.cursor, d)
         del self.codes[d:]
         self.path_ok = min(path_ok, d - 1)
+
+    def _compact(self) -> list[int]:
+        """Merge the isomorphic nodes off the last graft's path and renumber
+        the arena; returns the map from old to new node id.
+
+        A graft writes arcs only along the trail's prefix, and the nodes
+        that prefix reaches all lie on the last graft's path, so every node
+        off it is final and merging it is sound.  The root, the solved
+        cache and the path follow the new ids, and the merged nodes' bytes
+        are released; the cache keeps its keys, still charged."""
+        store = self.store
+        before = store.size
+        new = compact(store, {u for u, _ in self.path})
+        self.path = [(new[u], b) for u, b in self.path]
+        self.solved = {key: new[u] for key, u in self.solved.items()}
+        self.kernel.budget.release(_NODE_BYTES * (before - store.size))
+        return new
 
     # ------------------------------------------------------------------
 

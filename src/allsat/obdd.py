@@ -1,5 +1,8 @@
-"""Append-only OBDD node arena with path extension, model counting, and a
+"""OBDD node arena with path extension, model counting, compaction, and a
 line-based dump format.
+
+The arena only grows, except when ``compact`` merges isomorphic nodes and
+renumbers the survivors, or ``reset`` empties it.
 
 Nodes are dense integer ids: 0 is the false sink, 1 the true sink, branch
 nodes start at 2.  Diagrams built by the enumerators never skip variable
@@ -9,8 +12,8 @@ has exhausted without extending provably holds no solutions.
 
 Every arc into a branch node goes to a higher variable (``load`` rejects a
 dump that breaks this), so visiting the nodes by decreasing variable visits
-every node after all of its children.  Counting is one such bottom-up sweep
-over the flat ``var``/``lo``/``hi`` arrays.
+every node after all of its children.  Counting and compaction are such
+bottom-up sweeps over the flat ``var``/``lo``/``hi`` arrays.
 """
 
 from __future__ import annotations
@@ -151,6 +154,44 @@ def count_models(store: ObddStore, root: int | None = None) -> int:
     for u in sorted(range(2, len(var)), key=var.__getitem__, reverse=True):
         paths[u] = paths[lo[u]] + paths[hi[u]]
     return paths[root]
+
+
+def compact(store: ObddStore, pinned: set[int] | frozenset[int] = frozenset()
+            ) -> list[int]:
+    """Merge isomorphic nodes and renumber the survivors densely from 2,
+    in their old order; return the map from old id to new id.
+
+    One sweep by decreasing variable (children first) merges every node
+    not in ``pinned`` into the node of smallest id with the same variable
+    and the same children, after its children were merged.  Pinned nodes
+    are never merged away, so a caller may still upgrade their arcs.
+    Merging keeps every node's variable, so a diagram that never skips a
+    variable still never does, and ``store.root`` is remapped.  With
+    nothing pinned, a diagram whose nodes all reach the true sink becomes
+    its quasi-reduced OBDD, which depends on its path set alone.
+    """
+    var, lo, hi = store.var, store.lo, store.hi
+    size = len(var)
+    levels: list[list[int]] = [[] for _ in range(store.num_vars + 1)]
+    for u in range(2, size):
+        levels[var[u]].append(u)
+    rep = list(range(size))
+    for level in reversed(levels):
+        unique: dict[tuple[int, int], int] = {}
+        for u in level:
+            if u not in pinned:
+                rep[u] = unique.setdefault((rep[lo[u]], rep[hi[u]]), u)
+    keep = [u for u in range(2, size) if rep[u] == u]
+    new = [BOT] * size
+    new[TOP] = TOP
+    for nid, u in enumerate(keep, 2):
+        new[u] = nid
+    new = [new[r] for r in rep]
+    var[2:] = [var[u] for u in keep]
+    lo[2:] = [new[lo[u]] for u in keep]
+    hi[2:] = [new[hi[u]] for u in keep]
+    store.root = new[store.root]
+    return new
 
 
 def iter_paths(store: ObddStore, root: int | None = None):

@@ -4,7 +4,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from allsat import from_clause_lists
+from allsat import count_models, from_clause_lists, load
+from allsat.obdd import iter_paths
 
 try:
     from hypothesis import settings
@@ -108,6 +109,32 @@ def reference_count(store, root=None) -> int:
             memo[u] = memo[store.lo[u]] + memo[store.hi[u]]
             stack.pop()
     return memo[root]
+
+
+def path_mask(path) -> int:
+    return sum(1 << (var - 1) for var, value in path if value)
+
+
+def check_partition(result, n: int, want: set[int], label) -> None:
+    """The dumped parts and the final diagram of a diagram engine's result
+    are ordered, never skip a variable, and split the models ``want``
+    between them."""
+    assert result.total == len(want), label
+    stores = []
+    for part, count in result.dumps:
+        with open(part) as fh:
+            stores.append((load(fh.read()), count))
+    stores.append((result.store, result.final))
+    masks = []
+    for store, count in stores:
+        store.check_ordered()
+        paths = list(iter_paths(store))
+        assert len(paths) == count, label
+        assert count_models(store) == reference_count(store) == count, label
+        assert all(len(p) == n for p in paths), label
+        masks += [path_mask(p) for p in paths]
+    assert len(masks) == len(set(masks)), label
+    assert set(masks) == want, label
 
 
 @contextmanager

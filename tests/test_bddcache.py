@@ -3,18 +3,22 @@ import random
 
 import pytest
 
-from allsat import (BddSolver, NonBlockingConfig, RefreshPolicy, compute_cuts,
-                    enumerate_all, entails, extend_obdd, from_clause_lists,
-                    load, make_formula, subinstance_models)
+from allsat import (BddSolver, Budget, NonBlockingConfig, RefreshPolicy,
+                    compute_cuts, enumerate_all, entails, extend_obdd,
+                    from_clause_lists, load, make_formula, subinstance_models)
 from allsat import bddcache
-from allsat.bddcache import TOP_KEY, BddBlockingSolver
+from allsat.bddcache import CACHE_MODES, TOP_KEY, BddBlockingSolver
 from allsat.harness import EXIT_LIMIT, EXIT_OK, RunConfig, run_instance
 from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
 from allsat.obdd import TOP, iter_paths
 from allsat.oracle import satisfies
 from allsat.trail import UNASSIGNED
 
-from conftest import random_3cnf, random_instances
+from conftest import check_partition, random_3cnf, random_instances
+
+
+def nonblocking_configs():
+    return [NonBlockingConfig(u, b) for u in UIP_SCHEMES for b in STRATEGIES]
 
 
 def fresh_key(cuts, mode, values, cut_index):
@@ -88,7 +92,10 @@ def test_wide_suffix_absorbed_fast():
     chain = [[k, -(k + 1)] for k in range(1, 12)]
     f = from_clause_lists(50, chain)
     want12 = enumerate_all(from_clause_lists(12, chain)).count
-    total = BddSolver(f).run_bdd().total
+    # a cache that stopped absorbing the free suffix would search 2^38
+    # leaves: the budget turns that into a LimitExceeded, not a hang
+    budget = Budget(time_limit=5.0, mem_limit=1 << 20)
+    total = BddSolver(f, budget=budget).run_bdd().total
     assert total == want12 * 2 ** 38
 
 
@@ -295,12 +302,19 @@ def test_enroll_noop_when_nothing_canceled_below():
 class CheckedSolver(BddSolver):
     """Checks the trail-synced state against full read-only recomputations:
     after every graft the path, the cursor and the prefix codes, and at
-    every enrollment the keys a walk of the whole path would enroll."""
+    every enrollment the keys a walk of the whole path would enroll, under
+    the new ids when a compaction renumbered the nodes."""
 
     grafts = 0
     enrollments = 0
+    renumberings = 0
+
+    def _compact(self):
+        self.renumbered = super()._compact()
+        return self.renumbered
 
     def _before_cancel(self, level):
+        self.renumbered = None
         t = self.kernel.trail
         want = dict(self.solved)
         enrolls = False
@@ -315,6 +329,9 @@ class CheckedSolver(BddSolver):
         dumps = len(self.dumps)
         super()._before_cancel(level)
         if len(self.dumps) == dumps:
+            if self.renumbered is not None:
+                want = {key: self.renumbered[u] for key, u in want.items()}
+                CheckedSolver.renumberings += 1
             assert self.solved == want
             CheckedSolver.enrollments += enrolls
         else:                           # a refresh empties the cache
@@ -348,19 +365,20 @@ class CheckedSolver(BddSolver):
 
 def test_trail_synced_state_matches_full_walks(tmp_path):
     CheckedSolver.grafts = CheckedSolver.enrollments = 0
+    CheckedSolver.renumberings = 0
     for f in random_instances(seed=67, count=12, n_range=(4, 11)):
         want = enumerate_all(f).count
         n = f.num_vars
-        for cfg in (NonBlockingConfig(u, b)
-                    for u in UIP_SCHEMES for b in STRATEGIES):
+        for cfg in nonblocking_configs():
             for mode in ("cutset", "separator"):
-                for threshold in (None, n + 3):
+                for threshold in (None, n + 3, n + 40):
                     policy = RefreshPolicy(threshold, tmp_path, "checked")
                     solver = CheckedSolver(f, cfg=cfg, cache_mode=mode,
                                            policy=policy)
                     assert solver.run_bdd().total == want
     assert CheckedSolver.grafts > 1000
     assert CheckedSolver.enrollments > 1000
+    assert CheckedSolver.renumberings > 10
 
 
 def test_refresh_run_fits_a_memory_limit_the_plain_run_exceeds(tmp_path):
@@ -378,3 +396,117 @@ def test_refresh_run_fits_a_memory_limit_the_plain_run_exceeds(tmp_path):
                                formula=f)
         assert refresh.exit_code == EXIT_OK, mode
         assert refresh.dumps and refresh.solutions == want
+
+
+class FrozenOffPathSolver(BddSolver):
+    """Records the arcs of every node a compaction leaves off the path, and
+    checks at the next compaction (which precedes every dump) and at the
+    end of the run that no graft changed them: the pass merges only nodes
+    that are final."""
+
+    compactions = 0
+    kept = 0            # compactions that made a dump unnecessary
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.frozen = {}
+
+    def _check_frozen(self):
+        lo, hi = self.store.lo, self.store.hi
+        for u, arcs in self.frozen.items():
+            assert (lo[u], hi[u]) == arcs, u
+
+    def _compact(self):
+        self._check_frozen()
+        new = super()._compact()
+        pinned = {u for u, _ in self.path}
+        lo, hi = self.store.lo, self.store.hi
+        self.frozen = {u: (lo[u], hi[u]) for u in range(2, len(lo))
+                       if u not in pinned}
+        FrozenOffPathSolver.compactions += 1
+        return new
+
+    def _before_cancel(self, level):
+        compactions, dumps = self.compactions, len(self.dumps)
+        super()._before_cancel(level)
+        if len(self.dumps) > dumps:
+            self.frozen = {}
+        elif self.compactions > compactions:
+            FrozenOffPathSolver.kept += 1
+
+    def run_bdd(self):
+        result = super().run_bdd()
+        self._check_frozen()
+        return result
+
+
+def test_compaction_merges_only_final_nodes(tmp_path):
+    """Compaction at the refresh check, under every resolver, both caches
+    and thresholds from n + 1 to n + 300: nodes off the path never change
+    again, the count is the oracle's, and the dumps and the final diagram
+    are ordered and partition the models."""
+    FrozenOffPathSolver.compactions = FrozenOffPathSolver.kept = 0
+    rng = random.Random(68)
+    runs = 0
+    for f in random_instances(seed=68, count=20, n_range=(6, 12)):
+        want = set(enumerate_all(f).masks)
+        n = f.num_vars
+        for cfg in nonblocking_configs():
+            for mode in CACHE_MODES:
+                for theta in (n + rng.randint(1, 30),
+                              n + rng.randint(31, 300)):
+                    runs += 1
+                    policy = RefreshPolicy(theta, tmp_path, f"c{runs}")
+                    result = FrozenOffPathSolver(
+                        f, cfg=cfg, cache_mode=mode, policy=policy).run_bdd()
+                    check_partition(result, n, want, (cfg, mode, theta))
+    assert FrozenOffPathSolver.compactions > 1000
+    assert FrozenOffPathSolver.kept > 100
+
+
+SEARCH_COUNTERS = ("decisions", "propagations", "conflicts",
+                   "learned_clauses", "cache_hits", "cache_misses")
+
+
+def test_refresh_without_a_dump_keeps_the_search(tmp_path):
+    """A compaction keeps the solved cache, so a refresh run that made no
+    dump searches exactly as the run without refresh, and its arena ends
+    smaller by the merged nodes."""
+    compacted = 0
+    for f in random_instances(seed=69, count=16, n_range=(8, 12)):
+        n = f.num_vars
+        for cfg in nonblocking_configs():
+            for mode in CACHE_MODES:
+                plain = BddSolver(f, cfg=cfg, cache_mode=mode)
+                total = plain.run_bdd().total
+                size = plain.store.size
+                for theta in (n + size // 2, n + size):
+                    policy = RefreshPolicy(theta, tmp_path, "same")
+                    solver = BddSolver(f, cfg=cfg, cache_mode=mode,
+                                       policy=policy)
+                    result = solver.run_bdd()
+                    assert result.total == total
+                    if result.dumps:
+                        continue
+                    for name in SEARCH_COUNTERS:
+                        assert (getattr(solver.kernel.stats, name)
+                                == getattr(plain.kernel.stats, name)), name
+                    assert solver.store.size <= size
+                    compacted += solver.store.size < size
+    assert compacted > 50
+
+
+def test_blocking_engine_dumps_without_compacting(tmp_path):
+    """Restarts can reopen any node of bdd-blocking's arena, so its refresh
+    dumps the whole arena as soon as it reaches the limit."""
+    for f in random_instances(seed=70, count=10, n_range=(7, 10)):
+        n = f.num_vars
+        for mode in CACHE_MODES:
+            theta = n + 12
+            policy = RefreshPolicy(theta, tmp_path, f"b{mode}")
+            result = BddBlockingSolver(f, cache_mode=mode,
+                                       policy=policy).run_bdd()
+            assert result.total == enumerate_all(f).count
+            for part in result.dump_files:
+                with open(part) as fh:
+                    assert load(fh.read()).size >= theta - n

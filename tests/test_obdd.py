@@ -5,7 +5,8 @@ import pytest
 
 from allsat import count_models, dump, enumerate_all, extend_obdd, load
 from allsat.obdd import ObddCorruption
-from allsat.obdd import BOT, TOP, ObddLoadError, ObddStore, iter_paths
+from allsat.obdd import (BOT, TOP, ObddLoadError, ObddStore, compact,
+                         iter_paths)
 
 from conftest import reference_count
 
@@ -98,6 +99,22 @@ def test_count_terminals():
     assert count_models(store, TOP) == reference_count(store, TOP) == 1
 
 
+def random_grafted(rng: random.Random, n: int, paths: int) -> ObddStore:
+    """A diagram of ``paths`` random paths, each to the true sink or to a
+    node of the next variable, as the formula-BDD engine grafts them."""
+    store = ObddStore(n)
+    for _ in range(paths):
+        values = [rng.randint(0, 1) for _ in range(rng.randint(1, n))]
+        later = [u for u in range(2, len(store.var))
+                 if store.var[u] == len(values) + 1]
+        g = rng.choice(later) if later and len(values) < n else TOP
+        try:
+            extend(store, g, values)
+        except ObddCorruption:
+            pass
+    return store
+
+
 def test_count_sweep_matches_reference_on_a_long_chain():
     """800 variables, numbered against the ids: the sweep needs no
     recursion and follows the variables, not the ids."""
@@ -114,19 +131,44 @@ def test_count_sweep_matches_reference_on_a_long_chain():
     assert count_models(store) == reference_count(store) == want
     # paths laid by extend_obdd, grafted onto the chain's nodes
     rng = random.Random(8)
-    built = ObddStore(n)
-    for _ in range(30):
-        values = [rng.randint(0, 1) for _ in range(rng.randint(1, n))]
-        later = [u for u in range(2, len(built.var))
-                 if built.var[u] == len(values) + 1]
-        g = rng.choice(later) if later and len(values) < n else TOP
-        try:
-            extend(built, g, values)
-        except ObddCorruption:
-            pass
+    built = random_grafted(rng, n, 30)
     assert count_models(built) == reference_count(built)
     for u in rng.sample(range(len(built.var)), 40):
         assert count_models(built, u) == reference_count(built, u)
+
+
+def test_compact_keeps_every_node_and_pins():
+    rng = random.Random(9)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        store = random_grafted(rng, n, rng.randint(1, 40))
+        ids = range(len(store.var))
+        counts = [count_models(store, u) for u in ids]
+        pinned = set(rng.sample(range(2, len(store.var)),
+                                min(store.size, rng.randint(0, 4))))
+        before = store.size
+        new = compact(store, pinned)
+        store.check_ordered()
+        assert store.size <= before
+        assert sorted(set(new)) == list(range(len(store.var)))
+        assert [count_models(store, new[u]) for u in ids] == counts
+        assert len({new[u] for u in pinned}) == len(pinned)
+        # nothing is left to merge: a second pass renumbers nothing
+        again = compact(store, {new[u] for u in pinned})
+        assert again == list(range(len(store.var)))
+
+
+def test_compact_merges_isomorphic_nodes_of_a_loaded_dump():
+    # nodes 2 and 3 are the same node of variable 2, so nodes 4 and 5 of
+    # variable 1 are the same node too
+    store = load("obdd 4 2\n2 2 0 1\n3 2 0 1\n4 1 2 3\n5 1 3 2\nroot 4\n")
+    new = compact(store)
+    assert new == [0, 1, 2, 2, 3, 3]
+    assert dump(store) == "obdd 2 2\n2 2 0 1\n3 1 2 2\nroot 3\n"
+    store = load("obdd 4 2\n2 2 0 1\n3 2 0 1\n4 1 2 3\n5 1 3 2\nroot 4\n")
+    # pinning node 3 keeps it and so keeps 4 and 5 apart
+    assert compact(store, {3}) == [0, 1, 2, 3, 4, 5]
+    assert store.size == 4
 
 
 @pytest.mark.parametrize("text, want", [

@@ -18,11 +18,11 @@ from allsat.bddcache import CACHE_MODES
 from allsat.harness import (EXIT_LIMIT, EXIT_OK, FLAGS, MODES, RunConfig,
                             run_instance)
 from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
-from allsat.obdd import ObddLoadError, iter_paths
+from allsat.obdd import BOT, TOP, ObddLoadError, ObddStore, compact
 from allsat.oracle import expand_cube
 
-from conftest import (brute_force_cuts, reference_count, solution_mask,
-                      time_limit)
+from conftest import (brute_force_cuts, check_partition, reference_count,
+                      solution_mask, time_limit)
 
 
 @st.composite
@@ -42,32 +42,6 @@ def cases(draw, max_n=12):
     threshold = draw(st.none() | st.integers(n + 1, n + 40)) \
         if n <= 10 else None
     return from_clause_lists(n, [list(c) for c in clauses]), perm, threshold
-
-
-def path_mask(path) -> int:
-    return sum(1 << (var - 1) for var, value in path if value)
-
-
-def check_partition(result, n: int, want: set[int], label) -> None:
-    """The dumped parts and the final diagram of a diagram engine's result
-    are ordered, never skip a variable, and split the models ``want``
-    between them."""
-    assert result.total == len(want), label
-    stores = []
-    for part, count in result.dumps:
-        with open(part) as fh:
-            stores.append((load(fh.read()), count))
-    stores.append((result.store, result.final))
-    masks = []
-    for store, count in stores:
-        store.check_ordered()
-        paths = list(iter_paths(store))
-        assert len(paths) == count, label
-        assert count_models(store) == reference_count(store) == count, label
-        assert all(len(p) == n for p in paths), label
-        masks += [path_mask(p) for p in paths]
-    assert len(masks) == len(set(masks)), label
-    assert set(masks) == want, label
 
 
 @given(cases())
@@ -99,6 +73,69 @@ def test_bdd_blocking_counts_orders_and_partitions(case):
                 result = BddBlockingSolver(f, cache_mode=mode,
                                            policy=policy).run_bdd()
                 check_partition(result, f.num_vars, want, (mode, theta))
+
+
+def quasi_reduced(n: int, masks: set[int]) -> ObddStore:
+    """The quasi-reduced OBDD of a model set, built from the definition:
+    one node per variable v and nonempty set of models restricted to the
+    variables v..n, and the false sink for the empty set."""
+    store = ObddStore(n)
+    nodes: dict[tuple[int, frozenset], int] = {}
+
+    def node(v: int, suffixes: frozenset) -> int:
+        # bit 0 of each suffix is variable v
+        if not suffixes:
+            return BOT
+        if v > n:
+            return TOP
+        if (v, suffixes) not in nodes:
+            lo = node(v + 1, frozenset(m >> 1 for m in suffixes
+                                       if not m & 1))
+            hi = node(v + 1, frozenset(m >> 1 for m in suffixes if m & 1))
+            u = nodes[(v, suffixes)] = store.new_node(v)
+            store.lo[u], store.hi[u] = lo, hi
+        return nodes[(v, suffixes)]
+
+    store.root = node(1, frozenset(masks))
+    return store
+
+
+def assert_same_up_to_ids(a: ObddStore, b: ObddStore, label) -> None:
+    """``a`` and ``b`` have the same nodes, each reachable from the root,
+    under some bijection of the branch ids."""
+    assert a.size == b.size, label
+    to_b = {BOT: BOT, TOP: TOP}
+    stack = [(a.root, b.root)]
+    while stack:
+        u, w = stack.pop()
+        if u in to_b:
+            assert to_b[u] == w, label
+            continue
+        assert u >= 2 and w >= 2 and a.var[u] == b.var[w], label
+        to_b[u] = w
+        stack += [(a.lo[u], b.lo[w]), (a.hi[u], b.hi[w])]
+    assert len(set(to_b.values())) == len(to_b) == a.size + 2, label
+
+
+# bdd-blocking restarts after every model: up to 2^12 restarts per example
+# made this test take 5 s
+@given(cases(max_n=10))
+def test_compacted_diagram_is_the_quasi_reduced_obdd(case):
+    """Compacted with nothing pinned, the final diagram of every diagram
+    configuration without refresh is the quasi-reduced OBDD of the
+    oracle's models, whatever the search shared on the way."""
+    formula, perm, _ = case
+    f = apply_order(formula, perm)
+    want = quasi_reduced(f.num_vars, set(enumerate_all(f).masks))
+    solvers = [BddSolver(f, cfg=NonBlockingConfig(u, b), cache_mode=mode)
+               for u in UIP_SCHEMES for b in STRATEGIES
+               for mode in CACHE_MODES]
+    solvers += [BddBlockingSolver(f, cache_mode=mode) for mode in CACHE_MODES]
+    for solver in solvers:
+        store = solver.run_bdd().store
+        compact(store)
+        store.check_ordered()
+        assert_same_up_to_ids(store, want, type(solver).__name__)
 
 
 @st.composite

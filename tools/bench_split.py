@@ -1,0 +1,121 @@
+"""Per-configuration view of paired benchmark runs.
+
+    python3 tools/bench_split.py --workload bdd-random --seeds 11101-11110 \
+        --parent PARENT/benchmarks/out --change benchmarks/out
+
+``benchmarks/run.py`` reports one time per workload, which can hide a
+configuration that got slower behind one that got faster.  This script
+reads the files a run already leaves in its ``benchmarks/out`` directory
+for each seed, from two checkouts (the parent commit and the change):
+
+* ``times-<workload>-seed<n>.json``: the untraced wall time of every item
+  of every pass and the calibration time before it;
+* ``counts-<workload>-seed<n>.json``: the per-item counters.
+
+For each configuration (the bracketed part of an item's label) it sums the
+item times of each pass, scales each pass by the benchmark's reference
+calibration over that pass's mean calibration, and averages over the
+passes.  The per-configuration times of one run therefore add up to about
+that run's ``solve_s`` (the benchmark scales each item by a window of
+calibrations instead).  Seed k of the parent pairs with seed k of the
+change.  It also lists, for every item whose counters differ between the
+two sides at the first seed, the counters that moved.  The result is one
+JSON object on standard output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
+
+from run import REFERENCE_CAL_S  # noqa: E402
+
+
+def configuration(label: str) -> str:
+    return label[label.index("[") + 1:-1]
+
+
+def config_seconds(times: dict) -> dict[str, float]:
+    """Scaled seconds per configuration, the mean over passes."""
+    per_pass = []
+    for seconds, cals in zip(times["untraced"], times["cal"]):
+        scale = REFERENCE_CAL_S / statistics.mean(cals)
+        sums: dict[str, float] = defaultdict(float)
+        for label, s in zip(times["items"], seconds):
+            sums[configuration(label)] += s * scale
+        per_pass.append(sums)
+    return {c: statistics.mean(p[c] for p in per_pass) for c in per_pass[0]}
+
+
+def summary(values: list[float]) -> dict[str, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4) \
+        if len(values) > 1 else values * 3
+    return {"median": round(median, 5), "q1": round(q1, 5),
+            "q3": round(q3, 5)}
+
+
+def seed_range(text: str) -> list[int]:
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", required=True, help="N or FIRST-LAST")
+    ap.add_argument("--parent", required=True, type=Path)
+    ap.add_argument("--change", required=True, type=Path)
+    args = ap.parse_args(argv)
+    seeds = seed_range(args.seeds)
+
+    def load(side: Path, kind: str, seed: int) -> dict:
+        path = side / f"{kind}-{args.workload}-seed{seed}.json"
+        return json.loads(path.read_text())
+
+    runs = {side: [config_seconds(load(d, "times", s)) for s in seeds]
+            for side, d in (("parent", args.parent), ("change", args.change))}
+    configs = {}
+    for c in runs["parent"][0]:
+        p = [r[c] for r in runs["parent"]]
+        ch = [r[c] for r in runs["change"]]
+        wins = sum(b < a for a, b in zip(p, ch))
+        configs[c] = {
+            "parent": summary(p), "change": summary(ch),
+            "change_over_parent": round(statistics.median(ch)
+                                        / statistics.median(p), 4),
+            "change_better_in": f"{wins}/{len(seeds)}",
+        }
+    totals = {side: summary([sum(r.values()) for r in rs])
+              for side, rs in runs.items()}
+
+    before = load(args.parent, "counts", seeds[0])["items"]
+    after = load(args.change, "counts", seeds[0])["items"]
+    moved = {}
+    for label, counts in before.items():
+        diff = {k: [v, after[label][k]] for k, v in counts.items()
+                if after[label][k] != v}
+        if diff:
+            moved[label] = diff
+    print(json.dumps({
+        "workload": args.workload,
+        "seeds": args.seeds,
+        "pairs": len(seeds),
+        "unit": "s",
+        "configurations": configs,
+        "sum_of_configurations": totals,
+        "counters": {"seed": seeds[0],
+                     "items_identical": len(before) - len(moved),
+                     "items_moved": moved},
+    }, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
