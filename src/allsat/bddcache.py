@@ -92,18 +92,21 @@ accounted for its nodes and keys, and restarts all caching state empty;
 the underlying search state is untouched, so dumped path sets partition
 the solution set.  Dumps are independent parts, so a threshold below what
 the final diagram needs after compaction still makes a run dump over and
-over (README, known limit).
+over (README, known limit).  When the search ends, or a limit stops it,
+``run_bdd`` counts the final diagram, sets ``solutions`` (final plus the
+dumped parts), ``obdd_nodes`` and ``dumps`` in the engine's stats, and
+writes the parts' manifest.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .formula import Clause, CnfFormula, compute_cuts
-from .kernel import Budget
+from .kernel import Budget, LimitExceeded
 from .nonblocking import NonBlockingConfig, NonBlockingSolver
 from .obdd import (TOP, ObddStore, compact, count_models, dump,
                    extend_obdd)
@@ -212,20 +215,43 @@ def _refresh(solver, shrink=None) -> bool:
 @dataclass
 class BddResult:
     store: ObddStore
-    dumps: list[tuple[str, int]] = field(default_factory=list)
-    final: int = 0      # models in the final diagram
-    total: int = 0      # final plus every dumped part
+    dumps: list[tuple[str, int]]    # (part file, models in it)
+    final: int                      # models in the final diagram
+    total: int                      # final plus every dumped part
 
     @property
     def dump_files(self) -> list[str]:
         return [f for f, _ in self.dumps]
 
 
-def _result(solver) -> BddResult:
-    """Counts of the final diagram and of every dumped part."""
-    final = count_models(solver.store)
-    return BddResult(solver.store, solver.dumps, final,
-                     final + sum(c for _, c in solver.dumps))
+def _run_bdd(solver) -> BddResult:
+    """``run_bdd`` of both engines: run the search, then count the final
+    diagram, set ``solutions``, ``obdd_nodes`` and ``dumps`` in the stats,
+    and write ``<stem>.obdd.manifest`` next to the dumped parts, if any.
+    A limit that stops the search gets the same bookkeeping before it
+    propagates, so the stats then hold a lower bound."""
+    try:
+        solver.run()
+    except LimitExceeded:
+        _tally(solver)
+        raise
+    return _tally(solver)
+
+
+def _tally(solver) -> BddResult:
+    store, dumps, stats = solver.store, solver.dumps, solver.stats
+    final = count_models(store)
+    stats.solutions = final + sum(c for _, c in dumps)
+    stats.obdd_nodes = store.size
+    stats.dumps = len(dumps)
+    if dumps:
+        policy = solver.policy
+        manifest = policy.resolve_dir() / f"{policy.stem}.obdd.manifest"
+        with open(manifest, "w") as fh:
+            for part, count in dumps:
+                fh.write(f"{part} {count}\n")
+            fh.write(f"final {final}\n")
+    return BddResult(store, dumps, final, stats.solutions)
 
 
 def _init_cache(solver, cache_mode: str,
@@ -289,8 +315,6 @@ class BddSolver(NonBlockingSolver):
             return -i
         if i <= n:
             k.stats.cache_hits += 1
-        else:
-            k.stats.solutions += 1
         store = self.store
         before = store.size
         self.path = extend_obdd(store, node, values, i - 1, self.path,
@@ -348,13 +372,7 @@ class BddSolver(NonBlockingSolver):
         self.kernel.budget.release(_NODE_BYTES * (before - store.size))
         return new
 
-    # ------------------------------------------------------------------
-
-    def run_bdd(self) -> BddResult:
-        self.run()
-        result = _result(self)
-        self.kernel.stats.solutions = result.total
-        return result
+    run_bdd = _run_bdd
 
 
 class BddBlockingSolver(BlockingSolver):
@@ -409,7 +427,5 @@ class BddBlockingSolver(BlockingSolver):
         _refresh(self)
         return pending
 
-    def run_bdd(self) -> BddResult:
-        self.run()
-        return _result(self)
+    run_bdd = _run_bdd
 

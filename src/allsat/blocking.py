@@ -119,17 +119,12 @@ class BlockingSolver:
         self.sink = sink
         self.kernel = Kernel(formula, budget=budget, decide_order=decide_order)
         self.progress = ProgressArray()
-        self.count = 0            # cubes emitted
-        self.covered = 0          # total assignments the cubes expand to
+        self.count = 0            # cubes emitted; stats.solutions has models
         self.emitted_clauses: list[tuple[int, ...]] = []
 
     @property
     def stats(self):
         return self.kernel.stats
-
-    @property
-    def found(self) -> int:   # models the cubes so far cover
-        return self.covered
 
     def run(self) -> int:
         k = self.kernel
@@ -170,9 +165,7 @@ class BlockingSolver:
     def _emit(self, lits: list[int]) -> None:
         """Report the cube of ``lits``, in any order."""
         self.count += 1
-        expansion = 1 << (self.formula.num_vars - len(lits))
-        self.covered += expansion
-        self.kernel.stats.solutions += expansion
+        self.kernel.stats.solutions += 1 << (self.formula.num_vars - len(lits))
         if self.sink is not None:
             self.sink(tuple(sorted(lits, key=abs)))
 

@@ -24,6 +24,7 @@ from .formula import (CnfFormula, DimacsError, apply_order, parse_dimacs,
 from .kernel import Budget, LimitExceeded
 from .nonblocking import (STRATEGIES, UIP_SCHEMES, NonBlockingConfig,
                           NonBlockingSolver)
+# count_models is unused here; the benchmark's tracer wraps it by this name
 from .obdd import count_models, dump
 from .oracle import (OracleGuardError, check_cube_cover, enumerate_all,
                      lits_to_mask)
@@ -56,7 +57,9 @@ class Mode:
     # cubes it emits: "total" (one model each, checked for duplicates),
     # "partial" (disjoint, covering the models) or None (no --output cubes)
     cubes: str | None = None
-    diagram: bool = False         # builds an OBDD via run_bdd; --output obdd
+    # runs via run_bdd, which builds an OBDD, writes the manifest of its
+    # dumped parts and fills the engine's stats in; --output obdd
+    diagram: bool = False
     # (formula, cfg, emit, budget, policy) -> engine; the oracle has none
     build: Callable | None = None
 
@@ -224,7 +227,6 @@ def run_instance(path: str | Path, cfg: RunConfig, sink=None,
             s(external)
 
     solver = None
-    final = 0      # models in the final diagram of a diagram mode
     try:
         budget.check_time()
         if mode.build is None:
@@ -232,16 +234,12 @@ def run_instance(path: str | Path, cfg: RunConfig, sink=None,
         else:
             solver = mode.build(f, cfg, emit if sinks else None, budget,
                                 policy)
-            if mode.diagram:
-                final = solver.run_bdd().final
-            else:
-                solver.run()
+            # the engine fills its stats in, also when a limit stops it
+            (solver.run_bdd if mode.diagram else solver.run)()
         stats.solved = True
     except LimitExceeded as exc:
         stats.exit_code = EXIT_LIMIT
         stats.error = str(exc)
-        if mode.diagram and solver is not None:
-            final = count_models(solver.store)
     except OracleGuardError as exc:
         stats.exit_code = EXIT_INPUT
         stats.error = str(exc)
@@ -250,19 +248,8 @@ def run_instance(path: str | Path, cfg: RunConfig, sink=None,
     stats.wall_time = time.monotonic() - start
     stats.peak_mem = budget.peak_mem
     if solver is not None:
-        for name in ("decisions", "conflicts", "propagations",
-                     "learned_clauses", "blocking_clauses", "cache_hits",
-                     "cache_misses"):
-            setattr(stats, name, getattr(solver.stats, name))
-        if mode.diagram:
-            stats.solutions = final + sum(c for _, c in solver.dumps)
-            stats.obdd_nodes = solver.store.size
-            stats.dumps = len(solver.dumps)
-            if solver.dumps:
-                _write_manifest(policy, solver.dumps, final)
-        else:
-            # blocking cubes may be partial; counts are always in models
-            stats.solutions = solver.found
+        for name, value in vars(solver.stats).items():
+            setattr(stats, name, value)
 
     if out is not None and stats.exit_code != EXIT_INPUT:
         if cfg.output == "count":
@@ -273,15 +260,6 @@ def run_instance(path: str | Path, cfg: RunConfig, sink=None,
         elif cfg.output == "obdd" and solver is not None:
             out.write(dump(solver.store))
     return stats
-
-
-def _write_manifest(policy: RefreshPolicy, dumps: list[tuple[str, int]],
-                    final_count: int) -> None:
-    manifest = policy.resolve_dir() / f"{policy.stem}.obdd.manifest"
-    with open(manifest, "w") as fh:
-        for part, count in dumps:
-            fh.write(f"{part} {count}\n")
-        fh.write(f"final {final_count}\n")
 
 
 # ----------------------------------------------------------------------

@@ -94,7 +94,11 @@ class SolverStats:
     blocking_clauses: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
+    # models so far, in every engine: reported, in the emitted cubes, or in
+    # the diagram plus its dumped parts (set when run_bdd ends)
     solutions: int = 0
+    obdd_nodes: int = 0      # final diagram (diagram engines)
+    dumps: int = 0           # parts dumped by refresh (diagram engines)
 
 
 # attach_clause statuses
@@ -331,8 +335,8 @@ class Kernel:
         with lowest-index tie-break."""
         if self._order_stale:
             self._sort_order()
-        found = self._order_values(self.trail.values).index(UNASSIGNED)
-        return self._order[found] or None
+        first = self._order_values(self.trail.values).index(UNASSIGNED)
+        return self._order[first] or None
 
     def decide(self) -> int | None:
         """Pick the next decision literal, or None when all assigned.

@@ -68,15 +68,10 @@ class NonBlockingSolver:
         self.kernel = Kernel(formula, budget=budget, fixed_order=fixed_order,
                              decide_order=decide_order)
         self.lim = 0
-        self.count = 0
 
     @property
     def stats(self):
         return self.kernel.stats
-
-    @property
-    def found(self) -> int:   # models reported so far
-        return self.count
 
     # hook point: formula-BDD caching enrolls/prunes right before any
     # assignments are canceled (receives the landing level)
@@ -113,7 +108,7 @@ class NonBlockingSolver:
                         self.lim = k.trail.level
         except SearchHalted:
             pass
-        return self.count
+        return self.stats.solutions
 
     # hook point: formula-BDD caching looks the prefix up in its cache here
     def _next_decision(self) -> int | None:
@@ -126,7 +121,6 @@ class NonBlockingSolver:
         return k.decide()
 
     def _report(self) -> None:
-        self.count += 1
         self.kernel.stats.solutions += 1
         if self.sink is not None:
             self.sink(tuple(sorted(self.kernel.trail.lits, key=abs)))

@@ -161,9 +161,9 @@ def sweep():
             result.runs += 1
             if not cfg.simplify and got != want:
                 result.count_mismatches.append((idx, "blocking", got, want))
-            if solver.covered != want:
+            if solver.stats.solutions != want:
                 result.count_mismatches.append(
-                    (idx, "blocking-covered", solver.covered, want))
+                    (idx, "blocking-covered", solver.stats.solutions, want))
             ok, msg = check_cube_cover(cubes, f)
             if not ok:
                 result.cover_failures.append((idx, cfg, msg))

@@ -50,14 +50,26 @@ def test_make_formula_reads_prefix_only(ex31):
         assert fresh_key(cuts, mode, a, 3) == fresh_key(cuts, mode, b, 3)
 
 
-def test_counts_match_oracle_both_modes(ex31, ex41):
+def test_counts_match_oracle_both_modes(ex31, ex41, tmp_path):
+    """Both engines count in their own stats what ``run_bdd`` returns, and
+    a direct run that dumps writes the manifest of its parts."""
     for f in (ex31, ex41):
         want = enumerate_all(f).count
         for mode in ("cutset", "separator"):
-            total = BddSolver(f, cache_mode=mode).run_bdd().total
-            assert total == want
-            total = BddBlockingSolver(f, cache_mode=mode).run_bdd().total
-            assert total == want
+            for engine in (BddSolver, BddBlockingSolver):
+                solver = engine(f, cache_mode=mode)
+                result = solver.run_bdd()
+                assert result.total == solver.stats.solutions == want
+                assert solver.stats.obdd_nodes == result.store.size
+    policy = RefreshPolicy(threshold=ex31.num_vars + 1, dump_dir=tmp_path,
+                           stem="direct")
+    solver = BddSolver(ex31, policy=policy)
+    result = solver.run_bdd()
+    assert result.dumps and solver.stats.dumps == len(result.dumps)
+    manifest = (tmp_path / "direct.obdd.manifest").read_text()
+    assert manifest.splitlines() == (
+        [f"{part} {count}" for part, count in result.dumps]
+        + [f"final {result.final}"])
 
 
 def test_every_path_satisfies_formula(ex31):

@@ -67,7 +67,7 @@ def test_simplified_blocking_reports_covered_assignments(ex31_file):
     solver = BlockingSolver(f, BlockingConfig(simplify=True))
     cubes = solver.run()
     assert cubes < 22
-    assert solver.covered == 22
+    assert solver.stats.solutions == 22
     report = verify(ex31_file, parse_config_string("--mode blocking --simplify"),
                     parse_config_string("--mode bdd --cache separator"))
     assert report.ok and report.count_a == 22
@@ -415,7 +415,7 @@ def test_verify_detects_corruption(ex41_file, tmp_path, monkeypatch):
     class Broken(real):
         def run(self):
             count = super().run()
-            self.covered -= 1     # drop one found solution
+            self.stats.solutions -= 1     # drop one found solution
             return count
 
     monkeypatch.setattr(H, "BlockingSolver", Broken)

@@ -1,5 +1,6 @@
 """Property tests of the enumeration engines on random small CNFs."""
 
+import math
 import os
 import tempfile
 from dataclasses import replace
@@ -9,6 +10,7 @@ from unittest import mock
 from hypothesis import given
 from hypothesis import strategies as st
 
+import allsat.kernel
 from allsat import (BddBlockingSolver, BddSolver, BlockingConfig,
                     BlockingSolver, NonBlockingConfig, NonBlockingSolver,
                     RefreshPolicy, apply_order, compute_cuts, count_models,
@@ -234,7 +236,7 @@ def test_blocking_cubes_partition_the_models(case):
             masks = [m for cube in cubes for m in expand_cube(cube, n)]
             assert len(set(masks)) == len(masks), cfg
             assert set(masks) == want, cfg
-            assert solver.covered == len(want), cfg
+            assert solver.stats.solutions == len(want), cfg
             if not simplify:
                 assert all(len(c) == n for c in cubes), cfg
 
@@ -265,27 +267,51 @@ def test_load_of_a_mutated_dump_fails_typed_or_loads_a_sound_diagram(
             assert count_models(store, root) == reference_count(store, root)
 
 
+def engine_configs(data, threshold):
+    """One configuration of every engine of ``MODES``, its flags drawn and
+    its refresh threshold (where it has one) ``threshold``."""
+    for mode, row in MODES.items():
+        if row.build is None:
+            continue
+        flags = {name: data.draw(st.sampled_from(FLAGS[name][1])
+                                 if FLAGS[name][1] else st.booleans())
+                 for name in row.flags if name != "refresh_threshold"}
+        if "refresh_threshold" in row.flags:
+            flags["refresh_threshold"] = threshold
+        yield RunConfig(mode=mode, **flags)
+
+
+def check_lower_bound(stopped, directory: Path, want: int, label) -> None:
+    """A run of ``directory / "f.cnf"`` that a limit stopped: exit 10, not
+    solved, a count no higher than the oracle's, one part per dump, each
+    loading with the count its manifest gives, and the manifest's counts
+    (parts and final diagram) adding up to the reported count."""
+    assert stopped.exit_code == EXIT_LIMIT, label
+    assert not stopped.solved, label
+    assert stopped.solutions <= want, label
+    parts = sorted(directory.glob("f.part*.obdd"))
+    assert len(parts) == stopped.dumps, label
+    if parts:
+        manifest = (directory / "f.obdd.manifest").read_text()
+        counts = dict(line.split() for line in manifest.splitlines())
+        for part in parts:
+            store = load(part.read_text())
+            assert count_models(store) == int(counts[str(part)]), label
+        assert sum(map(int, counts.values())) == stopped.solutions, label
+
+
 @given(cases(max_n=9), st.data())
 def test_memory_limit_stops_every_mode_with_a_lower_bound(case, data):
     """Every engine of ``MODES``, run again under a memory limit below the
-    peak its full run accounted, stops at the limit (exit 10, not solved)
-    with a count no higher than the oracle's; every part a diagram mode
-    dumped before it stopped loads with the count its manifest gives."""
+    peak its full run accounted, stops at the limit with a lower bound
+    (``check_lower_bound``)."""
     formula, perm, threshold = case
     f = apply_order(formula, perm)
     want = enumerate_all(f).count
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
         os.environ.pop("ALLSAT_DUMP_DIR", None)
-        for mode, row in MODES.items():
-            if row.build is None:
-                continue
-            flags = {name: data.draw(st.sampled_from(FLAGS[name][1])
-                                     if FLAGS[name][1] else st.booleans())
-                     for name in row.flags if name != "refresh_threshold"}
-            if "refresh_threshold" in row.flags:
-                flags["refresh_threshold"] = threshold
-            cfg = RunConfig(mode=mode, **flags)
-            runs = Path(tmp) / mode
+        for cfg in engine_configs(data, threshold):
+            runs = Path(tmp) / cfg.mode
             full = run_instance(runs / "full" / "f.cnf", cfg, formula=f)
             assert full.exit_code == EXIT_OK and full.solutions == want, \
                 cfg.label()
@@ -297,15 +323,49 @@ def test_memory_limit_stops_every_mode_with_a_lower_bound(case, data):
                 st.integers(0, full.peak_mem - 1))
             stopped = run_instance(runs / "limit" / "f.cnf",
                                    replace(cfg, mem_limit=limit), formula=f)
-            label = (cfg.label(), limit)
-            assert stopped.exit_code == EXIT_LIMIT, label
-            assert not stopped.solved, label
-            assert stopped.solutions <= want, label
-            parts = sorted((runs / "limit").glob("f.part*.obdd"))
-            assert len(parts) == stopped.dumps, label
-            if parts:
-                manifest = (runs / "limit" / "f.obdd.manifest").read_text()
-                counts = dict(line.split() for line in manifest.splitlines())
-                for part in parts:
-                    store = load(part.read_text())
-                    assert count_models(store) == int(counts[str(part)]), label
+            check_lower_bound(stopped, runs / "limit", want,
+                              (cfg.label(), limit))
+
+
+class StopClock:
+    """Stands in for the ``time`` module of ``allsat.kernel``: the first
+    ``reads`` calls of ``monotonic`` return 0.0 and every later one
+    infinity, so any time limit stops a run at read ``reads`` + 1.  It
+    counts the calls.  ``Budget.started`` keeps the real clock."""
+
+    def __init__(self, reads: float = math.inf):
+        self.reads = reads
+        self.calls = 0
+
+    def monotonic(self) -> float:
+        self.calls += 1
+        return 0.0 if self.calls <= self.reads else math.inf
+
+
+@given(cases(max_n=9), st.data())
+def test_time_limit_stops_every_mode_with_a_lower_bound(case, data):
+    """Every engine of ``MODES``, run again under a time limit that a fake
+    clock makes expire at one of the deadline checks of its full run,
+    stops there with a lower bound (``check_lower_bound``)."""
+    formula, perm, threshold = case
+    f = apply_order(formula, perm)
+    want = enumerate_all(f).count
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("ALLSAT_DUMP_DIR", None)
+        for cfg in engine_configs(data, threshold):
+            cfg = replace(cfg, time_limit=60.0)
+            runs = Path(tmp) / cfg.mode
+            clock = StopClock()
+            with mock.patch.object(allsat.kernel, "time", clock):
+                full = run_instance(runs / "full" / "f.cnf", cfg, formula=f)
+            assert full.exit_code == EXIT_OK and full.solutions == want, \
+                cfg.label()
+            # drawn down from the last check, so the values Hypothesis
+            # favours stop late runs, after they found models and dumped
+            reads = clock.calls - 1 - data.draw(
+                st.integers(0, clock.calls - 1))
+            with mock.patch.object(allsat.kernel, "time", StopClock(reads)):
+                stopped = run_instance(runs / "limit" / "f.cnf", cfg,
+                                       formula=f)
+            check_lower_bound(stopped, runs / "limit", want,
+                              (cfg.label(), reads))
