@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import BLOCKING, Clause, CnfFormula
+from .formula import Clause, CnfFormula
 from .kernel import FALSIFIED, UNIT, Budget, ClauseStore, Kernel
 from .trail import UNASSIGNED, Trail
 
@@ -25,16 +25,6 @@ class BlockingConfig:
     simplify: bool = False
     continue_search: bool = False
     all_literals: bool = False
-
-
-class ProgressArray:
-    """The ordered decision list from the last restart."""
-
-    def __init__(self):
-        self.saved: list[tuple[int, int]] = []
-
-    def record(self, decisions: list[int]) -> None:
-        self.saved = [(abs(l), 1 if l > 0 else 0) for l in decisions]
 
 
 def simplify_assignment(trail: Trail, store: ClauseStore) -> list[int]:
@@ -85,23 +75,24 @@ def make_blocking_clause(trail: Trail, cfg: BlockingConfig,
         lits = [-l for l in simplify_assignment(trail, store)]
     else:
         lits = [-l for l in trail.decisions()]
-    return Clause(lits, origin=BLOCKING)
+    return Clause(lits)
 
 
-def replay_decisions(kernel: Kernel, progress: ProgressArray) -> Clause | None:
-    """Re-make the saved decisions in level order after a restart.
+def replay_decisions(kernel: Kernel, saved: list[int]) -> Clause | None:
+    """Re-make the saved decision literals in level order after a restart.
 
     Stops at the first conflict (returned for the caller's diagnose stage)
     or at the first saved decision whose variable is already assigned the
     opposite value; same-value variables are skipped.
     """
-    trail = kernel.trail
-    for var, val in progress.saved:
-        if trail.values[var] != UNASSIGNED:
-            if trail.values[var] == val:
+    values = kernel.trail.values
+    for lit in saved:
+        value = values[lit]
+        if value != UNASSIGNED:
+            if value == 1:
                 continue
             return None
-        kernel.make_decision(var if val else -var)
+        kernel.make_decision(lit)
         conflict = kernel.propagate()
         if conflict is not None:
             return conflict
@@ -118,9 +109,8 @@ class BlockingSolver:
         self.cfg = cfg or BlockingConfig()
         self.sink = sink
         self.kernel = Kernel(formula, budget=budget, decide_order=decide_order)
-        self.progress = ProgressArray()
+        self.saved: list[int] = []   # decisions before the last restart
         self.count = 0            # cubes emitted; stats.solutions has models
-        self.emitted_clauses: list[tuple[int, ...]] = []
 
     @property
     def stats(self):
@@ -183,12 +173,11 @@ class BlockingSolver:
 
         if cfg.simplify:
             selected = simplify_assignment(t, k.store)
-            chosen = set(selected)
-            self._emit([l for l in t.lits
-                        if not t.decision[abs(l)] or l in chosen])
+            dropped = set(t.decisions()).difference(selected)
+            self._emit([l for l in t.lits if l not in dropped])
             if t.level <= 0 or not selected:
                 return True, None
-            clause = Clause([-l for l in selected], origin=BLOCKING)
+            clause = Clause([-l for l in selected])
         else:
             self._emit(t.lits)
             if t.level <= 0:
@@ -199,8 +188,7 @@ class BlockingSolver:
     def _block_and_restart(self, clause: Clause) -> Clause | None:
         k = self.kernel
         if self.cfg.continue_search:
-            self.progress.record(k.trail.decisions())
-        self.emitted_clauses.append(tuple(sorted(clause.lits, key=abs)))
+            self.saved = k.trail.decisions()
         k.cancel_to(0)
         k.add_blocking(clause)
         status = k.attach_clause(clause)
@@ -209,6 +197,6 @@ class BlockingSolver:
         if status == UNIT:
             k.trail.assign(clause.lits[0], clause)
         if self.cfg.continue_search:
-            return replay_decisions(k, self.progress)
+            return replay_decisions(k, self.saved)
         return None
 

@@ -18,6 +18,7 @@ import sys
 
 from dataclasses import fields
 
+from .formula import InputError, read_text
 from .harness import (CACHE_MODES, EXIT_INPUT, EXIT_OK, MODES, OUTPUTS,
                       STRATEGIES, UIP_SCHEMES, ConfigError, RunConfig,
                       run_instance, run_suite, verify)
@@ -89,16 +90,15 @@ def _print_stats(stats) -> None:
 def _cmd_bench(args: argparse.Namespace) -> int:
     configs = []
     try:
-        with open(args.configs) as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                cfg = parse_config_string(line)
-                cfg.output = "quiet"
-                cfg.validate()
-                configs.append(cfg)
-    except (OSError, ConfigError) as exc:
+        for raw in read_text(args.configs).splitlines():
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            cfg = parse_config_string(line)
+            cfg.output = "quiet"
+            cfg.validate()
+            configs.append(cfg)
+    except (InputError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if not configs:

@@ -11,9 +11,14 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from pathlib import Path
 
 
-class DimacsError(Exception):
+class InputError(Exception):
+    """An input file that cannot be read or is malformed."""
+
+
+class DimacsError(InputError):
     """Malformed DIMACS input.  Carries the 1-based line number."""
 
     def __init__(self, message: str, line: int):
@@ -31,23 +36,18 @@ def var_of(lit: int) -> int:
     return lit if lit > 0 else -lit
 
 
-PROBLEM = "problem"
-LEARNED = "learned"
-BLOCKING = "blocking"
-
-
 @dataclass(eq=False)
 class Clause:
     """A disjunction of literals.
 
-    ``origin`` records whether the clause came from the input problem, from
-    conflict analysis, or from the blocking mechanism.  Identity (not value)
-    equality keeps clauses usable as watcher-list entries and antecedents.
+    ``cid`` is a problem clause's position in the input (-1 for learned and
+    blocking clauses); which kind a clause is shows in the clause store list
+    that holds it.  Identity (not value) equality keeps clauses usable as
+    watcher-list entries and antecedents.
     """
 
     lits: list[int]
     cid: int = -1
-    origin: str = PROBLEM
 
     def __len__(self) -> int:
         return len(self.lits)
@@ -56,7 +56,7 @@ class Clause:
         return iter(self.lits)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Clause({self.lits}, id={self.cid}, {self.origin})"
+        return f"Clause({self.lits}, id={self.cid})"
 
     def lit_set(self) -> frozenset[int]:
         return frozenset(self.lits)
@@ -145,7 +145,7 @@ def parse_dimacs(text: str | bytes | io.TextIOBase) -> CnfFormula:
         if tautological:
             stats.tautologies_dropped += 1
         else:
-            clauses.append(Clause(current, cid=len(clauses), origin=PROBLEM))
+            clauses.append(Clause(current, cid=len(clauses)))
         current = []
         current_set = set()
         tautological = False
@@ -205,6 +205,21 @@ def parse_dimacs(text: str | bytes | io.TextIOBase) -> CnfFormula:
     return CnfFormula(num_vars, clauses, parse_stats=stats)
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of the input file at ``path``: the one place input
+    files are read.  A file that cannot be read raises InputError, and
+    one that is not UTF-8 text a DimacsError at the line of the bad byte."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise InputError(str(exc)) from None
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise DimacsError(f"byte 0x{data[exc.start]:02x} is not UTF-8 text",
+                          data.count(b"\n", 0, exc.start) + 1) from None
+
+
 def render_dimacs(f: CnfFormula) -> str:
     """Render a formula back to DIMACS text (round-trips through parse)."""
     out = [f"p cnf {f.num_vars} {f.num_clauses}"]
@@ -215,7 +230,7 @@ def render_dimacs(f: CnfFormula) -> str:
 
 def from_clause_lists(num_vars: int, clause_lists: list[list[int]]) -> CnfFormula:
     """Build a formula from plain literal lists (test/bench convenience)."""
-    clauses = [Clause(list(dict.fromkeys(lits)), cid=i, origin=PROBLEM)
+    clauses = [Clause(list(dict.fromkeys(lits)), cid=i)
                for i, lits in enumerate(clause_lists)]
     return CnfFormula(num_vars, clauses)
 
@@ -236,7 +251,7 @@ def apply_order(f: CnfFormula, perm: list[int]) -> CnfFormula:
     clauses = []
     for c in f.clauses:
         lits = [(perm[l] if l > 0 else -perm[-l]) for l in c.lits]
-        clauses.append(Clause(lits, cid=c.cid, origin=c.origin))
+        clauses.append(Clause(lits, cid=c.cid))
     order = [0] * (n + 1)
     for ext in range(1, n + 1):
         order[ext] = perm[f.order[ext]]

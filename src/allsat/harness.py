@@ -19,15 +19,15 @@ from typing import Callable
 from .bddcache import (CACHE_MODES, BddBlockingSolver, BddSolver,
                        RefreshPolicy)
 from .blocking import BlockingConfig, BlockingSolver
-from .formula import (CnfFormula, DimacsError, apply_order, parse_dimacs,
-                      read_order_file, render_dimacs)
-from .kernel import Budget, LimitExceeded
+from .formula import (CnfFormula, InputError, apply_order, parse_dimacs,
+                      read_order_file, read_text, render_dimacs)
+from .kernel import Budget, LimitExceeded, SolverStats
 from .nonblocking import (STRATEGIES, UIP_SCHEMES, NonBlockingConfig,
                           NonBlockingSolver)
 # count_models is unused here; the benchmark's tracer wraps it by this name
 from .obdd import count_models, dump
-from .oracle import (OracleGuardError, check_cube_cover, enumerate_all,
-                     lits_to_mask)
+from .oracle import (GUARD_VARS, OracleGuardError, check_cube_cover,
+                     enumerate_all, lits_to_mask)
 
 EXIT_OK = 0
 EXIT_LIMIT = 10
@@ -146,22 +146,14 @@ class RunConfig:
 
 
 @dataclass
-class RunStats:
+class RunStats(SolverStats):
+    """The engine's counters of one run plus what the harness records."""
+
     instance: str = ""
     config: str = ""
     solved: bool = False
-    solutions: int = 0
     wall_time: float = 0.0
     peak_mem: int = 0
-    decisions: int = 0
-    conflicts: int = 0
-    propagations: int = 0
-    learned_clauses: int = 0
-    blocking_clauses: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    obdd_nodes: int = 0
-    dumps: int = 0
     exit_code: int = EXIT_OK
     error: str = ""
 
@@ -180,10 +172,9 @@ def load_instance(path: str | Path, cfg: RunConfig,
     """The instance at ``path`` (or ``formula``, when given) under the
     variable order of ``cfg``."""
     if formula is None:
-        formula = parse_dimacs(Path(path).read_text())
+        formula = parse_dimacs(read_text(path))
     if cfg.order_file:
-        perm = read_order_file(Path(cfg.order_file).read_text(),
-                               formula.num_vars)
+        perm = read_order_file(read_text(cfg.order_file), formula.num_vars)
         formula = apply_order(formula, perm)
     return formula
 
@@ -205,7 +196,7 @@ def run_instance(path: str | Path, cfg: RunConfig, sink=None,
         cfg.validate()
         f = load_instance(path, cfg, formula)
         policy.validate(f.num_vars)
-    except (ConfigError, OSError, DimacsError, ValueError) as exc:
+    except (ConfigError, InputError, ValueError) as exc:
         stats.exit_code = EXIT_INPUT
         stats.error = str(exc)
         return stats
@@ -276,15 +267,14 @@ def _bucket_of(count: int) -> int:
 
 
 def run_suite(directory: str | Path, configs: list[RunConfig],
-              out_dir: str | Path, jobs: int = 1,
-              oracle_check: bool = True) -> list[RunStats]:
+              out_dir: str | Path, jobs: int = 1) -> list[RunStats]:
     """Run every config on every ``*.cnf`` file in ``directory``.
 
     Writes ``results.csv`` (one row per run), ``cactus.csv`` (per config,
     solved runs ranked by time), and ``histogram.csv`` (instances bucketed
     by powers of ten of the solution count, unsolved runs included by the
-    count they reached).  When ``oracle_check`` is on, complete runs on
-    oracle-sized instances are compared against the exhaustive count.
+    count they reached).  Complete runs on oracle-sized instances are
+    compared against the exhaustive count, which ``results.csv`` lists.
     A ``directory`` that is not one, or ``jobs`` below 1, is a ConfigError.
     """
     directory = Path(directory)
@@ -306,34 +296,25 @@ def run_suite(directory: str | Path, configs: list[RunConfig],
     else:
         results = [_run_task(t) for t in tasks]
 
+    for inst in instances:
+        try:
+            oracle_counts[str(inst)] = enumerate_all(
+                parse_dimacs(read_text(inst))).count
+        except (InputError, OracleGuardError):
+            oracle_counts[str(inst)] = None
     mismatches = []
-    if oracle_check:
-        for inst in instances:
-            try:
-                with open(inst) as fh:
-                    f = parse_dimacs(fh.read())
-                oracle_counts[str(inst)] = (enumerate_all(f).count
-                                            if f.num_vars <= 25 else None)
-            except (DimacsError, OracleGuardError):
-                oracle_counts[str(inst)] = None
-        for r in results:
-            want = oracle_counts.get(r.instance)
-            if r.solved and want is not None and r.solutions != want:
-                mismatches.append(r)
-                r.error = f"count {r.solutions} != oracle {want}"
+    for r in results:
+        want = oracle_counts.get(r.instance)
+        if r.solved and want is not None and r.solutions != want:
+            mismatches.append(r)
+            r.error = f"count {r.solutions} != oracle {want}"
 
     with open(out_path / "results.csv", "w", newline="") as fh:
         w = csv.writer(fh)
-        header = list(RunStats.CSV_COLUMNS)
-        if oracle_check:
-            header.append("oracle")
-        w.writerow(header)
+        w.writerow(list(RunStats.CSV_COLUMNS) + ["oracle"])
         for r in results:
-            row = r.csv_row()
-            if oracle_check:
-                want = oracle_counts.get(r.instance)
-                row.append("" if want is None else want)
-            w.writerow(row)
+            want = oracle_counts.get(r.instance)
+            w.writerow(r.csv_row() + ["" if want is None else want])
 
     with open(out_path / "cactus.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -397,8 +378,8 @@ def verify(path: str | Path, cfg_a: RunConfig, cfg_b: RunConfig,
     input error of either run is reported as such: no formula could make it
     go away, so there is nothing to minimize or save."""
     try:
-        formula = parse_dimacs(Path(path).read_text())
-    except (OSError, DimacsError) as exc:
+        formula = parse_dimacs(read_text(path))
+    except InputError as exc:
         return VerifyReport(str(path), 0, 0, None, False, [f"{path}: {exc}"],
                             input_error=True)
     report = _verify_formula(formula, cfg_a, cfg_b, str(path))
@@ -429,9 +410,8 @@ def _verify_formula(formula: CnfFormula, cfg_a: RunConfig, cfg_b: RunConfig,
     if problems:
         return VerifyReport(name, stats_a.solutions, stats_b.solutions, None,
                             False, problems, input_error=True)
-    oracle_count = None
-    if formula.num_vars <= 25:
-        oracle_count = enumerate_all(formula).count
+    small = formula.num_vars <= GUARD_VARS
+    oracle_count = enumerate_all(formula).count if small else None
     if stats_a.solved and stats_b.solved and stats_a.solutions != stats_b.solutions:
         problems.append(f"count mismatch: {stats_a.config}={stats_a.solutions} "
                         f"{stats_b.config}={stats_b.solutions}")
@@ -447,7 +427,7 @@ def _verify_formula(formula: CnfFormula, cfg_a: RunConfig, cfg_b: RunConfig,
             masks = [lits_to_mask(c) for c in cubes]
             if len(masks) != len(set(masks)):
                 problems.append(f"{stats.config}: duplicate solutions")
-        if kind == "partial" and formula.num_vars <= 25:
+        if kind == "partial" and small:
             ok, msg = check_cube_cover(cubes, formula)
             if not ok:
                 problems.append(f"{stats.config}: {msg}")

@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .formula import BLOCKING, LEARNED, Clause, CnfFormula
+from .formula import Clause, CnfFormula
 from .trail import UNASSIGNED, Trail
 
 ACTIVITY_DECAY = 0.95
@@ -120,19 +120,15 @@ class ClauseStore:
     """
 
     def __init__(self, formula: CnfFormula):
-        self.formula = formula
         # own copies: propagation reorders literals, and the formula is
         # shared with the caller
-        self.problem: list[Clause] = [Clause(list(c.lits), c.cid, c.origin)
+        self.problem: list[Clause] = [Clause(list(c.lits), c.cid)
                                       for c in formula.clauses if len(c) > 0]
         self.learned: list[Clause] = []
         self.blocking: list[Clause] = []
         self.watches: list[list[Clause]] = [   # signed literal -> watchers
             [] for _ in range(2 * formula.num_vars + 1)]
         self.pending_units: list[Clause] = []
-
-    def all_clauses(self) -> list[Clause]:
-        return self.problem + self.learned + self.blocking
 
 
 class Kernel:
@@ -141,7 +137,6 @@ class Kernel:
     def __init__(self, formula: CnfFormula, budget: Budget | None = None,
                  fixed_order: bool = False,
                  decide_order: list[int] | None = None):
-        self.formula = formula
         self.n = formula.num_vars
         self.store = ClauseStore(formula)
         self.trail = Trail(self.n)
@@ -215,14 +210,10 @@ class Kernel:
         return status
 
     def add_learned(self, clause: Clause) -> None:
-        clause.origin = LEARNED
-        clause.cid = len(self.store.learned)
         self.store.learned.append(clause)
         self.stats.learned_clauses += 1
 
     def add_blocking(self, clause: Clause) -> None:
-        clause.origin = BLOCKING
-        clause.cid = len(self.store.blocking)
         self.store.blocking.append(clause)
         self.stats.blocking_clauses += 1
 
@@ -388,10 +379,7 @@ class Kernel:
             raise RuntimeError("conflict clause has no current-level literal")
         if scope == "sublevel":
             cur_sub = max(var_sub[abs(l)] for l in lits_at_dl)
-        else:
-            cur_sub = trail.cur_sublevel[dl]
 
-        if scope == "sublevel":
             def in_scope(v: int) -> bool:
                 return var_level[v] == dl and var_sub[v] == cur_sub
         else:
@@ -461,7 +449,7 @@ class Kernel:
         if out:
             assert_level = max(var_level[abs(l)] for l in out)
         self.decay_activity()
-        return LearnedClause(Clause(lits), uip, assert_level, dl, cur_sub)
+        return LearnedClause(Clause(lits), assert_level)
 
 
 @dataclass(eq=False)
@@ -469,10 +457,7 @@ class LearnedClause:
     """A conflict clause plus the analysis metadata the resolvers need."""
 
     clause: Clause
-    uip: int                 # the assignment the traversal stopped at
     assert_level: int        # highest level among non-UIP literals (0 if unit)
-    conflict_level: int
-    conflict_sublevel: int
 
     @property
     def lits(self) -> list[int]:

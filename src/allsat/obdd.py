@@ -59,9 +59,6 @@ class ObddStore:
         self.hi.append(BOT)
         return nid
 
-    def arc(self, nid: int, direction: int) -> int:
-        return self.hi[nid] if direction else self.lo[nid]
-
     def reset(self) -> None:
         del self.var[2:]
         del self.lo[2:]
@@ -207,8 +204,8 @@ def iter_paths(store: ObddStore, root: int | None = None):
     stack = [(root, ())]
     while stack:
         nid, prefix = stack.pop()
-        for direction in (0, 1):
-            child = store.arc(nid, direction)
+        for direction, arcs in enumerate((store.lo, store.hi)):
+            child = arcs[nid]
             step = prefix + ((store.var[nid], direction),)
             if child == TOP:
                 yield step

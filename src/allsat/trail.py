@@ -4,10 +4,11 @@ The trail is a flat list of literals in assignment order.  ``values`` is
 indexed by the signed literal (length 2n+1): ``values[lit]`` is 1 when
 ``lit`` is true and 0 when false, so ``values[v]`` is variable v's value
 and ``values[-v]`` (read from the end of the list) its negation's.  Level,
-sublevel, antecedent (reason), trail position and whether it is a decision
-live in per-variable arrays.  An assignment writes both halves of
-``values`` and a cancel resets both, leaving the per-variable arrays to be
-overwritten by the next assignment.
+sublevel, antecedent (reason), trail position and level-0 taint live in
+per-variable arrays.  An assignment writes both halves of ``values`` and a
+cancel resets both, leaving the per-variable arrays to be overwritten by
+the next assignment.  ``level_start`` gives each level's first trail index,
+and the assignment there is the level's decision.
 
 The trail doubles as the implication graph: an assignment's antecedent
 clause names the assignments that forced it, and assignments with no
@@ -46,7 +47,6 @@ class Trail:
         self.var_sublevel = [0] * n1
         self.reasons: list[Clause | None] = [None] * n1
         self.positions = [0] * n1         # var -> index into lits
-        self.decision = [False] * n1      # var -> opened its level
         # a level-0 variable is tainted when its value depends on a flipped
         # decision; such facts are search choices, not consequences of the
         # formula, so conflict analysis must not silently drop them.  Only
@@ -83,7 +83,6 @@ class Trail:
         self.var_level[var] = level
         self.var_sublevel[var] = 0
         self.reasons[var] = None
-        self.decision[var] = True
 
     def assign(self, lit: int, reason: Clause | None = None) -> None:
         """Append an implied assignment at the current level and sublevel
@@ -100,7 +99,6 @@ class Trail:
         self.var_level[var] = level
         self.var_sublevel[var] = self.cur_sublevel[level]
         self.reasons[var] = reason
-        self.decision[var] = False
         if level == 0:
             # a level-0 reason holds only level-0 variables
             tainted = self.tainted
@@ -114,14 +112,12 @@ class Trail:
         """The decision literal that opened ``level`` (level >= 1)."""
         if not 1 <= level <= self.level:
             raise RuntimeError(f"no decision at level {level}")
-        lit = self.lits[self.level_start[level]]
-        if not self.decision[abs(lit)]:
-            raise RuntimeError(f"level {level} does not start with a decision")
-        return lit
+        return self.lits[self.level_start[level]]
 
     def decisions(self) -> list[int]:
-        decision = self.decision
-        return [l for l in self.lits if decision[abs(l)]]
+        """The decision literals in level order."""
+        lits = self.lits
+        return [lits[i] for i in self.level_start[1:]]
 
     def cancel_to(self, level: int) -> None:
         """Remove every assignment above ``level`` and make it current."""
@@ -147,8 +143,6 @@ class Trail:
         keep = self.level_start[level]
         dec = lits[keep]
         var = dec if dec > 0 else -dec
-        if not self.decision[var]:
-            raise RuntimeError(f"level {level} does not start with a decision")
         values = self.values
         for lit in lits[keep + 1:]:
             values[lit] = UNASSIGNED
@@ -167,14 +161,13 @@ class Trail:
         values[dec] = 0
         self.var_level[var] = level
         self.var_sublevel[var] = sub
-        self.decision[var] = False
         if level == 0:
             self.tainted[var] = True
 
     def check_consistent(self) -> None:
         """Internal consistency: the per-variable view mirrors the trail,
         the negative half of ``values`` mirrors the positive one, and
-        exactly the first assignment of each level >= 1 is a decision."""
+        the first assignment of each level >= 1 has no antecedent."""
         seen = set()
         last_level = 0
         for idx, lit in enumerate(self.lits):
@@ -187,9 +180,9 @@ class Trail:
             assert self.positions[var] == idx
             assert level >= last_level, "levels must be non-decreasing"
             last_level = level
-            opens = level >= 1 and self.level_start[level] == idx
-            assert self.decision[var] == opens, \
-                f"decision flag of variable {var} disagrees with level_start"
+            if level >= 1 and self.level_start[level] == idx:
+                assert self.reasons[var] is None, \
+                    f"decision of level {level} has an antecedent"
         assert len(self.level_start) == self.level + 1
         values = self.values
         for var in range(1, self.num_vars + 1):

@@ -81,6 +81,13 @@ def trail_trace(trail):
     return out
 
 
+def blocking_clauses(solver):
+    """A blocking engine's blocking clauses in the order it added them, each
+    as a tuple of its literals sorted by variable."""
+    return [tuple(sorted(c.lits, key=abs))
+            for c in solver.kernel.store.blocking]
+
+
 def solution_mask(cube) -> int:
     mask = 0
     for l in cube:

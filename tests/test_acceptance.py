@@ -23,7 +23,8 @@ from allsat import (BddBlockingSolver, BddSolver, BlockingConfig,
 from allsat.obdd import iter_paths
 from allsat.oracle import check_cube_cover
 
-from conftest import EX31_CLAUSES, EX41_CLAUSES, solution_mask, trail_trace
+from conftest import (EX31_CLAUSES, EX41_CLAUSES, blocking_clauses,
+                      solution_mask, trail_trace)
 
 SWEEP_INSTANCES = 200
 MODEL_CAP = 1500         # keeps the exhaustive sweep inside the time budget
@@ -99,8 +100,9 @@ def checked_analyze(kernel, violations):
         learned = original(conflict, scope, stop_lit)
         t = kernel.trail
         uip_lit = learned.lits[0]
-        dl = learned.conflict_level
-        sub = learned.conflict_sublevel
+        dl = t.level
+        sub = max(t.var_sublevel[abs(l)] for l in conflict.lits
+                  if t.var_level[abs(l)] == dl)
         in_scope = []
         for l in learned.lits:
             v = abs(l)
@@ -263,13 +265,13 @@ def test_criterion_1_worked_goldens():
                                 sink=cubes.append)
         assert solver.run() == 2
         assert cubes == [(-1, -2, -3), (1, 2, 3)]
-        assert solver.emitted_clauses == [(1, 2, 3), (-1, -2, -3)]
+        assert blocking_clauses(solver) == [(1, 2, 3), (-1, -2, -3)]
 
         # (d) simplification under forced decisions yields x5 | -x3
         solver = BlockingSolver(f, BlockingConfig(simplify=True),
                                 decide_order=[-5, 3, 2])
         solver.run()
-        assert solver.emitted_clauses[0] == (-3, 5)
+        assert blocking_clauses(solver)[0] == (-3, 5)
 
 
 def test_criterion_2_oracle_equivalence(sweep):

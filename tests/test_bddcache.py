@@ -363,7 +363,7 @@ class CheckedSolver(BddSolver):
         u = self.store.root
         for d in range(1, first):
             walk.append((u, values[d]))
-            u = self.store.arc(u, values[d])
+            u = (self.store.hi if values[d] else self.store.lo)[u]
         assert u == self.solved[make_formula(self.steps, values, [0],
                                              first - 1 if first <= n
                                              else math.inf)]

@@ -4,7 +4,7 @@ from allsat import (BlockingConfig, BlockingSolver, enumerate_all,
                     from_clause_lists, make_blocking_clause)
 from allsat.oracle import check_cube_cover, cube_expansion_count
 
-from conftest import random_instances
+from conftest import blocking_clauses, random_instances
 
 
 def run_collect(f, cfg, decide_order=None):
@@ -27,7 +27,7 @@ def test_all_literal_run_matches_textbook(ex41):
     in order, then unsatisfiable."""
     solver, cubes, count = run_collect(ex41, BlockingConfig(all_literals=True))
     assert cubes == [(-1, -2, -3), (1, 2, 3)]
-    assert solver.emitted_clauses == [(1, 2, 3), (-1, -2, -3)]
+    assert blocking_clauses(solver) == [(1, 2, 3), (-1, -2, -3)]
     assert count == 2
 
 
@@ -49,18 +49,18 @@ def test_make_blocking_clause_variants(ex31, ex41):
     solver = BlockingSolver(ex41, BlockingConfig(all_literals=True),
                             sink=k_cubes.append)
     solver.run()
-    assert solver.emitted_clauses[0] == (1, 2, 3)
+    assert blocking_clauses(solver)[0] == (1, 2, 3)
 
     # zero decisions -> empty clause signals halt
     single = from_clause_lists(1, [[1]])
     solver, cubes, count = run_collect(single, BlockingConfig())
     assert count == 1 and cubes == [(1,)]
-    assert solver.emitted_clauses == []   # halted before blocking
+    assert blocking_clauses(solver) == []   # halted before blocking
 
     # simplification on the worked trail: forced decisions -x5, x3, x2
     solver, cubes, count = run_collect(ex31, BlockingConfig(simplify=True),
                                        decide_order=[-5, 3, 2])
-    assert solver.emitted_clauses[0] == (-3, 5)     # x5 or not-x3
+    assert blocking_clauses(solver)[0] == (-3, 5)   # x5 or not-x3
 
 
 def test_simplified_first_cube_drops_redundant_decision(ex31):
@@ -98,8 +98,8 @@ def test_continuation_replays_saved_decisions(ex31):
     """Worked continuation flow: after the first restart the saved decision
     for x5 is remade, while x3 is barred by the new blocking clause."""
     from allsat import Kernel
-    from allsat.blocking import ProgressArray, replay_decisions
-    from allsat.formula import BLOCKING, Clause
+    from allsat.blocking import replay_decisions
+    from allsat.formula import Clause
 
     k = Kernel(ex31)
     k.propagate()
@@ -107,19 +107,18 @@ def test_continuation_replays_saved_decisions(ex31):
         k.make_decision(lit)
         assert k.propagate() is None
     assert k.trail.all_assigned()
-    progress = ProgressArray()
-    progress.record(k.trail.decisions())
-    assert progress.saved == [(5, 0), (3, 1), (2, 1)]
+    saved = k.trail.decisions()
+    assert saved == [-5, 3, 2]
 
     # simplified blocking clause x5 or not-x3, then restart and replay
     k.cancel_to(0)
-    clause = Clause([5, -3], origin=BLOCKING)
+    clause = Clause([5, -3])
     k.add_blocking(clause)
     k.attach_clause(clause)
-    conflict = replay_decisions(k, progress)
+    conflict = replay_decisions(k, saved)
     assert conflict is None
     # -x5 was remade as a decision; the blocking clause then forces -x3,
-    # so the saved decision (3,1) is barred and replay stops there
+    # so the saved decision x3 is barred and replay stops there
     assert k.stats.decisions == 4          # three originals + one replayed
     assert k.trail.values[5] == 0
     assert k.trail.values[3] == 0
@@ -136,11 +135,11 @@ def test_continuation_full_run_still_covers(ex31):
 
 def test_replay_empty_progress_is_noop(ex31):
     from allsat import Kernel
-    from allsat.blocking import ProgressArray, replay_decisions
+    from allsat.blocking import replay_decisions
     k = Kernel(ex31)
     k.propagate()
     before = len(k.trail)
-    assert replay_decisions(k, ProgressArray()) is None
+    assert replay_decisions(k, []) is None
     assert len(k.trail) == before
 
 

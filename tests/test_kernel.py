@@ -138,7 +138,8 @@ def test_propagation_fixpoint_no_unit_or_false_clause():
         conflict = drive(k, [-v for v in range(1, f.num_vars + 1)])
         if conflict is not None:
             continue
-        for clause in k.store.all_clauses():
+        store = k.store
+        for clause in store.problem + store.learned + store.blocking:
             status, _ = clause_status(k, clause)
             assert status not in (UNIT, FALSIFIED)
 
@@ -174,7 +175,7 @@ def test_learned_clauses_entailed_and_falsified():
             # entailed by problem clauses (nothing else was learned yet)
             assert entails(f, learned.lits)
             # exactly one literal of the conflict level
-            dl = learned.conflict_level
+            dl = k.trail.level
             at_dl = [l for l in learned.lits
                      if k.trail.var_level[abs(l)] == dl]
             assert at_dl == [learned.lits[0]]

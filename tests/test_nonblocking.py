@@ -42,7 +42,7 @@ def test_backtrack_bt_inserts_flip():
     t = k.trail
     flip = t.lits[-1]
     assert flip == -2 and t.var_level[2] == 1
-    assert t.reasons[2] is None and not t.decision[2]
+    assert t.reasons[2] is None and t.decisions() == [1]
     assert t.var_sublevel[2] == 1        # a new sublevel opened
 
 
@@ -132,9 +132,10 @@ def test_structural_invariant_of_analysis():
             k = self.kernel
             t = k.trail
             scheme = self.cfg.uip_scheme
+            dl = t.level
+            sub = max(t.var_sublevel[abs(l)] for l in conflict.lits
+                      if t.var_level[abs(l)] == dl)
             learned = k.analyze(conflict, scope=scheme)
-            dl = learned.conflict_level
-            sub = learned.conflict_sublevel
             in_scope = []
             null_ante = []
             for l in learned.lits:
@@ -235,7 +236,7 @@ def test_bj_jump_clipped_exactly_at_limit_level():
                 t = k.trail
                 flip = abs(t.lits[-1]) if t.lits else None
                 flipped = (flip is not None and t.reasons[flip] is None
-                           and not t.decision[flip]
+                           and t.lits[-1] not in t.decisions()
                            and t.var_level[flip] == t.level)
                 observed.append((lim_before, k.trail.level, flipped))
             return out

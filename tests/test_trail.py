@@ -9,7 +9,7 @@ from allsat.trail import UNASSIGNED, Trail
 def test_assign_levels_and_views():
     t = Trail(6)
     t.decide(-5)
-    assert t.var_level[5] == 1 and t.decision[5]
+    assert t.var_level[5] == 1 and t.decisions() == [-5]
     assert t.values[5] == 0
     c5 = Clause([5, -6], cid=4)
     t.assign(-6, reason=c5)
@@ -103,7 +103,7 @@ def test_sublevels_open_at_flips():
     assert t.lits[-1] == -2 and t.level == 1
     assert t.var_sublevel[2] == 1
     assert t.var_level[2] == 1
-    assert not t.decision[2] and t.reasons[2] is None
+    assert t.decisions() == [1] and t.reasons[2] is None
     t.assign(3, reason=Clause([2, 3]))
     assert t.lits[-1] == 3
     assert t.var_sublevel[3] == 1       # implied entries inherit
@@ -168,13 +168,12 @@ def test_flip_needs_a_decision_level():
 
 
 def reference_decide(t: Trail, lit: int) -> None:
-    """The decision as separate steps: open a level, assign ``lit`` there
-    with no antecedent and mark it as the level's decision."""
+    """The decision as separate steps: open a level and assign ``lit``
+    there, first, with no antecedent."""
     t.level += 1
     t.level_start.append(len(t.lits))
     t.cur_sublevel.append(0)
     t.assign(lit)
-    t.decision[abs(lit)] = True
 
 
 def reference_flip(t: Trail, level: int) -> None:
@@ -188,7 +187,7 @@ def reference_flip(t: Trail, level: int) -> None:
 
 def trail_state(t: Trail) -> tuple:
     return (t.lits, t.values, t.var_level, t.var_sublevel,
-            [id(r) for r in t.reasons], t.positions, t.decision, t.tainted,
+            [id(r) for r in t.reasons], t.positions, t.tainted,
             t.level, t.level_start, t.cur_sublevel)
 
 
