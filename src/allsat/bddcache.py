@@ -52,9 +52,11 @@ below d keeps its value.  The engine's per-step state follows the trail on
 that invariant through two hooks, so each step touches only what it looks
 up or what the cancel changed.  The lookup (``_next_decision``) moves the
 cursor to the first unassigned variable, extends the codes to its cut and,
-on a hit, grafts along ``trail.values`` from ``path_ok`` on.  The cancel
-(``_before_cancel``) pops and enrolls the pending keys of the canceled
-decisions and lowers the rest of the state to d:
+on a hit, grafts along ``trail.values`` from ``path_ok`` on.  With every
+variable assigned it computes no key: it grafts the true sink, the node
+``TOP_KEY`` stands for.  The cancel (``_before_cancel``) pops and enrolls
+the pending keys of the canceled decisions and lowers the rest of the
+state to d:
 
 * ``cursor``    - every variable below it is assigned; the lookup resumes
                   there, and a cancel lowers it to d;
@@ -62,11 +64,13 @@ decisions and lowers the rest of the state to d:
                   lookup reached; a cancel truncates them to cuts below d,
                   the next lookup extends them from there, and a refresh
                   leaves them alone, since they depend on the trail only;
-* ``path``      - the OBDD path of the last graft, one (node, direction)
-                  entry per prefix variable; ``path_ok`` counts its leading
-                  entries whose variables kept their values since: a cancel
-                  lowers it to d - 1 and a refresh to 0, and a graft walks
-                  only the entries past it;
+* ``path``      - the node ids of the last graft's path, one per prefix
+                  variable: entry j is the node of variable j + 1, and the
+                  direction taken there is that variable's value, which the
+                  trail holds.  ``path_ok`` counts its leading entries whose
+                  variables kept their values since: a cancel lowers it to
+                  d - 1 and a refresh to 0, and a graft walks only the
+                  entries past it;
 * ``pending_keys`` - the key of each miss by its cut.  A miss decides the
                   variable after its cut, so the pending cuts are those of
                   the standing decisions made on misses, in the order of
@@ -75,6 +79,12 @@ decisions and lowers the rest of the state to d:
                   ``path_ok`` (its decision stood through the last graft)
                   enrolls the path's node at that cut; the others lie past
                   the part of the path known to follow the trail.
+
+Each step charges the memory budget once for the bytes it added: a graft
+for its new nodes, a cancel for the keys it enrolled, and a model of the
+blocking engine for its new nodes and the keys cached for them.  No charge
+is negative and only a compaction or a refresh releases, so the peak is
+the one a charge per node and per key would reach.
 
 The refresh threshold θ bounds the arena at θ - n nodes (n variables).
 The non-blocking engine checks at each cancel, after enrollment, since the
@@ -170,8 +180,9 @@ def make_formula(steps: tuple[list[int], list], values: list[int],
 
 
 def _refresh(solver, shrink=None) -> bool:
-    """Refresh step of both engines, once the arena reaches the threshold
-    less the variable count (so one path always fits).
+    """Refresh step of both engines, which call it once the arena holds
+    ``solver.limit`` nodes, the threshold less the variable count (so one
+    path always fits).
 
     ``shrink``, when given, runs first: it merges isomorphic nodes of the
     arena in place, and the refresh goes on only if the arena still holds
@@ -183,15 +194,9 @@ def _refresh(solver, shrink=None) -> bool:
     dumped; the engine then clears whatever other cache state it keeps."""
     policy = solver.policy
     store = solver.store
-    theta = policy.threshold
-    if theta is None:
-        return False
-    limit = theta - solver.formula.num_vars
-    if store.size < limit:
-        return False
     if shrink is not None:
         shrink()
-        if 4 * store.size < 3 * limit:
+        if 4 * store.size < 3 * solver.limit:
             return False
     directory = policy.resolve_dir()
     directory.mkdir(parents=True, exist_ok=True)
@@ -257,13 +262,18 @@ def _tally(solver) -> BddResult:
 def _init_cache(solver, cache_mode: str,
                 policy: RefreshPolicy | None) -> None:
     """Cache state both engines keep: the key mode's step tables, the
-    refresh policy, the diagram, the solved cache and the dumped parts."""
+    refresh policy and the arena size that triggers it, the diagram, the
+    solved cache and the dumped parts.  The cuts are computed under the
+    engine's budget, so a time limit binds them too."""
     if cache_mode not in CACHE_MODES:
         raise ValueError(f"unknown cache mode {cache_mode!r}")
     formula = solver.formula
-    solver.steps = compute_cuts(formula).steps[cache_mode]
+    solver.steps = compute_cuts(formula, solver.kernel.budget
+                                ).steps[cache_mode]
     solver.policy = policy or RefreshPolicy()
     solver.policy.validate(formula.num_vars)
+    theta = solver.policy.threshold
+    solver.limit = math.inf if theta is None else theta - formula.num_vars
     solver.store = ObddStore(formula.num_vars)
     solver.solved = {TOP_KEY: TOP}
     solver.dumps = []
@@ -281,11 +291,13 @@ class BddSolver(NonBlockingSolver):
         super().__init__(formula, cfg, sink=None, budget=budget,
                          fixed_order=True)
         _init_cache(self, cache_mode, policy)
+        self.n = formula.num_vars
         # codes of the prefix at cuts 0, 1, ... for the values on the trail
         self.codes = [0]
         # cut index -> code, in increasing cut order
         self.pending_keys: dict[int, int] = {}
-        self.path: list[tuple[int, int]] = []
+        # node ids of the last graft's path; entry j is variable j + 1's
+        self.path: list[int] = []
         # leading path entries whose variables kept their values since the
         # path was grafted
         self.path_ok = 0
@@ -296,31 +308,35 @@ class BddSolver(NonBlockingSolver):
 
     def _next_decision(self) -> int | None:
         """Encode stage: look the prefix below the first unassigned variable
-        up.  A hit (every variable assigned always hits) grafts the solved
-        node below the prefix and closes the branch; a miss leaves the key
-        pending and decides the variable false."""
+        up.  A hit grafts the solved node below the prefix and closes the
+        branch; a miss leaves the key pending and decides the variable
+        false.  With every variable assigned there is no key to look up:
+        the graft is of the true sink (``TOP_KEY``'s node)."""
         k = self.kernel
         values = k.trail.values
-        n = self.formula.num_vars
+        n = self.n
         i = self.cursor
         while i <= n and values[i] != UNASSIGNED:
             i += 1
         self.cursor = i
-        key = make_formula(self.steps, values, self.codes,
-                           i - 1 if i <= n else math.inf)
-        node = self.solved.get(key)
-        if node is None:
-            k.stats.cache_misses += 1
-            self.pending_keys[i - 1] = key[1]
-            return -i
         if i <= n:
+            key = make_formula(self.steps, values, self.codes, i - 1)
+            node = self.solved.get(key)
+            if node is None:
+                k.stats.cache_misses += 1
+                self.pending_keys[i - 1] = key[1]
+                return -i
             k.stats.cache_hits += 1
-        store = self.store
-        before = store.size
-        self.path = extend_obdd(store, node, values, i - 1, self.path,
+        else:
+            node = TOP
+        arena = self.store.var
+        before = len(arena)
+        self.path = extend_obdd(self.store, node, values, i - 1, self.path,
                                 self.path_ok)
         self.path_ok = len(self.path)
-        k.budget.charge(_NODE_BYTES * (store.size - before))
+        grown = len(arena) - before
+        if grown:
+            k.budget.charge(_NODE_BYTES * grown)
         return None
 
     def _before_cancel(self, level: int) -> None:
@@ -334,26 +350,34 @@ class BddSolver(NonBlockingSolver):
         # under the fixed order, the decision of the lowest canceled level
         # is the lowest variable the cancel unassigns
         d = abs(t.decision_of(level + 1))
-        # the pending keys at cuts >= d - 1 are the canceled decisions'; a
-        # cut below path_ok has its node on the path (module docstring)
-        pending = self.pending_keys
+        # the pending keys at cuts >= d - 1 are the canceled decisions', the
+        # last ones; a cut below path_ok has its node on the path (module
+        # docstring).  The first key below d - 1 goes back where it was.
+        pending, solved = self.pending_keys, self.solved
         path, path_ok = self.path, self.path_ok
-        while pending and next(reversed(pending)) >= d - 1:
+        enrolled = 0
+        while pending:
             cut, code = pending.popitem()
+            if cut < d - 1:
+                pending[cut] = code
+                break
             if cut < path_ok:
-                self.solved[(cut, code)] = path[cut][0]
-                self.kernel.budget.charge(_KEY_BYTES)
+                solved[(cut, code)] = path[cut]
+                enrolled += 1
+        if enrolled:
+            self.kernel.budget.charge(_KEY_BYTES * enrolled)
         # only a graft adds nodes, and the backtrack closing its branch is
         # the first cancel after it: compact, and refresh if that is not
         # enough, once its keys are enrolled
-        if (self.policy.threshold is not None
+        if (len(self.store.var) - 2 >= self.limit
                 and _refresh(self, self._compact)):
             pending.clear()
             self.path = []
             path_ok = 0
-        self.cursor = min(self.cursor, d)
+        if d < self.cursor:
+            self.cursor = d
         del self.codes[d:]
-        self.path_ok = min(path_ok, d - 1)
+        self.path_ok = path_ok if path_ok < d else d - 1
 
     def _compact(self) -> list[int]:
         """Merge the isomorphic nodes off the last graft's path and renumber
@@ -366,8 +390,8 @@ class BddSolver(NonBlockingSolver):
         are released; the cache keeps its keys, still charged."""
         store = self.store
         before = store.size
-        new = compact(store, {u for u, _ in self.path})
-        self.path = [(new[u], b) for u, b in self.path]
+        new = compact(store, set(self.path))
+        self.path = [new[u] for u in self.path]
         self.solved = {key: new[u] for key, u in self.solved.items()}
         self.kernel.budget.release(_NODE_BYTES * (before - store.size))
         return new
@@ -398,14 +422,16 @@ class BddBlockingSolver(BlockingSolver):
         self._add_path()
 
     def _add_path(self) -> None:
-        """Add the path of the total model on the trail."""
-        store = self.store
-        before = store.size
+        """Add the path of the total model on the trail, and charge its new
+        nodes and the keys ``_shared_node`` cached for them at once."""
+        arena, solved = self.store.var, self.solved
+        nodes, keys = len(arena), len(solved)
         self.codes = [0]
-        extend_obdd(store, TOP, self.kernel.trail.values,
+        extend_obdd(self.store, TOP, self.kernel.trail.values,
                     self.formula.num_vars,
                     new_node=self._shared_node if self.sharing else None)
-        self.kernel.budget.charge(_NODE_BYTES * (store.size - before))
+        self.kernel.budget.charge(_NODE_BYTES * (len(arena) - nodes)
+                                  + _KEY_BYTES * (len(solved) - keys))
 
     def _shared_node(self, var: int) -> int:
         """Node for the subinstance below the trail's prefix of variables
@@ -417,14 +443,13 @@ class BddBlockingSolver(BlockingSolver):
         if node is not None:
             self.kernel.stats.cache_hits += 1
             return node
-        node = self.store.new_node(var)
-        self.solved[key] = node
-        self.kernel.budget.charge(_KEY_BYTES)
+        node = self.solved[key] = self.store.new_node(var)
         return node
 
     def _block_and_restart(self, clause: Clause) -> Clause | None:
         pending = super()._block_and_restart(clause)
-        _refresh(self)
+        if self.store.size >= self.limit:
+            _refresh(self)
         return pending
 
     run_bdd = _run_bdd

@@ -12,6 +12,10 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .kernel import Budget
 
 
 class InputError(Exception):
@@ -328,12 +332,16 @@ class CutStructure:
         return [v for v in range(1, i + 1) if i < self.reach[v]]
 
 
-def compute_cuts(f: CnfFormula) -> CutStructure:
+def compute_cuts(f: CnfFormula, budget: Budget | None = None
+                 ) -> CutStructure:
     """Clause spans, variable reaches and both modes' step tables of ``f``
     in one pass over the clauses; ``cutwidth`` and ``pathwidth`` (the
     largest cutset and separator) are running maxima of one sweep over the
     cuts, where a clause joins at its smallest variable and leaves at its
-    largest and a variable joins at itself and leaves at its reach."""
+    largest and a variable joins at itself and leaves at its reach.
+
+    A ``budget``, when given, has its time limit checked every 1,024
+    clauses of the pass and every 1,024 cuts of the sweep."""
     n = f.num_vars
     spans = []
     reach = list(range(n + 1))
@@ -341,6 +349,8 @@ def compute_cuts(f: CnfFormula) -> CutStructure:
     closes = [0] * (n + 1)         # clause bits of spans ending at v
     cut_add = [[0, 0] for _ in range(n + 1)]
     for p, c in enumerate(f.clauses):
+        if not p & 1023 and budget is not None:
+            budget.check_time()
         vs = [var_of(l) for l in c.lits]
         lo, hi = (min(vs), max(vs)) if vs else (0, 0)
         spans.append((lo, hi))
@@ -359,6 +369,8 @@ def compute_cuts(f: CnfFormula) -> CutStructure:
     sep_add = [(0, 0)] * (n + 1)
     cutwidth = pathwidth = width = seps = 0
     for v in range(1, n + 1):
+        if not v & 1023 and budget is not None:
+            budget.check_time()
         if reach[v] > v:
             leaves[reach[v]] |= 1 << v
             sep_add[v] = (0, 1 << v)

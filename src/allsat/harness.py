@@ -221,7 +221,7 @@ def run_instance(path: str | Path, cfg: RunConfig, sink=None,
     try:
         budget.check_time()
         if mode.build is None:
-            stats.solutions = enumerate_all(f).count
+            stats.solutions = enumerate_all(f, budget).count
         else:
             solver = mode.build(f, cfg, emit if sinks else None, budget,
                                 policy)

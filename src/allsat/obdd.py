@@ -74,9 +74,9 @@ class ObddStore:
 
 
 def extend_obdd(store: ObddStore, g: int, values: list[int], last: int,
-                path: list[tuple[int, int]] | None = None,
+                path: list[int] | None = None,
                 keep: int = 0, new_node: Callable[[int], int] | None = None
-                ) -> list[tuple[int, int]]:
+                ) -> list[int]:
     """Add the path that ``values`` (indexed by variable, like
     ``Trail.values``) gives variables 1..``last`` from the root to the
     already-solved node ``g``.
@@ -85,12 +85,13 @@ def extend_obdd(store: ObddStore, g: int, values: list[int], last: int,
     is a fresh node; a missing interior arc to variable v gets the node
     ``new_node(v)`` returns (by default ``store.new_node(v)``, a fresh node
     with both arcs at the false sink).  The final arc is upgraded from the
-    false sink to ``g``.  Returns the path as (node id, direction taken)
-    pairs, root first.
+    false sink to ``g``.  Returns the path as its node ids, root first: the
+    entry at index j is the node of variable j + 1, and the direction taken
+    there is ``values[j + 1]``, which the caller already holds.
 
     ``path`` may be the list an earlier call on this store returned.  When
-    its first ``keep`` entries still take the directions ``values`` gives
-    their variables, and the store was not reset since, those entries are
+    the variables of its first ``keep`` entries still have the values they
+    had in that call, and the store was not reset since, those entries are
     kept and only the rest of the path is walked: arcs are never rewritten,
     so walking them again would reach the same nodes.  The list is updated
     in place and returned.
@@ -102,7 +103,7 @@ def extend_obdd(store: ObddStore, g: int, values: list[int], last: int,
     # the last step is always walked again, since it is the one that grafts
     keep = min(keep, last - 1, len(path) - 1)
     if keep > 0:
-        u = path[keep][0]
+        u = path[keep]
         del path[keep:]
     else:
         keep = 0
@@ -120,9 +121,8 @@ def extend_obdd(store: ObddStore, g: int, values: list[int], last: int,
                 "root is not a branch node over the first variable")
     var, lo, hi = store.var, store.lo, store.hi
     for d in range(keep + 1, last + 1):
-        v = values[d]
-        path.append((u, v))
-        arcs = hi if v else lo
+        path.append(u)
+        arcs = hi if values[d] else lo
         cur = arcs[u]
         if d == last:
             if cur == BOT:

@@ -8,8 +8,12 @@ from the search engines it checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .formula import CnfFormula, var_of
+
+if TYPE_CHECKING:
+    from .kernel import Budget
 
 GUARD_VARS = 25
 
@@ -75,8 +79,10 @@ def _guard(f: CnfFormula) -> None:
             f"{f.num_vars} variables exceeds the oracle guard ({GUARD_VARS})")
 
 
-def enumerate_all(f: CnfFormula) -> ModelSet:
-    """All models of ``f`` by evaluating every one of the 2^n assignments."""
+def enumerate_all(f: CnfFormula, budget: Budget | None = None) -> ModelSet:
+    """All models of ``f`` by evaluating every one of the 2^n assignments.
+    A ``budget``, when given, has its time limit checked every 4,096
+    assignments."""
     _guard(f)
     n = f.num_vars
     cms = clause_masks(f)
@@ -84,15 +90,18 @@ def enumerate_all(f: CnfFormula) -> ModelSet:
         return ModelSet(n, [])
     full = (1 << n) - 1
     models = []
-    for m in range(1 << n):
-        ok = True
-        inv = m ^ full
-        for pos, neg in cms:
-            if not (m & pos) and not (inv & neg):
-                ok = False
-                break
-        if ok:
-            models.append(m)
+    for block in range(0, full + 1, 4096):
+        if budget is not None:
+            budget.check_time()
+        for m in range(block, min(block + 4096, full + 1)):
+            ok = True
+            inv = m ^ full
+            for pos, neg in cms:
+                if not (m & pos) and not (inv & neg):
+                    ok = False
+                    break
+            if ok:
+                models.append(m)
     return ModelSet(n, models)
 
 

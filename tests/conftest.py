@@ -1,3 +1,4 @@
+import math
 import random
 import signal
 from contextlib import contextmanager
@@ -156,3 +157,18 @@ def time_limit(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+class StopClock:
+    """Stands in for the ``time`` module of ``allsat.kernel``: the first
+    ``reads`` calls of ``monotonic`` return 0.0 and every later one
+    infinity, so any time limit stops a run at read ``reads`` + 1.  It
+    counts the calls.  ``Budget.started`` keeps the real clock."""
+
+    def __init__(self, reads: float = math.inf):
+        self.reads = reads
+        self.calls = 0
+
+    def monotonic(self) -> float:
+        self.calls += 1
+        return 0.0 if self.calls <= self.reads else math.inf

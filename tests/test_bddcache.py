@@ -1,11 +1,14 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 
-from allsat import (BddSolver, Budget, NonBlockingConfig, RefreshPolicy,
-                    compute_cuts, enumerate_all, entails, extend_obdd,
-                    from_clause_lists, load, make_formula, subinstance_models)
+import allsat.kernel
+from allsat import (BddSolver, Budget, LimitExceeded, NonBlockingConfig,
+                    RefreshPolicy, compute_cuts, enumerate_all, entails,
+                    extend_obdd, from_clause_lists, load, make_formula,
+                    subinstance_models)
 from allsat import bddcache
 from allsat.bddcache import CACHE_MODES, TOP_KEY, BddBlockingSolver
 from allsat.harness import EXIT_LIMIT, EXIT_OK, RunConfig, run_instance
@@ -14,7 +17,8 @@ from allsat.obdd import TOP, iter_paths
 from allsat.oracle import satisfies
 from allsat.trail import UNASSIGNED
 
-from conftest import check_partition, random_3cnf, random_instances
+from conftest import StopClock, check_partition, random_3cnf, random_instances
+from test_search_counters import window_chain
 
 
 def nonblocking_configs():
@@ -320,6 +324,7 @@ class CheckedSolver(BddSolver):
     grafts = 0
     enrollments = 0
     renumberings = 0
+    directions = ()         # of the path's entries, set at each graft
 
     def _compact(self):
         self.renumbered = super()._compact()
@@ -331,7 +336,7 @@ class CheckedSolver(BddSolver):
         want = dict(self.solved)
         enrolls = False
         if level < t.level:
-            for nid, direction in self.path:
+            for nid, direction in zip(self.path, self.directions):
                 j = self.store.var[nid]
                 if t.values[j] != direction:
                     break
@@ -362,13 +367,16 @@ class CheckedSolver(BddSolver):
         walk = []
         u = self.store.root
         for d in range(1, first):
-            walk.append((u, values[d]))
+            walk.append(u)
             u = (self.store.hi if values[d] else self.store.lo)[u]
         assert u == self.solved[make_formula(self.steps, values, [0],
                                              first - 1 if first <= n
                                              else math.inf)]
         assert self.path == walk
         assert self.path_ok == len(walk)
+        # the direction the path took at each entry: its variable's value
+        # at the graft, which a later cancel may undo
+        self.directions = values[1:first]
         codes = [0]
         make_formula(self.steps, values, codes, len(self.codes) - 1)
         assert self.codes == codes
@@ -431,7 +439,7 @@ class FrozenOffPathSolver(BddSolver):
     def _compact(self):
         self._check_frozen()
         new = super()._compact()
-        pinned = {u for u, _ in self.path}
+        pinned = set(self.path)
         lo, hi = self.store.lo, self.store.hi
         self.frozen = {u: (lo[u], hi[u]) for u in range(2, len(lo))
                        if u not in pinned}
@@ -522,3 +530,35 @@ def test_blocking_engine_dumps_without_compacting(tmp_path):
             for part in result.dump_files:
                 with open(part) as fh:
                     assert load(fh.read()).size >= theta - n
+
+
+def test_time_limit_stops_the_diagram_engines_inside_compute_cuts(
+        tmp_path, monkeypatch):
+    """A deadline that passes while the cuts of a long chain are computed
+    stops both diagram engines at the last deadline check of
+    ``compute_cuts``, before any search: exit 10 and a count of 0."""
+    f = window_chain(random.Random(9), 1500, 4)
+    clock = StopClock()
+    with mock.patch.object(allsat.kernel, "time", clock):
+        compute_cuts(f, Budget(time_limit=60.0))
+    # one check per 1,024 clauses of the pass and per 1,024 cuts
+    assert len(f.clauses) > 2048 and clock.calls == 4
+    real = bddcache.compute_cuts
+    stopped = []
+
+    def watched(*args):
+        try:
+            return real(*args)
+        except LimitExceeded:
+            stopped.append(True)
+            raise
+
+    monkeypatch.setattr(bddcache, "compute_cuts", watched)
+    for mode in ("bdd", "bdd-blocking"):
+        # the harness reads the clock once before it builds the engine
+        with mock.patch.object(allsat.kernel, "time", StopClock(clock.calls)):
+            stats = run_instance(tmp_path / "chain.cnf",
+                                 RunConfig(mode=mode, time_limit=60.0),
+                                 formula=f)
+        assert stats.exit_code == EXIT_LIMIT and stats.solutions == 0, mode
+    assert len(stopped) == 2

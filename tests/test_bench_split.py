@@ -43,6 +43,41 @@ def test_split_sums_per_configuration_and_lists_moved_counters(
     blocking = got["configurations"]["mode=bdd-blocking,cache=cutset"]
     assert blocking["change_better_in"] == "0/2"
     assert got["sum_of_configurations"]["parent"]["median"] == 7.0
+    moved = {"b[mode=bdd,cache=cutset]": {"peak_mem": [10, 12]}}
     assert got["counters"] == {
-        "seed": 1, "items_identical": 2,
-        "items_moved": {"b[mode=bdd,cache=cutset]": {"peak_mem": [10, 12]}}}
+        "seed": 1, "items_identical": 2, "items_moved": moved,
+        "items_moved_by_seed": {"1": moved, "2": moved}}
+
+
+def test_split_lists_moved_counters_at_every_seed(tmp_path, capsys):
+    same = {"dumps": 0, "peak_mem": 10}
+    for seed in (1, 2, 3):
+        write_run(tmp_path / "p", seed, [[1.0, 2.0, 0.5]], [same] * 3)
+        moved = {"dumps": 1, "peak_mem": 10} if seed == 3 else same
+        write_run(tmp_path / "c", seed, [[1.0, 2.0, 0.5]],
+                  [same, same, moved])
+    bench_split.main(["--workload", "w", "--seeds", "1-3",
+                      "--parent", str(tmp_path / "p"),
+                      "--change", str(tmp_path / "c")])
+    counters = json.loads(capsys.readouterr().out)["counters"]
+    assert counters["items_moved"] == {}
+    assert counters["items_moved_by_seed"] == {
+        "1": {}, "2": {},
+        "3": {"a[mode=bdd-blocking,cache=cutset]": {"dumps": [0, 1]}}}
+
+
+def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_above_the_iqr():
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.0]
+    # every pair won, the medians 1.0 apart, parent quartiles 0.25 apart
+    won = bench_split.claim(parent, [p - 1.0 for p in parent])
+    assert won == {"change_better_in": "10/10", "median_gap": 1.0,
+                   "parent_iqr": 0.25, "met": True}
+    # nine of ten pairs still meet it, eight do not
+    nine = [p - 1.0 for p in parent[:9]] + [parent[9] + 1.0]
+    assert bench_split.claim(parent, nine)["met"]
+    eight = [p - 1.0 for p in parent[:8]] + [p + 1.0 for p in parent[8:]]
+    assert bench_split.claim(parent, eight)["change_better_in"] == "8/10"
+    assert not bench_split.claim(parent, eight)["met"]
+    # every pair won by less than the parent's own spread
+    small = bench_split.claim(parent, [p - 0.1 for p in parent])
+    assert small["change_better_in"] == "10/10" and not small["met"]

@@ -487,6 +487,16 @@ def test_cli_solve_time_limit_exit(ex31_file):
     assert code == EXIT_LIMIT
 
 
+def test_cli_oracle_honours_the_time_limit(tmp_path):
+    """The oracle evaluates all 2^24 assignments of a 24-variable file, far
+    more than fit in the limit."""
+    path = tmp_path / "c24.cnf"
+    path.write_text("p cnf 24 3\n1 2 0\n-3 4 0\n5 -24 0\n")
+    code = main(["solve", str(path), "--mode", "oracle",
+                 "--time-limit", "0.1"])
+    assert code == EXIT_LIMIT
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--time-limit", "-1"], "--time-limit -1.0"),
     (["--time-limit", "nan"], "--time-limit nan"),

@@ -126,9 +126,8 @@ def inputs(draw):
     return n, text, order
 
 
-# every engine but the oracle, which does not check the time limit
 @given(inputs(), st.sampled_from(["blocking", "nonblocking", "bdd",
-                                  "bdd-blocking"]))
+                                  "bdd-blocking", "oracle"]))
 def test_fuzzed_input_never_escapes_as_a_traceback(case, mode):
     """Edited DIMACS and order files through ``allsat solve``: the exit
     code is 0, 10 or 20, an input error names itself on stderr, and a

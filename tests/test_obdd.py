@@ -18,9 +18,14 @@ def extend(store, g, bits, *args, **kwargs):
 
 def test_first_path_builds_chain():
     store = ObddStore(4)
-    path = extend(store, TOP, [0, 1, 0, 1])
+    bits = [0, 1, 0, 1]
+    path = extend(store, TOP, bits)
     assert store.size == 4
-    assert [store.var[nid] for nid, _ in path] == [1, 2, 3, 4]
+    assert [store.var[nid] for nid in path] == [1, 2, 3, 4]
+    # each entry's arc in the direction of its variable's value leads on
+    assert path[0] == store.root
+    for nid, bit, child in zip(path, bits, path[1:] + [TOP]):
+        assert (store.hi if bit else store.lo)[nid] == child
     assert count_models(store) == 1
 
 

@@ -1,6 +1,5 @@
 """Property tests of the enumeration engines on random small CNFs."""
 
-import math
 import os
 import tempfile
 from dataclasses import replace
@@ -23,8 +22,8 @@ from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
 from allsat.obdd import BOT, TOP, ObddLoadError, ObddStore, compact
 from allsat.oracle import expand_cube
 
-from conftest import (brute_force_cuts, check_partition, reference_count,
-                      solution_mask, time_limit)
+from conftest import (StopClock, brute_force_cuts, check_partition,
+                      reference_count, solution_mask, time_limit)
 
 
 @st.composite
@@ -325,21 +324,6 @@ def test_memory_limit_stops_every_mode_with_a_lower_bound(case, data):
                                    replace(cfg, mem_limit=limit), formula=f)
             check_lower_bound(stopped, runs / "limit", want,
                               (cfg.label(), limit))
-
-
-class StopClock:
-    """Stands in for the ``time`` module of ``allsat.kernel``: the first
-    ``reads`` calls of ``monotonic`` return 0.0 and every later one
-    infinity, so any time limit stops a run at read ``reads`` + 1.  It
-    counts the calls.  ``Budget.started`` keeps the real clock."""
-
-    def __init__(self, reads: float = math.inf):
-        self.reads = reads
-        self.calls = 0
-
-    def monotonic(self) -> float:
-        self.calls += 1
-        return 0.0 if self.calls <= self.reads else math.inf
 
 
 @given(cases(max_n=9), st.data())

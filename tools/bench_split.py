@@ -18,9 +18,15 @@ calibration over that pass's mean calibration, and averages over the
 passes.  The per-configuration times of one run therefore add up to about
 that run's ``solve_s`` (the benchmark scales each item by a window of
 calibrations instead).  Seed k of the parent pairs with seed k of the
-change.  It also lists, for every item whose counters differ between the
-two sides at the first seed, the counters that moved.  The result is one
-JSON object on standard output.
+change.
+
+The ``claim`` block applies the rule for claiming a gain to the sums of
+the configurations: the change must win at least nine tenths of the pairs,
+and its median must be lower than the parent's by more than the parent's
+interquartile range.  ``counters`` lists, for every item whose counters
+differ between the two sides, the counters that moved: at the first seed,
+and under ``items_moved_by_seed`` at every seed.  The result is one JSON
+object on standard output.
 """
 
 from __future__ import annotations
@@ -61,6 +67,29 @@ def summary(values: list[float]) -> dict[str, float]:
             "q3": round(q3, 5)}
 
 
+def claim(parent: list[float], change: list[float]) -> dict:
+    """Pairs won, median gap and parent IQR of paired times (lower is
+    better), and whether they meet the rule for claiming a gain."""
+    wins = sum(b < a for a, b in zip(parent, change))
+    gap = statistics.median(parent) - statistics.median(change)
+    p = summary(parent)
+    iqr = p["q3"] - p["q1"]
+    return {"change_better_in": f"{wins}/{len(parent)}",
+            "median_gap": round(gap, 5), "parent_iqr": round(iqr, 5),
+            "met": 10 * wins >= 9 * len(parent) and gap > iqr}
+
+
+def moved_counters(before: dict, after: dict) -> dict:
+    """Per item, the counters that differ: name -> [before, after]."""
+    moved = {}
+    for label, counts in before.items():
+        diff = {k: [v, after[label][k]] for k, v in counts.items()
+                if after[label][k] != v}
+        if diff:
+            moved[label] = diff
+    return moved
+
+
 def seed_range(text: str) -> list[int]:
     first, _, last = text.partition("-")
     return list(range(int(first), int(last or first) + 1))
@@ -92,17 +121,13 @@ def main(argv: list[str] | None = None) -> int:
                                         / statistics.median(p), 4),
             "change_better_in": f"{wins}/{len(seeds)}",
         }
-    totals = {side: summary([sum(r.values()) for r in rs])
-              for side, rs in runs.items()}
+    sums = {side: [sum(r.values()) for r in rs] for side, rs in runs.items()}
+    totals = {side: summary(s) for side, s in sums.items()}
 
-    before = load(args.parent, "counts", seeds[0])["items"]
-    after = load(args.change, "counts", seeds[0])["items"]
-    moved = {}
-    for label, counts in before.items():
-        diff = {k: [v, after[label][k]] for k, v in counts.items()
-                if after[label][k] != v}
-        if diff:
-            moved[label] = diff
+    moved = {seed: moved_counters(load(args.parent, "counts", seed)["items"],
+                                  load(args.change, "counts", seed)["items"])
+             for seed in seeds}
+    first = load(args.parent, "counts", seeds[0])["items"]
     print(json.dumps({
         "workload": args.workload,
         "seeds": args.seeds,
@@ -110,9 +135,12 @@ def main(argv: list[str] | None = None) -> int:
         "unit": "s",
         "configurations": configs,
         "sum_of_configurations": totals,
+        "claim": claim(sums["parent"], sums["change"]),
         "counters": {"seed": seeds[0],
-                     "items_identical": len(before) - len(moved),
-                     "items_moved": moved},
+                     "items_identical": len(first) - len(moved[seeds[0]]),
+                     "items_moved": moved[seeds[0]],
+                     "items_moved_by_seed": {str(s): m
+                                             for s, m in moved.items()}},
     }, indent=1))
     return 0
 
