@@ -6,8 +6,8 @@ from .formula import (Clause, CnfFormula, CutStructure, DimacsError,
                       parse_dimacs, render_dimacs)
 from .kernel import Budget, Kernel, LimitExceeded, SolverStats
 from .oracle import ModelSet, entails, enumerate_all, subinstance_models
-from .blocking import (BlockingConfig, BlockingSolver, make_blocking_clause,
-                       replay_decisions, simplify_assignment)
+from .blocking import (BlockingConfig, BlockingSolver, replay_decisions,
+                       simplify_assignment)
 from .nonblocking import NonBlockingConfig, NonBlockingSolver
 from .obdd import ObddStore, count_models, dump, extend_obdd, load
 from .bddcache import BddBlockingSolver, BddSolver, RefreshPolicy, make_formula
@@ -17,8 +17,8 @@ __all__ = [
     "compute_cuts", "from_clause_lists", "parse_dimacs", "render_dimacs",
     "Budget", "Kernel", "LimitExceeded", "SolverStats",
     "ModelSet", "entails", "enumerate_all", "subinstance_models",
-    "BlockingConfig", "BlockingSolver", "make_blocking_clause",
-    "replay_decisions", "simplify_assignment",
+    "BlockingConfig", "BlockingSolver", "replay_decisions",
+    "simplify_assignment",
     "NonBlockingConfig", "NonBlockingSolver",
     "ObddStore", "count_models", "dump", "extend_obdd", "load",
     "BddBlockingSolver", "BddSolver", "RefreshPolicy", "make_formula",

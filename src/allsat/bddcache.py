@@ -24,18 +24,19 @@ prefix variables only; assignments propagation made beyond the prefix are
 consequences of it and cannot break key soundness.
 
 Two engines host the cache, and neither has a search loop of its own.  The
-non-blocking engine (fixed variable order) runs ``NonBlockingSolver.run``
-unchanged - the DPLL-with-formula-caching of Huang & Darwiche, "Using DPLL
-for Efficient OBDD Construction" (SAT 2004) - with one lookup in its
-decision step: a hit grafts the cached node and closes the branch, a miss
-decides.  Pending keys enroll into the solved cache the moment backtracking
-abandons their spine, so the node fills in as exhaustively as the search
-itself does.  On the blocking engine, restarts abandon spines without
-exhausting them, so early enrollment is unsound; there the cache instead
-canonicalizes nodes at creation time, merging equivalent prefixes so every
-individually enumerated solution streams into shared subgraphs.  Node
-sharing is switched off when refreshing is active, because a dump must not
-contain paths for solutions the search has yet to report.
+non-blocking engine (index order, by its own cursor) runs
+``NonBlockingSolver.run`` unchanged - the DPLL-with-formula-caching of
+Huang & Darwiche, "Using DPLL for Efficient OBDD Construction" (SAT 2004) -
+with one lookup in its decision step: a hit grafts the cached node and
+closes the branch, a miss decides.  Pending keys enroll into the solved
+cache the moment backtracking abandons their spine, so the node fills in as
+exhaustively as the search itself does.  On the blocking engine, restarts
+abandon spines without exhausting them, so early enrollment is unsound;
+there the cache instead canonicalizes nodes at creation time, merging
+equivalent prefixes so every individually enumerated solution streams into
+shared subgraphs.  Node sharing is switched off when refreshing is active,
+because a dump must not contain paths for solutions the search has yet to
+report.
 
 Both engines add nodes through ``obdd.extend_obdd``, the one walk from the
 root that creates them: a graft on the non-blocking engine, each reported
@@ -53,8 +54,9 @@ that invariant through two hooks, so each step touches only what it looks
 up or what the cancel changed.  The lookup (``_next_decision``) moves the
 cursor to the first unassigned variable, extends the codes to its cut and,
 on a hit, grafts along ``trail.values`` from ``path_ok`` on.  With every
-variable assigned it computes no key: it grafts the true sink, the node
-``TOP_KEY`` stands for.  The cancel (``_before_cancel``) pops and enrolls
+variable assigned there is no key to look up: it grafts the true sink.  So
+every lookup is at a cut of at most n - 1, and the solved cache holds only
+keys of the search.  The cancel (``_before_cancel``) pops and enrolls
 the pending keys of the canceled decisions and lowers the rest of the
 state to d:
 
@@ -87,25 +89,25 @@ is negative and only a compaction or a refresh releases, so the peak is
 the one a charge per node and per key would reach.
 
 The refresh threshold θ bounds the arena at θ - n nodes (n variables).
-The non-blocking engine checks at each cancel, after enrollment, since the
-backtrack that closes a grafted branch is the first cancel after the
-graft.  Once the arena is full it first compacts it (``obdd.compact``):
-every node off the last graft's path is final, so those nodes are
-hash-consed by (variable, lo, hi) and renumbered, and the root, the solved
-cache and the path follow the new ids.  The cache keeps every key, and the
-keys stay charged to the memory budget.  Only if the compacted arena still
-holds at least three quarters of θ - n does the refresh go on, so each
-compaction follows at least (θ - n) / 4 fresh nodes.  The blocking engine
-checks after each restart and does not compact, because a restart can
-reopen any node.  A refresh dumps the diagram to disk, releases the bytes
-accounted for its nodes and keys, and restarts all caching state empty;
-the underlying search state is untouched, so dumped path sets partition
-the solution set.  Dumps are independent parts, so a threshold below what
-the final diagram needs after compaction still makes a run dump over and
-over (README, known limit).  When the search ends, or a limit stops it,
-``run_bdd`` counts the final diagram, sets ``solutions`` (final plus the
-dumped parts), ``obdd_nodes`` and ``dumps`` in the engine's stats, and
-writes the parts' manifest.
+The non-blocking engine checks in its cancel hook, after enrollment, since
+the backtrack that closes a grafted branch is the first cancel after the
+graft.  Once the arena is full the hook first compacts it
+(``obdd.compact``): every node off the last graft's path is final, so those
+nodes are hash-consed by (variable, lo, hi) and renumbered, and the root,
+the solved cache and the path follow the new ids.  The cache keeps every
+key, and the keys stay charged to the memory budget.  Only if the compacted
+arena still holds at least three quarters of θ - n does the hook refresh,
+so each compaction follows at least (θ - n) / 4 fresh nodes.  The blocking
+engine checks after each restart and does not compact, because a restart
+can reopen any node.  A refresh dumps the diagram to disk, releases the
+bytes accounted for its nodes and keys, and restarts all caching state
+empty; the underlying search state is untouched, so dumped path sets
+partition the solution set.  Dumps are independent parts, so a threshold
+below what the final diagram needs after compaction still makes a run dump
+over and over (README, known limit).  When the search ends, or a limit
+stops it, ``run_bdd`` counts the final diagram, sets ``solutions`` (final
+plus the dumped parts), ``obdd_nodes`` and ``dumps`` in the engine's stats,
+and writes the parts' manifest.
 """
 
 from __future__ import annotations
@@ -120,13 +122,10 @@ from .kernel import Budget, LimitExceeded
 from .nonblocking import NonBlockingConfig, NonBlockingSolver
 from .obdd import (TOP, ObddStore, compact, count_models, dump,
                    extend_obdd)
-from .blocking import BlockingConfig, BlockingSolver
+from .blocking import BlockingSolver
 from .trail import UNASSIGNED
 
 CACHE_MODES = ("cutset", "separator")
-
-# reserved key meaning "every variable assigned": always maps to the true sink
-TOP_KEY: tuple = (math.inf, 1)
 
 _NODE_BYTES = 24
 _KEY_BYTES = 48
@@ -138,9 +137,10 @@ class RefreshPolicy:
 
     ``threshold`` of None disables refreshing.  A finite threshold θ must
     exceed the variable count n so a single path always fits.  The arena
-    is refreshed at θ - n nodes: the non-blocking engine compacts it first
-    and dumps only if at least three quarters of θ - n nodes remain,
-    keeping the cache keys charged until then; the blocking engine dumps.
+    is refreshed at θ - n nodes: the non-blocking engine's cancel hook
+    compacts it first and dumps only if at least three quarters of θ - n
+    nodes remain, keeping the cache keys charged until then; the blocking
+    engine dumps.
     """
 
     threshold: int | None = None
@@ -159,18 +159,15 @@ class RefreshPolicy:
 
 
 def make_formula(steps: tuple[list[int], list], values: list[int],
-                 codes: list[int], cut_index) -> tuple:
+                 codes: list[int], cut_index: int) -> tuple:
     """Cache key of the subinstance induced by the prefix
     ``values[1..cut_index]`` (``values`` indexed by variable), under the
     step tables ``steps`` of one mode (``CutStructure.steps``).
 
     ``codes`` is the caller's prefix list: ``codes[i]`` is the code at cut
     i for every i below its length, starting from ``[0]``.  It is extended
-    up to ``cut_index`` by the step recurrence.  ``cut_index`` of
-    ``math.inf`` yields the reserved all-assigned key.
+    up to ``cut_index`` by the step recurrence.
     """
-    if cut_index == math.inf:
-        return TOP_KEY
     keep, add = steps
     code = codes[-1]
     for v in range(len(codes), cut_index + 1):
@@ -179,25 +176,17 @@ def make_formula(steps: tuple[list[int], list], values: list[int],
     return (cut_index, codes[cut_index])
 
 
-def _refresh(solver, shrink=None) -> bool:
+def _refresh(solver) -> None:
     """Refresh step of both engines, which call it once the arena holds
     ``solver.limit`` nodes, the threshold less the variable count (so one
-    path always fits).
+    path always fits), and the non-blocking engine only if compacting it
+    left at least three quarters of that limit.
 
-    ``shrink``, when given, runs first: it merges isomorphic nodes of the
-    arena in place, and the refresh goes on only if the arena still holds
-    at least three quarters of that limit.  So every compaction follows at
-    least a quarter of the limit in fresh nodes; the cache keys it keeps
-    stay charged to the budget until a dump.  The refresh dumps the
-    diagram, releases the bytes accounted for its nodes and cached keys, and
-    restarts the store and the solved cache empty.  Returns whether it
-    dumped; the engine then clears whatever other cache state it keeps."""
+    Dumps the diagram, releases the bytes accounted for its nodes and
+    cached keys, and restarts the store and the solved cache empty; the
+    engine then clears whatever other cache state it keeps."""
     policy = solver.policy
     store = solver.store
-    if shrink is not None:
-        shrink()
-        if 4 * store.size < 3 * solver.limit:
-            return False
     directory = policy.resolve_dir()
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{policy.stem}.part{len(solver.dumps)}.obdd"
@@ -208,13 +197,11 @@ def _refresh(solver, shrink=None) -> bool:
     except OSError as exc:
         raise RuntimeError(f"dump failed for {path}: {exc}") from exc
     solver.dumps.append((str(path), count))
-    budget = solver.kernel.budget
-    # every node and every key but TOP_KEY was charged exactly once
-    budget.release(_NODE_BYTES * store.size
-                   + _KEY_BYTES * (len(solver.solved) - 1))
+    # every node and every key was charged exactly once
+    solver.kernel.budget.release(_NODE_BYTES * store.size
+                                 + _KEY_BYTES * len(solver.solved))
     store.reset()
-    solver.solved = {TOP_KEY: TOP}
-    return True
+    solver.solved = {}
 
 
 @dataclass
@@ -275,7 +262,7 @@ def _init_cache(solver, cache_mode: str,
     theta = solver.policy.threshold
     solver.limit = math.inf if theta is None else theta - formula.num_vars
     solver.store = ObddStore(formula.num_vars)
-    solver.solved = {TOP_KEY: TOP}
+    solver.solved = {}
     solver.dumps = []
 
 
@@ -288,8 +275,7 @@ class BddSolver(NonBlockingSolver):
                  cache_mode: str = "cutset",
                  policy: RefreshPolicy | None = None,
                  budget: Budget | None = None):
-        super().__init__(formula, cfg, sink=None, budget=budget,
-                         fixed_order=True)
+        super().__init__(formula, cfg, sink=None, budget=budget)
         _init_cache(self, cache_mode, policy)
         self.n = formula.num_vars
         # codes of the prefix at cuts 0, 1, ... for the values on the trail
@@ -311,7 +297,7 @@ class BddSolver(NonBlockingSolver):
         up.  A hit grafts the solved node below the prefix and closes the
         branch; a miss leaves the key pending and decides the variable
         false.  With every variable assigned there is no key to look up:
-        the graft is of the true sink (``TOP_KEY``'s node)."""
+        the graft is of the true sink."""
         k = self.kernel
         values = k.trail.values
         n = self.n
@@ -347,8 +333,8 @@ class BddSolver(NonBlockingSolver):
         t = self.kernel.trail
         if level >= t.level:
             return
-        # under the fixed order, the decision of the lowest canceled level
-        # is the lowest variable the cancel unassigns
+        # decisions follow the cursor, so the decision of the lowest
+        # canceled level is the lowest variable the cancel unassigns
         d = abs(t.decision_of(level + 1))
         # the pending keys at cuts >= d - 1 are the canceled decisions', the
         # last ones; a cut below path_ok has its node on the path (module
@@ -367,13 +353,15 @@ class BddSolver(NonBlockingSolver):
         if enrolled:
             self.kernel.budget.charge(_KEY_BYTES * enrolled)
         # only a graft adds nodes, and the backtrack closing its branch is
-        # the first cancel after it: compact, and refresh if that is not
-        # enough, once its keys are enrolled
-        if (len(self.store.var) - 2 >= self.limit
-                and _refresh(self, self._compact)):
-            pending.clear()
-            self.path = []
-            path_ok = 0
+        # the first cancel after it: compact once its keys are enrolled, and
+        # refresh if that left three quarters of the limit
+        if len(self.store.var) - 2 >= self.limit:
+            self._compact()
+            if 4 * self.store.size >= 3 * self.limit:
+                _refresh(self)
+                pending.clear()
+                self.path = []
+                path_ok = 0
         if d < self.cursor:
             self.cursor = d
         del self.codes[d:]
@@ -405,13 +393,9 @@ class BddBlockingSolver(BlockingSolver):
 
     def __init__(self, formula: CnfFormula, cache_mode: str = "cutset",
                  policy: RefreshPolicy | None = None,
-                 budget: Budget | None = None,
-                 blocking_cfg: BlockingConfig | None = None):
-        cfg = blocking_cfg or BlockingConfig()
-        if cfg.simplify:
-            raise ValueError("simplification emits partial cubes; the OBDD "
-                             "path builder needs total assignments")
-        super().__init__(formula, cfg, sink=None, budget=budget)
+                 budget: Budget | None = None):
+        # the default configuration: each model is total, an OBDD path
+        super().__init__(formula, budget=budget)
         _init_cache(self, cache_mode, policy)
         # sharing across equivalent prefixes is only sound when no dump can
         # freeze a node before the search finishes filling it

@@ -63,21 +63,6 @@ def simplify_assignment(trail: Trail, store: ClauseStore) -> list[int]:
     return [d for d in decisions_in_order if d in related]
 
 
-def make_blocking_clause(trail: Trail, cfg: BlockingConfig,
-                         store: ClauseStore | None = None) -> Clause:
-    """Blocking clause for a total satisfying trail: negated decisions, the
-    negated simplified decision subset, or negated everything."""
-    if cfg.all_literals:
-        lits = [-l for l in trail.lits]
-    elif cfg.simplify:
-        if store is None:
-            raise ValueError("simplification needs the clause store")
-        lits = [-l for l in simplify_assignment(trail, store)]
-    else:
-        lits = [-l for l in trail.decisions()]
-    return Clause(lits)
-
-
 def replay_decisions(kernel: Kernel, saved: list[int]) -> Clause | None:
     """Re-make the saved decision literals in level order after a restart.
 
@@ -160,30 +145,25 @@ class BlockingSolver:
             self.sink(tuple(sorted(lits, key=abs)))
 
     def _handle_solution(self) -> tuple[bool, Clause | None]:
-        """Report the current total assignment, add its blocking clause, and
-        restart.  Returns (halt, pending_conflict)."""
-        k = self.kernel
-        t = k.trail
-        cfg = self.cfg
-
-        if cfg.all_literals:
-            self._emit(t.lits)
-            clause = make_blocking_clause(t, cfg)
-            return False, self._block_and_restart(clause)
-
-        if cfg.simplify:
-            selected = simplify_assignment(t, k.store)
-            dropped = set(t.decisions()).difference(selected)
-            self._emit([l for l in t.lits if l not in dropped])
-            if t.level <= 0 or not selected:
-                return True, None
-            clause = Clause([-l for l in selected])
+        """Report the current total assignment (or its simplified cube),
+        block it by negating every literal, the simplified decisions or
+        every decision, and restart.  With nothing to negate (at level 0
+        there are no decisions) the search halts instead.  Returns (halt,
+        pending_conflict)."""
+        t = self.kernel.trail
+        cube = t.lits
+        if self.cfg.all_literals:
+            negate = t.lits
+        elif self.cfg.simplify:
+            negate = simplify_assignment(t, self.kernel.store)
+            dropped = set(t.decisions()).difference(negate)
+            cube = [l for l in t.lits if l not in dropped]
         else:
-            self._emit(t.lits)
-            if t.level <= 0:
-                return True, None
-            clause = make_blocking_clause(t, cfg)
-        return False, self._block_and_restart(clause)
+            negate = t.decisions()
+        self._emit(cube)
+        if not negate:
+            return True, None
+        return False, self._block_and_restart(Clause([-l for l in negate]))
 
     def _block_and_restart(self, clause: Clause) -> Clause | None:
         k = self.kernel

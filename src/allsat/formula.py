@@ -30,11 +30,6 @@ class DimacsError(InputError):
         self.line = line
 
 
-def neg(lit: int) -> int:
-    """Negate a literal."""
-    return -lit
-
-
 def var_of(lit: int) -> int:
     """Variable index underlying a literal."""
     return lit if lit > 0 else -lit

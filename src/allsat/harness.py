@@ -187,7 +187,9 @@ def run_instance(path: str | Path, cfg: RunConfig, sink=None,
     ``formula`` (if given) stands for the file at ``path``; the order file
     of ``cfg`` applies to either.  ``sink`` (if given) receives each
     emitted cube in original variable names.  ``out`` is the stream for
-    --output rendering (defaults to nothing; the CLI passes stdout).
+    --output rendering (defaults to nothing; the CLI passes stdout).  With
+    --output cubes each cube is written to it as the engine emits it, so
+    the writes count in ``wall_time`` and against the time limit.
     """
     stats = RunStats(instance=str(path), config=cfg.label())
     policy = RefreshPolicy(threshold=cfg.refresh_threshold,
@@ -205,10 +207,10 @@ def run_instance(path: str | Path, cfg: RunConfig, sink=None,
     budget = Budget(time_limit=cfg.time_limit, mem_limit=cfg.mem_limit)
     start = time.monotonic()
 
-    cubes_out: list[tuple[int, ...]] = []
     sinks = [sink] if sink is not None else []
-    if cfg.output == "cubes":
-        sinks.append(cubes_out.append)
+    if cfg.output == "cubes" and out is not None:
+        sinks.append(lambda cube: out.write(
+            " ".join(map(str, cube)) + " 0\n"))
 
     to_external = f.external.__getitem__
 
@@ -245,9 +247,6 @@ def run_instance(path: str | Path, cfg: RunConfig, sink=None,
     if out is not None and stats.exit_code != EXIT_INPUT:
         if cfg.output == "count":
             out.write(f"{stats.solutions}\n")
-        elif cfg.output == "cubes":
-            for cube in cubes_out:
-                out.write(" ".join(str(l) for l in cube) + " 0\n")
         elif cfg.output == "obdd" and solver is not None:
             out.write(dump(solver.store))
     return stats

@@ -16,14 +16,15 @@ Three analysis scopes are supported:
 Watch lists, like the trail's values, are indexed by the signed literal
 (``watches[lit]``), so propagation needs no sign test or encoding.
 
-Decisions read a cached decision order: the variables in index order under
-``fixed_order``, else sorted by decreasing activity with ties kept in index
-order, followed by the never-assigned sentinel ``values[0]``.  An
-``itemgetter`` over the order reads their values in one C call, and
-``index(UNASSIGNED)`` on the result finds the first unassigned variable.
-Without ``fixed_order``, every activity bump (a rescale included) marks the
-order stale, and it is sorted again on the next pick, so at most once per
-conflict.
+Decisions read a cached decision order: the variables sorted by
+decreasing activity with ties kept in index order, followed by the
+never-assigned sentinel ``values[0]``.  An ``itemgetter`` over the order
+reads their values in one C call, and ``index(UNASSIGNED)`` on the result
+finds the first unassigned variable.  Every activity bump (a rescale
+included) marks the order stale, and it is sorted again on the next pick,
+so at most once per conflict.  An engine with an order of its own (the
+formula-BDD engine decides the first unassigned variable) never picks
+here, so it never pays for a sort.
 
 Restarts and clause deletion are deliberately absent: enumeration relies on
 learned and blocking clauses staying put.
@@ -135,14 +136,12 @@ class Kernel:
     """One solver instance: a trail, a clause store, and heuristic state."""
 
     def __init__(self, formula: CnfFormula, budget: Budget | None = None,
-                 fixed_order: bool = False,
                  decide_order: list[int] | None = None):
         self.n = formula.num_vars
         self.store = ClauseStore(formula)
         self.trail = Trail(self.n)
         self.budget = budget or Budget()
         self.stats = SolverStats()
-        self.fixed_order = fixed_order
         # test hook: literals decided (in order) before the heuristic kicks
         # in, as a stack whose top is the next one
         self._injected = list(reversed(decide_order)) if decide_order else []
@@ -294,8 +293,7 @@ class Kernel:
     # decision heuristics
 
     def bump_activity(self, var: int) -> None:
-        # the fixed order never changes, so it is never sorted again
-        self._order_stale = not self.fixed_order
+        self._order_stale = True
         act = self.activity[var] + self.var_inc
         self.activity[var] = act
         if act > ACTIVITY_RESCALE:
@@ -308,12 +306,10 @@ class Kernel:
         self.var_inc /= ACTIVITY_DECAY
 
     def _sort_order(self) -> None:
-        """Put the variables in decision order: index order under
-        ``fixed_order``, else by decreasing activity (the sort is stable, so
-        ties keep the lowest index)."""
-        order = list(range(1, self.n + 1))
-        if not self.fixed_order:
-            order.sort(key=self.activity.__getitem__, reverse=True)
+        """Put the variables in decision order, by decreasing activity (the
+        sort is stable, so ties keep the lowest index)."""
+        order = sorted(range(1, self.n + 1), key=self.activity.__getitem__,
+                       reverse=True)
         # values[0] is never assigned, so a trailing 0 ends every search; a
         # second one keeps the getter returning a tuple when n == 0
         order += (0, 0)
@@ -322,8 +318,8 @@ class Kernel:
         self._order_stale = False
 
     def pick_branch_var(self) -> int | None:
-        """Next unassigned variable: fixed index order, or highest activity
-        with lowest-index tie-break."""
+        """Next unassigned variable: highest activity, lowest index on
+        ties."""
         if self._order_stale:
             self._sort_order()
         first = self._order_values(self.trail.values).index(UNASSIGNED)

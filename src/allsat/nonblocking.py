@@ -60,12 +60,11 @@ class NonBlockingSolver:
     def __init__(self, formula: CnfFormula,
                  cfg: NonBlockingConfig | None = None, sink=None,
                  budget: Budget | None = None,
-                 decide_order: list[int] | None = None,
-                 fixed_order: bool = False):
+                 decide_order: list[int] | None = None):
         self.formula = formula
         self.cfg = cfg or NonBlockingConfig()
         self.sink = sink
-        self.kernel = Kernel(formula, budget=budget, fixed_order=fixed_order,
+        self.kernel = Kernel(formula, budget=budget,
                              decide_order=decide_order)
         self.lim = 0
 

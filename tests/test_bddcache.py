@@ -1,4 +1,3 @@
-import math
 import random
 from unittest import mock
 
@@ -10,7 +9,7 @@ from allsat import (BddSolver, Budget, LimitExceeded, NonBlockingConfig,
                     extend_obdd, from_clause_lists, load, make_formula,
                     subinstance_models)
 from allsat import bddcache
-from allsat.bddcache import CACHE_MODES, TOP_KEY, BddBlockingSolver
+from allsat.bddcache import CACHE_MODES, BddBlockingSolver
 from allsat.harness import EXIT_LIMIT, EXIT_OK, RunConfig, run_instance
 from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
 from allsat.obdd import TOP, iter_paths
@@ -37,12 +36,6 @@ def test_make_formula_worked_prefix(ex31):
     assert cut_key == (3, 1 << 1)                # C2 satisfied, C3 not
     sep_key = fresh_key(cuts, "separator", values, 3)
     assert sep_key == (3, 1 << 1 | 1 << 3)       # separator vars assigned 1
-
-
-def test_make_formula_all_assigned(ex31):
-    cuts = compute_cuts(ex31)
-    key = fresh_key(cuts, "cutset", [None] * 7, math.inf)
-    assert key == TOP_KEY
 
 
 def test_make_formula_reads_prefix_only(ex31):
@@ -133,6 +126,30 @@ def test_underlying_resolvers_all_work(ex31):
             assert total == 22, (scheme, strat)
 
 
+def test_bdd_engine_decides_by_its_cursor(tmp_path, monkeypatch):
+    """The diagram engine never asks the kernel for a decision: with the
+    kernel's decision heuristic made to raise, every resolver, both caches
+    and a refresh threshold still count what the oracle counts."""
+    def refuse(*args):
+        raise AssertionError("the kernel was asked for a decision")
+
+    monkeypatch.setattr(allsat.kernel.Kernel, "decide", refuse)
+    monkeypatch.setattr(allsat.kernel.Kernel, "pick_branch_var", refuse)
+    runs = 0
+    for f in random_instances(seed=71, count=20, n_range=(4, 12)):
+        want = enumerate_all(f).count
+        n = f.num_vars
+        for cfg in nonblocking_configs():
+            for mode in CACHE_MODES:
+                for theta in (None, n + 20):
+                    policy = RefreshPolicy(theta, tmp_path, "cursor")
+                    solver = BddSolver(f, cfg=cfg, cache_mode=mode,
+                                       policy=policy)
+                    assert solver.run_bdd().total == want, (cfg, mode, theta)
+                    runs += 1
+    assert runs == 640
+
+
 def test_cache_hits_are_sound(monkeypatch):
     """Whenever a lookup hits, the subinstances behind the key must have
     identical solution sets over the remaining variables."""
@@ -140,8 +157,7 @@ def test_cache_hits_are_sound(monkeypatch):
 
     def probe(steps, values, codes, cut_index):
         key = make_formula(steps, values, codes, cut_index)
-        if cut_index != math.inf:
-            observed.setdefault(key, set()).add(tuple(values[1:cut_index + 1]))
+        observed.setdefault(key, set()).add(tuple(values[1:cut_index + 1]))
         return key
 
     # the engine's one lookup calls the key function by its module name
@@ -250,12 +266,6 @@ def test_dump_dir_env_override(tmp_path, monkeypatch, ex31):
     assert all(str(tmp_path / "override") in d for d in result.dump_files)
 
 
-def test_blocking_engine_rejects_simplify(ex31):
-    from allsat.blocking import BlockingConfig
-    with pytest.raises(ValueError):
-        BddBlockingSolver(ex31, blocking_cfg=BlockingConfig(simplify=True))
-
-
 def test_enroll_and_prune_mechanics():
     """White-box walk over an unconstrained 2-variable search.
 
@@ -352,7 +362,7 @@ class CheckedSolver(BddSolver):
             assert self.solved == want
             CheckedSolver.enrollments += enrolls
         else:                           # a refresh empties the cache
-            assert self.solved == {TOP_KEY: TOP}
+            assert self.solved == {}
 
     def _next_decision(self):
         lit = super()._next_decision()
@@ -369,9 +379,9 @@ class CheckedSolver(BddSolver):
         for d in range(1, first):
             walk.append(u)
             u = (self.store.hi if values[d] else self.store.lo)[u]
-        assert u == self.solved[make_formula(self.steps, values, [0],
-                                             first - 1 if first <= n
-                                             else math.inf)]
+        # all assigned: the graft is of the true sink, with no key
+        assert u == (TOP if first > n else self.solved[
+            make_formula(self.steps, values, [0], first - 1)])
         assert self.path == walk
         assert self.path_ok == len(walk)
         # the direction the path took at each entry: its variable's value

@@ -1,7 +1,7 @@
 import random
 
 from allsat import (BlockingConfig, BlockingSolver, enumerate_all,
-                    from_clause_lists, make_blocking_clause)
+                    from_clause_lists)
 from allsat.oracle import check_cube_cover, cube_expansion_count
 
 from conftest import blocking_clauses, random_instances

@@ -347,6 +347,27 @@ def test_cube_output_in_original_names(ex31_file, tmp_path, capsys):
     assert masks == want
 
 
+@pytest.mark.parametrize("flags", ["--mode blocking",
+                                   "--mode blocking --simplify",
+                                   "--mode nonblocking --backtrack cbj"])
+def test_cube_output_is_streamed(ex31_file, flags):
+    """Each cube is on ``out`` before the engine emits the next one, so the
+    run holds no list of its cubes, and the lines are the emitted cubes."""
+    cfg = parse_config_string(flags)
+    cfg.output = "cubes"
+    buf = io.StringIO()
+    seen = []
+
+    def check(cube):
+        assert buf.getvalue().count("\n") == len(seen)
+        seen.append(cube)
+
+    stats = run_instance(ex31_file, cfg, sink=check, out=buf)
+    assert stats.exit_code == EXIT_OK and len(seen) > 1
+    assert buf.getvalue().splitlines() == [
+        " ".join(map(str, cube)) + " 0" for cube in seen]
+
+
 def test_run_suite_outputs(tmp_path, ex41_file, ex31_file):
     suite = tmp_path / "suite"
     suite.mkdir()

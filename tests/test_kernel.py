@@ -188,16 +188,6 @@ def test_decide_exhausted_returns_none(ex41):
     assert k.decide() is None
 
 
-def test_decide_fixed_order():
-    f = from_clause_lists(6, [[1, 2, 3]])
-    k = Kernel(f, fixed_order=True)
-    k.propagate()
-    k.make_decision(k.decide())
-    assert k.trail.lits[0] == -1
-    k.propagate()
-    assert k.decide() == -2
-
-
 def test_stats_counters(ex31):
     k = Kernel(ex31)
     drive(k, [-5, 3, 2])
@@ -235,14 +225,9 @@ def test_pick_branch_var_highest_activity_lowest_index():
 
 
 def reference_pick(k):
-    """The linear scan ``pick_branch_var`` replaced: the first unassigned
-    variable in index order, or the highest activity, lowest index first."""
+    """The linear scan ``pick_branch_var`` replaced: the highest activity,
+    lowest index first."""
     values = k.trail.values
-    if k.fixed_order:
-        for v in range(1, k.n + 1):
-            if values[v] == UNASSIGNED:
-                return v
-        return None
     best = None
     best_act = -1.0
     for v in range(1, k.n + 1):
@@ -252,10 +237,9 @@ def reference_pick(k):
     return best
 
 
-@pytest.mark.parametrize("fixed", [False, True])
 @pytest.mark.parametrize("n", [0, 1])
-def test_pick_branch_var_on_tiny_formulas(n, fixed):
-    k = Kernel(from_clause_lists(n, []), fixed_order=fixed)
+def test_pick_branch_var_on_tiny_formulas(n):
+    k = Kernel(from_clause_lists(n, []))
     assert k.pick_branch_var() == (1 if n else None)
     if n:
         k.bump_activity(1)
@@ -264,11 +248,11 @@ def test_pick_branch_var_on_tiny_formulas(n, fixed):
     assert k.decide() is None
 
 
-@given(st.integers(0, 8), st.booleans(), st.data())
-def test_pick_branch_var_matches_the_linear_scan(n, fixed, data):
+@given(st.integers(0, 8), st.data())
+def test_pick_branch_var_matches_the_linear_scan(n, data):
     """Random bump / decay / rescale / decide / assign / cancel sequences:
     the cached order picks what the linear scan picks after every step."""
-    k = Kernel(from_clause_lists(n, []), fixed_order=fixed)
+    k = Kernel(from_clause_lists(n, []))
     t = k.trail
     variables = st.integers(1, n)
     for _ in range(data.draw(st.integers(0, 40))):
