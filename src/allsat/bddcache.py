@@ -1,6 +1,9 @@
 """Formula-BDD caching: enumeration that builds an OBDD of all solutions and
 memoizes solved subinstances by an encoded key.
 
+Cut i (0 <= i <= n) is the boundary between variables <= i and > i.  A
+clause spans it when its smallest variable is <= i and its largest is > i;
+cutset(i) is the spanning clauses and separator(i) their variables <= i.
 Keys pair a cut index i with an exact code of the prefix assignment
 ``values[1..i]``, a bitset:
 
@@ -10,7 +13,7 @@ Keys pair a cut index i with an exact code of the prefix assignment
                    true.
 
 The code at cut i follows from the code at cut i-1 and the value of
-variable i alone, by the step tables ``CutStructure.steps`` of the mode:
+variable i alone, by the step tables ``compute_cuts`` builds for the mode:
 ``S[i] = S[i-1] & keep[i] | add[i][value of i]`` with ``S[0] = 0``.  So
 ``make_formula``, the one key function of both engines, has no branch on
 the mode and extends a caller-owned list of prefix codes instead of
@@ -117,7 +120,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .formula import Clause, CnfFormula, compute_cuts
+from .formula import Clause, CnfFormula
 from .kernel import Budget, LimitExceeded
 from .nonblocking import NonBlockingConfig, NonBlockingSolver
 from .obdd import (TOP, ObddStore, compact, count_models, dump,
@@ -158,11 +161,72 @@ class RefreshPolicy:
         return Path(override) if override else Path(self.dump_dir)
 
 
+def compute_cuts(f: CnfFormula, mode: str, budget: Budget | None = None
+                 ) -> tuple[list[int], list]:
+    """The step tables ``(keep, add)`` of cache mode ``mode`` for ``f``,
+    indexed by variable (module docstring: ``S[v] = S[v-1] & keep[v] |
+    add[v][value of v]``).  A clause within a single variable spans no cut
+    and stays out of both tables.
+
+    * cutset - bit p is clause p.  ``keep[v]`` drops the clauses whose
+      largest variable is v, and ``add[v][b]`` holds the clauses that
+      literal (v = b) satisfies and whose largest variable is beyond v.
+    * separator - bit v is variable v, whose reach is the largest variable
+      sharing a clause with it.  ``keep[v]`` drops the variables whose
+      reach is v, ``add[v][1]`` is bit v when v's reach is beyond v, and
+      ``add[v][0]`` is empty.
+
+    Cutset is one pass over the clauses; separator one pass for the
+    reaches and one sweep over the variables.  A ``budget``, when given,
+    has its time limit checked every 1,024 clauses of the pass and every
+    1,024 variables of the sweep.  An unknown mode raises ValueError."""
+    if mode not in CACHE_MODES:
+        raise ValueError(f"unknown cache mode {mode!r}")
+    n = f.num_vars
+    keep = [-1] * (n + 1)
+    if mode == "cutset":
+        add = [[0, 0] for _ in range(n + 1)]
+        for p, c in enumerate(f.clauses):
+            if not p & 1023 and budget is not None:
+                budget.check_time()
+            hi = max(map(abs, c.lits), default=0)
+            bit = 1 << p
+            spans = False
+            for l in c.lits:
+                if l > 0:
+                    if l < hi:
+                        add[l][1] |= bit
+                        spans = True
+                elif -l < hi:
+                    add[-l][0] |= bit
+                    spans = True
+            if spans:
+                keep[hi] &= ~bit
+        return keep, add
+    reach = list(range(n + 1))
+    for p, c in enumerate(f.clauses):
+        if not p & 1023 and budget is not None:
+            budget.check_time()
+        hi = max(map(abs, c.lits), default=0)
+        for l in c.lits:
+            v = l if l > 0 else -l
+            if reach[v] < hi:
+                reach[v] = hi
+    add = [(0, 0)] * (n + 1)
+    for v in range(1, n + 1):
+        if not v & 1023 and budget is not None:
+            budget.check_time()
+        if reach[v] > v:
+            keep[reach[v]] &= ~(1 << v)
+            add[v] = (0, 1 << v)
+    return keep, add
+
+
 def make_formula(steps: tuple[list[int], list], values: list[int],
                  codes: list[int], cut_index: int) -> tuple:
     """Cache key of the subinstance induced by the prefix
     ``values[1..cut_index]`` (``values`` indexed by variable), under the
-    step tables ``steps`` of one mode (``CutStructure.steps``).
+    step tables ``steps`` of one mode (``compute_cuts``).
 
     ``codes`` is the caller's prefix list: ``codes[i]`` is the code at cut
     i for every i below its length, starting from ``[0]``.  It is extended
@@ -211,10 +275,6 @@ class BddResult:
     final: int                      # models in the final diagram
     total: int                      # final plus every dumped part
 
-    @property
-    def dump_files(self) -> list[str]:
-        return [f for f, _ in self.dumps]
-
 
 def _run_bdd(solver) -> BddResult:
     """``run_bdd`` of both engines: run the search, then count the final
@@ -250,13 +310,10 @@ def _init_cache(solver, cache_mode: str,
                 policy: RefreshPolicy | None) -> None:
     """Cache state both engines keep: the key mode's step tables, the
     refresh policy and the arena size that triggers it, the diagram, the
-    solved cache and the dumped parts.  The cuts are computed under the
+    solved cache and the dumped parts.  The tables are built under the
     engine's budget, so a time limit binds them too."""
-    if cache_mode not in CACHE_MODES:
-        raise ValueError(f"unknown cache mode {cache_mode!r}")
     formula = solver.formula
-    solver.steps = compute_cuts(formula, solver.kernel.budget
-                                ).steps[cache_mode]
+    solver.steps = compute_cuts(formula, cache_mode, solver.kernel.budget)
     solver.policy = policy or RefreshPolicy()
     solver.policy.validate(formula.num_vars)
     theta = solver.policy.threshold

@@ -88,12 +88,11 @@ class BlockingSolver:
     """One enumeration run over a formula (single-threaded)."""
 
     def __init__(self, formula: CnfFormula, cfg: BlockingConfig | None = None,
-                 sink=None, budget: Budget | None = None,
-                 decide_order: list[int] | None = None):
+                 sink=None, budget: Budget | None = None):
         self.formula = formula
         self.cfg = cfg or BlockingConfig()
         self.sink = sink
-        self.kernel = Kernel(formula, budget=budget, decide_order=decide_order)
+        self.kernel = Kernel(formula, budget=budget)
         self.saved: list[int] = []   # decisions before the last restart
         self.count = 0            # cubes emitted; stats.solutions has models
 

@@ -6,13 +6,15 @@
     allsat oracle <file>
 
 Exit codes: 0 complete, 10 limit exceeded (partial result), 20 input error
-(in verify, also when either configuration rejects the instance); verify
-exits 1 on a detected mismatch.
+(in verify, also when either configuration rejects the instance), 141
+standard output closed before everything was written (128 + SIGPIPE);
+verify exits 1 on a detected mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import shlex
 import sys
 
@@ -22,6 +24,8 @@ from .formula import InputError, read_text
 from .harness import (CACHE_MODES, EXIT_INPUT, EXIT_OK, MODES, OUTPUTS,
                       STRATEGIES, UIP_SCHEMES, ConfigError, RunConfig,
                       run_instance, run_suite, verify)
+
+EXIT_PIPE = 141             # 128 + SIGPIPE
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -192,7 +196,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): send what is still
+        # buffered nowhere, so the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("c error: standard output closed", file=sys.stderr)
+        return EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""CNF problem representation: literals, clauses, DIMACS I/O, variable
-reordering, and linear cut structure (cutsets / separators).
+"""CNF problem representation: literals, clauses, DIMACS I/O and variable
+reordering.
 
 Literals are signed integers in the DIMACS convention: ``v`` is the positive
 literal of variable ``v`` (1-based), ``-v`` its negation.  Clauses keep their
@@ -12,10 +12,6 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .kernel import Budget
 
 
 class InputError(Exception):
@@ -285,95 +281,3 @@ def read_order_file(text: str, num_vars: int) -> list[int]:
         raise DimacsError(
             f"order file lists {pos} variables, formula has {num_vars}", 1)
     return perm
-
-
-@dataclass
-class CutStructure:
-    """Cut structure of a formula under its variable order, kept as clause
-    spans and as the step tables of both cache keys.
-
-    Cut i (0 <= i <= n) is the boundary between variables <= i and > i.  A
-    clause spans it when its smallest variable is <= i and its largest is
-    > i; ``cutset(i)`` lists the spanning clauses by position and
-    ``separator(i)`` their variables <= i.  ``spans[p]`` is the (smallest,
-    largest) variable of clause p, (0, 0) when it is empty; ``reach[v]`` is
-    the largest variable sharing a clause with v (v itself if none is
-    larger), so v is in separator(i) exactly when v <= i < reach[v].
-
-    ``steps[mode]`` is a pair ``(keep, add)`` indexed by variable.  The key
-    code of a prefix at cut i is the bitset S[i], where S[0] = 0 and
-    S[v] = S[v-1] & keep[v] | add[v][value of v]:
-
-    * cutset - bit p is clause p.  ``keep[v]`` drops the clauses whose
-      largest variable is v, ``add[v][b]`` holds the clauses that literal
-      (v = b) satisfies and whose largest variable is beyond v; S[i] is the
-      clauses of cutset(i) that the prefix satisfies.
-    * separator - bit v is variable v.  ``keep[v]`` drops the variables
-      whose reach is v, ``add[v][1]`` is bit v when reach[v] > v and
-      ``add[v][0]`` is empty; S[i] is the variables of separator(i) that
-      the prefix sets true.
-    """
-
-    spans: list[tuple[int, int]]
-    reach: list[int]
-    steps: dict[str, tuple[list[int], list]]
-    cutwidth: int
-    pathwidth: int
-
-    def cutset(self, i: int) -> list[int]:
-        return [p for p, (lo, hi) in enumerate(self.spans) if lo <= i < hi]
-
-    def separator(self, i: int) -> list[int]:
-        return [v for v in range(1, i + 1) if i < self.reach[v]]
-
-
-def compute_cuts(f: CnfFormula, budget: Budget | None = None
-                 ) -> CutStructure:
-    """Clause spans, variable reaches and both modes' step tables of ``f``
-    in one pass over the clauses; ``cutwidth`` and ``pathwidth`` (the
-    largest cutset and separator) are running maxima of one sweep over the
-    cuts, where a clause joins at its smallest variable and leaves at its
-    largest and a variable joins at itself and leaves at its reach.
-
-    A ``budget``, when given, has its time limit checked every 1,024
-    clauses of the pass and every 1,024 cuts of the sweep."""
-    n = f.num_vars
-    spans = []
-    reach = list(range(n + 1))
-    opens = [0] * (n + 1)          # spans starting at v
-    closes = [0] * (n + 1)         # clause bits of spans ending at v
-    cut_add = [[0, 0] for _ in range(n + 1)]
-    for p, c in enumerate(f.clauses):
-        if not p & 1023 and budget is not None:
-            budget.check_time()
-        vs = [var_of(l) for l in c.lits]
-        lo, hi = (min(vs), max(vs)) if vs else (0, 0)
-        spans.append((lo, hi))
-        if lo == hi:
-            continue
-        bit = 1 << p
-        opens[lo] += 1
-        closes[hi] |= bit
-        for l in c.lits:
-            v = var_of(l)
-            if v < hi:
-                cut_add[v][l > 0] |= bit
-                if reach[v] < hi:
-                    reach[v] = hi
-    leaves = [0] * (n + 1)         # variable bits whose reach is v
-    sep_add = [(0, 0)] * (n + 1)
-    cutwidth = pathwidth = width = seps = 0
-    for v in range(1, n + 1):
-        if not v & 1023 and budget is not None:
-            budget.check_time()
-        if reach[v] > v:
-            leaves[reach[v]] |= 1 << v
-            sep_add[v] = (0, 1 << v)
-            seps += 1
-        seps -= leaves[v].bit_count()
-        width += opens[v] - closes[v].bit_count()
-        cutwidth = max(cutwidth, width)
-        pathwidth = max(pathwidth, seps)
-    steps = {"cutset": ([~b for b in closes], cut_add),
-             "separator": ([~b for b in leaves], sep_add)}
-    return CutStructure(spans, reach, steps, cutwidth, pathwidth)

@@ -135,16 +135,12 @@ class ClauseStore:
 class Kernel:
     """One solver instance: a trail, a clause store, and heuristic state."""
 
-    def __init__(self, formula: CnfFormula, budget: Budget | None = None,
-                 decide_order: list[int] | None = None):
+    def __init__(self, formula: CnfFormula, budget: Budget | None = None):
         self.n = formula.num_vars
         self.store = ClauseStore(formula)
         self.trail = Trail(self.n)
         self.budget = budget or Budget()
         self.stats = SolverStats()
-        # test hook: literals decided (in order) before the heuristic kicks
-        # in, as a stack whose top is the next one
-        self._injected = list(reversed(decide_order)) if decide_order else []
         self.activity = [0.0] * (self.n + 1)
         self.var_inc = 1.0
         self._sort_order()
@@ -326,26 +322,14 @@ class Kernel:
         return self._order[first] or None
 
     def decide(self) -> int | None:
-        """Pick the next decision literal, or None when all assigned.
-
-        Consumes the injected decision order first, then falls back to the
-        heuristic, deciding the variable false.
-        """
-        injected = self._injected
-        while injected:
-            lit = injected[-1]
-            if not self.trail.is_assigned(abs(lit)):
-                return lit
-            injected.pop()
+        """Pick the next decision literal, or None when all assigned: the
+        heuristic's variable, decided false."""
         var = self.pick_branch_var()
         if var is None:
             return None
         return -var
 
     def make_decision(self, lit: int) -> None:
-        injected = self._injected
-        if injected and injected[-1] == lit:
-            injected.pop()
         self.trail.decide(lit)
         self.stats.decisions += 1
 

@@ -59,13 +59,11 @@ class NonBlockingSolver:
 
     def __init__(self, formula: CnfFormula,
                  cfg: NonBlockingConfig | None = None, sink=None,
-                 budget: Budget | None = None,
-                 decide_order: list[int] | None = None):
+                 budget: Budget | None = None):
         self.formula = formula
         self.cfg = cfg or NonBlockingConfig()
         self.sink = sink
-        self.kernel = Kernel(formula, budget=budget,
-                             decide_order=decide_order)
+        self.kernel = Kernel(formula, budget=budget)
         self.lim = 0
 
     @property

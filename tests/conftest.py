@@ -5,7 +5,9 @@ from contextlib import contextmanager
 
 import pytest
 
-from allsat import count_models, from_clause_lists, load
+from allsat import (compute_cuts, count_models, from_clause_lists, load,
+                    make_formula)
+from allsat.bddcache import CACHE_MODES
 from allsat.obdd import iter_paths
 
 try:
@@ -69,6 +71,62 @@ def brute_force_cuts(f):
                 sep.update(v for v in vs if v <= i)
         separators[i] = sorted(sep)
     return cutsets, separators
+
+
+def bits(code: int) -> set[int]:
+    return {b for b in range(code.bit_length()) if code >> b & 1}
+
+
+def check_keys_decode(f, values) -> None:
+    """The cutset code at cut i holds the clauses of cutset(i) that the
+    prefix satisfies, the separator code the variables of separator(i) the
+    prefix sets true."""
+    cutsets, separators = brute_force_cuts(f)
+    for mode in CACHE_MODES:
+        steps = compute_cuts(f, mode)
+        codes = [0]
+        for i in range(f.num_vars + 1):
+            if mode == "cutset":
+                want = {p for p in cutsets[i] if any(
+                    abs(l) <= i and values[abs(l)] == (l > 0)
+                    for l in f.clauses[p].lits)}
+            else:
+                want = {v for v in separators[i] if values[v] == 1}
+            cut, code = make_formula(steps, values, codes, i)
+            assert cut == i and bits(code) == want, (mode, i)
+
+
+def irregular_formulas(seed: int, count: int):
+    """Formulas with empty, unit and wide clauses, repeated variables and
+    complementary literals in one clause."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 40)
+        clauses = [[rng.choice((1, -1)) * rng.randint(1, n)
+                    for _ in range(rng.randint(0, 6))]
+                   for _ in range(rng.randint(0, 3 * n))]
+        out.append(from_clause_lists(n, clauses))
+    return out
+
+
+def script_decisions(solver, lits):
+    """Make ``solver``'s kernel decide ``lits`` in order before its own
+    heuristic takes over, skipping each literal whose variable is assigned
+    when its turn comes.  Returns the solver."""
+    kernel = solver.kernel
+    heuristic = kernel.decide
+    script = list(reversed(lits))
+
+    def decide():
+        while script:
+            lit = script.pop()
+            if not kernel.trail.is_assigned(abs(lit)):
+                return lit
+        return heuristic()
+
+    kernel.decide = decide
+    return solver
 
 
 def trail_trace(trail):

@@ -19,12 +19,13 @@ from allsat import (BddBlockingSolver, BddSolver, BlockingConfig,
                     BlockingSolver, Budget, Kernel, LimitExceeded,
                     NonBlockingConfig, NonBlockingSolver, RefreshPolicy,
                     compute_cuts, count_models, dump, enumerate_all,
-                    from_clause_lists, load)
+                    from_clause_lists, load, make_formula)
 from allsat.obdd import iter_paths
 from allsat.oracle import check_cube_cover
 
 from conftest import (EX31_CLAUSES, EX41_CLAUSES, blocking_clauses,
-                      solution_mask, trail_trace)
+                      brute_force_cuts, script_decisions, solution_mask,
+                      trail_trace)
 
 SWEEP_INSTANCES = 200
 MODEL_CAP = 1500         # keeps the exhaustive sweep inside the time budget
@@ -268,8 +269,8 @@ def test_criterion_1_worked_goldens():
         assert blocking_clauses(solver) == [(1, 2, 3), (-1, -2, -3)]
 
         # (d) simplification under forced decisions yields x5 | -x3
-        solver = BlockingSolver(f, BlockingConfig(simplify=True),
-                                decide_order=[-5, 3, 2])
+        solver = script_decisions(
+            BlockingSolver(f, BlockingConfig(simplify=True)), [-5, 3, 2])
         solver.run()
         assert blocking_clauses(solver)[0] == (-3, 5)
 
@@ -300,9 +301,21 @@ def test_criterion_4_worked_formula_facts():
         # hand case split: 6 models with x3=1, 16 with x3=0
         with_x3 = [m for m in models.masks if (m >> 2) & 1]
         assert len(with_x3) == 6 and models.count - len(with_x3) == 16
-        cuts = compute_cuts(f)
-        assert cuts.cutset(3) == [1, 2]
-        assert cuts.separator(3) == [1, 2, 3]
+        cutsets, separators = brute_force_cuts(f)
+        assert cutsets[3] == [1, 2] and separators[3] == [1, 2, 3]
+        # through the keys: over the eight prefixes x1..x3 the codes at cut
+        # 3 set exactly those bits, and x1=1, x2=0, x3=1 gives C2 satisfied
+        # (C3 not) and x1, x3 true
+        for mode, union, worked in (("cutset", 0b110, 0b10),
+                                    ("separator", 0b1110, 0b1010)):
+            steps = compute_cuts(f, mode)
+            seen = 0
+            for bits in range(8):
+                values = [None, bits & 1, bits >> 1 & 1, bits >> 2, 0, 0, 0]
+                seen |= make_formula(steps, values, [0], 3)[1]
+            assert seen == union, mode
+            values = [None, 1, 0, 1, None, None, None]
+            assert make_formula(steps, values, [0], 3) == (3, worked), mode
 
 
 def test_criterion_5_scalability_smoke():
@@ -342,7 +355,7 @@ def test_criterion_6_refresh_partition(tmp_path):
             assert result.total == models.count
             assert result.dumps
             seen = set()
-            for part in result.dump_files:
+            for part, _ in result.dumps:
                 with open(part) as fh:
                     part_store = load(fh.read())
                 for path in iter_paths(part_store):

@@ -24,27 +24,55 @@ def nonblocking_configs():
     return [NonBlockingConfig(u, b) for u in UIP_SCHEMES for b in STRATEGIES]
 
 
-def fresh_key(cuts, mode, values, cut_index):
+def fresh_key(f, mode, values, cut_index):
     """Key of a fresh fold from cut 0."""
-    return make_formula(cuts.steps[mode], values, [0], cut_index)
+    return make_formula(compute_cuts(f, mode), values, [0], cut_index)
+
+
+def test_cuts_worked_example(ex31):
+    """The step tables of C1 = x1|-x3, C2 = x2|x3|x5, C3 = -x1|-x3|x4,
+    C4 = x4|-x5|x6, C5 = x5|-x6 (bits 0..4 in cutset mode)."""
+    keep, add = compute_cuts(ex31, "cutset")
+    # C1 leaves at x3, C3 at x4, C2 at x5, C4 and C5 at x6
+    assert keep == [-1, -1, -1, ~1, ~4, ~2, ~24]
+    assert add == [[0, 0], [4, 1], [0, 2], [4, 2], [0, 8], [8, 16], [0, 0]]
+    # reaches: x1 -> 4, x2 and x3 -> 5, x4 and x5 -> 6
+    keep, add = compute_cuts(ex31, "separator")
+    assert keep == [-1, -1, -1, -1, ~2, ~12, ~48]
+    assert add == [(0, 0)] + [(0, 1 << v) for v in range(1, 6)] + [(0, 0)]
+
+
+def test_cuts_single_clause():
+    """Only a clause over two or more variables spans a cut: the unit, the
+    empty and the one-variable tautological clause are in no table."""
+    f = from_clause_lists(2, [[2], [], [-1, 1], [1, 2]])
+    assert compute_cuts(f, "cutset") == ([-1, -1, ~8],
+                                         [[0, 0], [0, 8], [0, 0]])
+    assert compute_cuts(f, "separator") == ([-1, -1, ~2],
+                                            [(0, 0), (0, 2), (0, 0)])
+
+
+def test_compute_cuts_rejects_an_unknown_mode(ex31):
+    with pytest.raises(ValueError, match="unknown cache mode"):
+        compute_cuts(ex31, "steps")
+    with pytest.raises(ValueError, match="unknown cache mode"):
+        BddSolver(ex31, cache_mode="Cutset")
 
 
 def test_make_formula_worked_prefix(ex31):
-    cuts = compute_cuts(ex31)
     values = [None, 1, 0, 1, None, None, None]   # x1=1, x2=0, x3=1
-    cut_key = fresh_key(cuts, "cutset", values, 3)
+    cut_key = fresh_key(ex31, "cutset", values, 3)
     assert cut_key == (3, 1 << 1)                # C2 satisfied, C3 not
-    sep_key = fresh_key(cuts, "separator", values, 3)
+    sep_key = fresh_key(ex31, "separator", values, 3)
     assert sep_key == (3, 1 << 1 | 1 << 3)       # separator vars assigned 1
 
 
 def test_make_formula_reads_prefix_only(ex31):
     """Assignments beyond the prefix must not leak into the key."""
-    cuts = compute_cuts(ex31)
     a = [None, 1, 0, 1, 0, 0, 0]
     b = [None, 1, 0, 1, 1, 1, 1]
     for mode in ("cutset", "separator"):
-        assert fresh_key(cuts, mode, a, 3) == fresh_key(cuts, mode, b, 3)
+        assert fresh_key(ex31, mode, a, 3) == fresh_key(ex31, mode, b, 3)
 
 
 def test_counts_match_oracle_both_modes(ex31, ex41, tmp_path):
@@ -180,8 +208,9 @@ def test_cache_hits_are_sound(monkeypatch):
 def test_separator_agreement_implies_cutset_agreement():
     """Equal separator keys refine equal cutset keys on identical prefixes."""
     for f in random_instances(seed=63, count=20, n_range=(4, 10)):
-        cuts = compute_cuts(f)
         n = f.num_vars
+        sep_steps = compute_cuts(f, "separator")
+        cut_steps = compute_cuts(f, "cutset")
         for i in (1, n // 2, n - 1):
             if i < 1:
                 continue
@@ -190,8 +219,8 @@ def test_separator_agreement_implies_cutset_agreement():
                 values = [None] * (n + 1)
                 for v in range(1, i + 1):
                     values[v] = (bits >> (v - 1)) & 1
-                sep = fresh_key(cuts, "separator", values, i)
-                cut = fresh_key(cuts, "cutset", values, i)
+                sep = make_formula(sep_steps, values, [0], i)
+                cut = make_formula(cut_steps, values, [0], i)
                 groups.setdefault(sep, []).append(cut)
             for sep, cut_keys in groups.items():
                 assert len(set(cut_keys)) == 1
@@ -219,7 +248,7 @@ def test_refresh_partition(tmp_path):
         assert result.total == want
         assert result.dumps        # theta = n+1 forces dumping
         seen = set()
-        for part in result.dump_files:
+        for part, _ in result.dumps:
             with open(part) as fh:
                 part_store = load(fh.read())
             for path in iter_paths(part_store):
@@ -263,7 +292,7 @@ def test_dump_dir_env_override(tmp_path, monkeypatch, ex31):
                            dump_dir=tmp_path / "ignored", stem="env")
     result = BddSolver(ex31, policy=policy).run_bdd()
     assert result.total == 22
-    assert all(str(tmp_path / "override") in d for d in result.dump_files)
+    assert all(str(tmp_path / "override") in d for d, _ in result.dumps)
 
 
 def test_enroll_and_prune_mechanics():
@@ -537,22 +566,28 @@ def test_blocking_engine_dumps_without_compacting(tmp_path):
             result = BddBlockingSolver(f, cache_mode=mode,
                                        policy=policy).run_bdd()
             assert result.total == enumerate_all(f).count
-            for part in result.dump_files:
+            for part, _ in result.dumps:
                 with open(part) as fh:
                     assert load(fh.read()).size >= theta - n
 
 
 def test_time_limit_stops_the_diagram_engines_inside_compute_cuts(
         tmp_path, monkeypatch):
-    """A deadline that passes while the cuts of a long chain are computed
-    stops both diagram engines at the last deadline check of
-    ``compute_cuts``, before any search: exit 10 and a count of 0."""
+    """A deadline that passes while the step tables of a long chain are
+    built stops both diagram engines, under either cache, at the last
+    deadline check of ``compute_cuts``, before any search: exit 10 and a
+    count of 0."""
     f = window_chain(random.Random(9), 1500, 4)
-    clock = StopClock()
-    with mock.patch.object(allsat.kernel, "time", clock):
-        compute_cuts(f, Budget(time_limit=60.0))
-    # one check per 1,024 clauses of the pass and per 1,024 cuts
-    assert len(f.clauses) > 2048 and clock.calls == 4
+    assert 2048 < len(f.clauses) <= 3072
+    # one check per 1,024 clauses of the pass, and for separator one per
+    # 1,024 variables of its sweep
+    checks = {}
+    for cache in CACHE_MODES:
+        clock = StopClock()
+        with mock.patch.object(allsat.kernel, "time", clock):
+            compute_cuts(f, cache, Budget(time_limit=60.0))
+        checks[cache] = clock.calls
+    assert checks == {"cutset": 3, "separator": 4}
     real = bddcache.compute_cuts
     stopped = []
 
@@ -565,10 +600,14 @@ def test_time_limit_stops_the_diagram_engines_inside_compute_cuts(
 
     monkeypatch.setattr(bddcache, "compute_cuts", watched)
     for mode in ("bdd", "bdd-blocking"):
-        # the harness reads the clock once before it builds the engine
-        with mock.patch.object(allsat.kernel, "time", StopClock(clock.calls)):
-            stats = run_instance(tmp_path / "chain.cnf",
-                                 RunConfig(mode=mode, time_limit=60.0),
-                                 formula=f)
-        assert stats.exit_code == EXIT_LIMIT and stats.solutions == 0, mode
-    assert len(stopped) == 2
+        for cache in CACHE_MODES:
+            # the harness reads the clock once before it builds the engine
+            with mock.patch.object(allsat.kernel, "time",
+                                   StopClock(checks[cache])):
+                stats = run_instance(
+                    tmp_path / "chain.cnf",
+                    RunConfig(mode=mode, cache=cache, time_limit=60.0),
+                    formula=f)
+            assert stats.exit_code == EXIT_LIMIT, (mode, cache)
+            assert stats.solutions == 0, (mode, cache)
+    assert len(stopped) == 4

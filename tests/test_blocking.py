@@ -4,13 +4,13 @@ from allsat import (BlockingConfig, BlockingSolver, enumerate_all,
                     from_clause_lists)
 from allsat.oracle import check_cube_cover, cube_expansion_count
 
-from conftest import blocking_clauses, random_instances
+from conftest import blocking_clauses, random_instances, script_decisions
 
 
-def run_collect(f, cfg, decide_order=None):
+def run_collect(f, cfg, decisions=()):
     cubes = []
-    solver = BlockingSolver(f, cfg, sink=cubes.append,
-                            decide_order=decide_order)
+    solver = script_decisions(BlockingSolver(f, cfg, sink=cubes.append),
+                              decisions)
     count = solver.run()
     return solver, cubes, count
 
@@ -59,13 +59,13 @@ def test_make_blocking_clause_variants(ex31, ex41):
 
     # simplification on the worked trail: forced decisions -x5, x3, x2
     solver, cubes, count = run_collect(ex31, BlockingConfig(simplify=True),
-                                       decide_order=[-5, 3, 2])
+                                       decisions=[-5, 3, 2])
     assert blocking_clauses(solver)[0] == (-3, 5)   # x5 or not-x3
 
 
 def test_simplified_first_cube_drops_redundant_decision(ex31):
     solver, cubes, count = run_collect(ex31, BlockingConfig(simplify=True),
-                                       decide_order=[-5, 3, 2])
+                                       decisions=[-5, 3, 2])
     # first cube drops x2 (redundant decision): covers 2 assignments
     first = cubes[0]
     assert 2 not in first and -2 not in first
@@ -128,7 +128,7 @@ def test_continuation_replays_saved_decisions(ex31):
 def test_continuation_full_run_still_covers(ex31):
     solver, cubes, count = run_collect(
         ex31, BlockingConfig(simplify=True, continue_search=True),
-        decide_order=[-5, 3, 2])
+        decisions=[-5, 3, 2])
     ok, msg = check_cube_cover(cubes, ex31)
     assert ok, msg
 

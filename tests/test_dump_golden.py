@@ -54,7 +54,7 @@ def digests(name: str, directory: Path) -> dict[str, dict]:
                 result = build(f, cache_mode=mode, policy=policy).run_bdd()
                 rows[label] = {
                     "parts": [sha(Path(part).read_text())
-                              for part in result.dump_files],
+                              for part, _ in result.dumps],
                     "final": sha(dump(result.store)),
                 }
     return rows

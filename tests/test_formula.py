@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from allsat import (DimacsError, apply_order, compute_cuts, from_clause_lists,
-                    parse_dimacs, render_dimacs)
+from allsat import (DimacsError, apply_order, from_clause_lists, parse_dimacs,
+                    render_dimacs)
 from allsat.formula import read_order_file
 
-from conftest import brute_force_cuts, random_instances
+from conftest import check_keys_decode, irregular_formulas, random_instances
 
 
 def test_parse_basic():
@@ -90,62 +90,32 @@ def test_apply_order_rejects_non_bijection(ex31):
         apply_order(ex31, [0, 1, 1, 3, 4, 5, 6])
 
 
-def all_cuts(f):
-    """Every cutset and separator of ``f`` as ``compute_cuts`` gives them."""
-    cuts = compute_cuts(f)
-    cuts_at = range(f.num_vars + 1)
-    return ([cuts.cutset(i) for i in cuts_at],
-            [cuts.separator(i) for i in cuts_at])
-
-
-def test_cuts_worked_example(ex31):
-    cuts = compute_cuts(ex31)
-    assert cuts.cutset(3) == [1, 2]          # C2, C3
-    assert cuts.separator(3) == [1, 2, 3]
-    assert cuts.cutwidth == 3                # at i=2: C1, C2, C3
-    assert cuts.cutset(2) == [0, 1, 2]
-    assert cuts.pathwidth == 3
-    assert cuts.cutset(0) == [] and cuts.cutset(6) == []
-
-
-def test_cuts_single_clause():
-    f = from_clause_lists(2, [[1, 2]])
-    cuts = compute_cuts(f)
-    assert cuts.cutset(1) == [0]
-    assert cuts.separator(1) == [1]
-    assert cuts.cutwidth == 1 and cuts.pathwidth == 1
+def random_values(rng, f):
+    return [None] + [rng.randint(0, 1) for _ in range(f.num_vars)]
 
 
 def test_cuts_match_definition_after_reorder(ex31):
-    perm = [0, 5, 3, 1, 4, 2, 6]
-    g = apply_order(ex31, perm)
-    assert all_cuts(g) == brute_force_cuts(g)
-
-
-def irregular_formulas(seed: int, count: int):
-    """Formulas with empty, unit and wide clauses, repeated variables and
-    complementary literals in one clause."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        n = rng.randint(1, 40)
-        clauses = [[rng.choice((1, -1)) * rng.randint(1, n)
-                    for _ in range(rng.randint(0, 6))]
-                   for _ in range(rng.randint(0, 3 * n))]
-        out.append(from_clause_lists(n, clauses))
-    return out
+    """compute_cuts's key codes decode to the cutsets and separators of
+    the reordered formula, for the worked formula and random 3-CNF under
+    a drawn variable order."""
+    rng = random.Random(79)
+    formulas = [apply_order(ex31, [0, 5, 3, 1, 4, 2, 6])]
+    for f in random_instances(seed=77, count=20):
+        perm = [0] + rng.sample(range(1, f.num_vars + 1), f.num_vars)
+        formulas.append(apply_order(f, perm))
+    for f in formulas:
+        for _ in range(3):
+            check_keys_decode(f, random_values(rng, f))
 
 
 def test_cuts_match_definition_random():
+    """The same decoding on random 3-CNF and on irregular formulas of up
+    to 40 variables, which the Hypothesis strategy does not reach."""
+    rng = random.Random(80)
     for f in (random_instances(seed=77, count=20)
               + irregular_formulas(seed=78, count=40)):
-        cutsets, separators = all_cuts(f)
-        assert (cutsets, separators) == brute_force_cuts(f)
-        cuts = compute_cuts(f)
-        assert cuts.cutwidth == max(map(len, cutsets))
-        assert cuts.pathwidth == max(map(len, separators))
-        for i, sep in enumerate(separators):
-            assert all(v <= i for v in sep)
+        for _ in range(3):
+            check_keys_decode(f, random_values(rng, f))
 
 
 def test_read_order_file():

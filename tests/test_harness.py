@@ -627,16 +627,39 @@ def test_cli_bench_input_errors(tmp_path, capsys, target, jobs, message):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_entry_point_runs():
-    # the child imports the package under test, installed or not
+def cli_env() -> dict:
+    """Environment in which a child process imports the package under
+    test, installed or not."""
     import allsat
     src = str(Path(allsat.__file__).parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_cli_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "allsat.cli", "--help"],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, env=cli_env())
     assert proc.returncode == 0
     assert "solve" in proc.stdout
+
+
+def test_closed_stdout_ends_the_run_with_exit_141(tmp_path):
+    """A reader that stops early (``| head -1``) ends the run with one
+    error line and exit 141, not a traceback.  The 2^14 cubes of the
+    clause-free formula, about 700 KB, overfill the pipe."""
+    cnf = tmp_path / "free.cnf"
+    cnf.write_text("p cnf 14 0\n")
+    with subprocess.Popen(
+            [sys.executable, "-m", "allsat.cli", "solve", str(cnf),
+             "--mode", "nonblocking", "--output", "cubes"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=cli_env()) as proc:
+        assert proc.stdout.readline().endswith(" 0\n")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err
+    assert err.count("c error:") == 1
 
 
 def test_determinism(ex31_file):

@@ -22,7 +22,7 @@ from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
 from allsat.obdd import BOT, TOP, ObddLoadError, ObddStore, compact
 from allsat.oracle import expand_cube
 
-from conftest import (StopClock, brute_force_cuts, check_partition,
+from conftest import (StopClock, check_keys_decode, check_partition,
                       reference_count, solution_mask, time_limit)
 
 
@@ -154,29 +154,9 @@ def assigned_formulas(draw, max_n=10):
     return f, values
 
 
-def bits(code: int) -> set[int]:
-    return {b for b in range(code.bit_length()) if code >> b & 1}
-
-
 @given(assigned_formulas())
 def test_keys_decode_to_the_cut_definitions(case):
-    """The cutset code at cut i holds the clauses of cutset(i) that the
-    prefix satisfies, the separator code the variables of separator(i) the
-    prefix sets true."""
-    f, values = case
-    cuts = compute_cuts(f)
-    cutsets, separators = brute_force_cuts(f)
-    for mode in CACHE_MODES:
-        codes = [0]
-        for i in range(f.num_vars + 1):
-            if mode == "cutset":
-                want = {p for p in cutsets[i] if any(
-                    abs(l) <= i and values[abs(l)] == (l > 0)
-                    for l in f.clauses[p].lits)}
-            else:
-                want = {v for v in separators[i] if values[v] == 1}
-            cut, code = make_formula(cuts.steps[mode], values, codes, i)
-            assert cut == i and bits(code) == want, (mode, i)
+    check_keys_decode(*case)
 
 
 @given(assigned_formulas(), st.data())
@@ -190,9 +170,8 @@ def test_truncated_prefix_codes_extend_like_a_fresh_fold(case, data):
     again = values[:d] + data.draw(st.lists(
         st.integers(0, 1), min_size=n + 1 - d, max_size=n + 1 - d))
     first = data.draw(st.integers(d - 1, n))
-    cuts = compute_cuts(f)
     for mode in CACHE_MODES:
-        steps = cuts.steps[mode]
+        steps = compute_cuts(f, mode)
         codes = [0]
         make_formula(steps, values, codes, n)
         del codes[d:]
