@@ -202,8 +202,12 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader closed stdout (``| head``): send what is still
         # buffered nowhere, so the interpreter's final flush stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("c error: standard output closed", file=sys.stderr)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        try:
+            print("c error: standard output closed", file=sys.stderr)
+        except BrokenPipeError:   # stderr went with it (``2>&1 | head``)
+            os.dup2(devnull, sys.stderr.fileno())
         return EXIT_PIPE
     return code
 

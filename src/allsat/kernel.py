@@ -14,7 +14,10 @@ Three analysis scopes are supported:
                  clause.
 
 Watch lists, like the trail's values, are indexed by the signed literal
-(``watches[lit]``), so propagation needs no sign test or encoding.
+(``watches[lit]``), so propagation needs no sign test or encoding.  Above
+level 0 it writes implied literals into the trail itself (level 0 goes
+through ``Trail.assign`` for the taint).  Analysis is one loop; it bumps the
+variables it met afterwards, in the order it met them.
 
 Decisions read a cached decision order: the variables sorted by
 decreasing activity with ties kept in index order, followed by the
@@ -180,7 +183,7 @@ class Kernel:
                 return FALSIFIED
             return UNIT
         free = [i for i, l in enumerate(lits) if values[l] != 0]
-        pos = self.trail.positions
+        index = self.trail.lits.index   # where a false literal's negation is
         if len(free) >= 2:
             i0, i1 = free[0], free[1]
             status = OPEN
@@ -188,12 +191,12 @@ class Kernel:
                 status = SATISFIED
         elif len(free) == 1:
             i0 = free[0]
-            false_idx = [i for i in range(len(lits)) if i != i0]
-            i1 = max(false_idx, key=lambda i: pos[abs(lits[i])])
+            i1 = max((i for i in range(len(lits)) if i != i0),
+                     key=lambda i: index(-lits[i]))
             status = SATISFIED if values[lits[i0]] == 1 else UNIT
         else:
-            by_pos = sorted(range(len(lits)),
-                            key=lambda i: pos[abs(lits[i])], reverse=True)
+            by_pos = sorted(range(len(lits)), key=lambda i: index(-lits[i]),
+                            reverse=True)
             i0, i1 = by_pos[0], by_pos[1]
             status = FALSIFIED
         lits[0], lits[i0] = lits[i0], lits[0]
@@ -239,11 +242,11 @@ class Kernel:
                 self.stats.conflicts += 1
                 return c
         trail_lits = trail.lits
-        assign = trail.assign
         start = len(trail_lits)
         qhead = self.qhead
-        conflict: Clause | None = None
-        while qhead < len(trail_lits) and conflict is None:
+        level = trail.level
+        sub = trail.cur_sublevel[level]
+        while qhead < len(trail_lits):
             false_lit = -trail_lits[qhead]
             qhead += 1
             watchers = watches[false_lit]
@@ -255,35 +258,47 @@ class Kernel:
                 i += 1
                 lits = clause.lits
                 if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
+                    lits[0] = lits[1]
+                    lits[1] = false_lit
                 other = lits[0]
                 ov = values[other]
                 if ov == 1:
                     watchers[j] = clause
                     j += 1
                     continue
-                for k in range(2, len(lits)):
+                k, size = 2, len(lits)
+                while k < size:
                     cand = lits[k]
                     if values[cand] != 0:
-                        lits[1], lits[k] = lits[k], lits[1]
+                        lits[1] = cand
+                        lits[k] = false_lit
                         watches[cand].append(clause)
                         break
+                    k += 1
                 else:
                     watchers[j] = clause
                     j += 1
                     if ov == 0:
-                        conflict = clause
-                        break
-                    assign(other, clause)
-            # on a conflict the unvisited tail watchers[i:] stays as it is
-            del watchers[j:i]
+                        # the unvisited tail watchers[i:] stays as it is
+                        del watchers[j:i]
+                        self.stats.propagations += len(trail_lits) - start
+                        self.stats.conflicts += 1
+                        self.qhead = len(trail_lits)
+                        return clause
+                    if level:
+                        var = other if other > 0 else -other
+                        trail_lits.append(other)
+                        values[other] = 1
+                        values[-other] = 0
+                        trail.var_level[var] = level
+                        trail.var_sublevel[var] = sub
+                        trail.reasons[var] = clause
+                    else:
+                        trail.assign(other, clause)
+            del watchers[j:]
         self.stats.propagations += len(trail_lits) - start
-        if conflict is not None:
-            self.qhead = len(trail_lits)
-            self.stats.conflicts += 1
-        else:
-            self.qhead = qhead
-        return conflict
+        self.qhead = qhead
+        return None
 
     # ------------------------------------------------------------------
     # decision heuristics
@@ -294,8 +309,7 @@ class Kernel:
         self.activity[var] = act
         if act > ACTIVITY_RESCALE:
             inv = 1.0 / ACTIVITY_RESCALE
-            for i in range(1, self.n + 1):
-                self.activity[i] *= inv
+            self.activity = [a * inv for a in self.activity]
             self.var_inc *= inv
 
     def decay_activity(self) -> None:
@@ -353,46 +367,35 @@ class Kernel:
         var_sub = trail.var_sublevel
         reasons = trail.reasons
         trail_lits = trail.lits
+        tainted = trail.tainted
 
         lits_at_dl = [l for l in conflict.lits if var_level[abs(l)] == dl]
         if not lits_at_dl:
             raise RuntimeError("conflict clause has no current-level literal")
-        if scope == "sublevel":
-            cur_sub = max(var_sub[abs(l)] for l in lits_at_dl)
+        # the scope is level dl, or only its sublevel cur_sub (-1: all)
+        cur_sub = max(var_sub[abs(l)] for l in lits_at_dl) \
+            if scope == "sublevel" else -1
 
-            def in_scope(v: int) -> bool:
-                return var_level[v] == dl and var_sub[v] == cur_sub
-        else:
-            def in_scope(v: int) -> bool:
-                return var_level[v] == dl
-
-        seen: set[int] = set()
+        seen: dict[int, None] = {}   # insertion order is the bump order
         out: list[int] = []
         pending = 0
         stop_var = abs(stop_lit) if stop_lit is not None else 0
-
-        tainted = trail.tainted
-
-        def absorb(clause_lits, skip_var: int) -> None:
-            nonlocal pending
-            for q in clause_lits:
+        idx = len(trail_lits) - 1
+        stop_idx = -1
+        absorb, skip_var = conflict.lits, 0
+        while True:
+            for q in absorb:
                 v = abs(q)
                 if v == skip_var or v in seen:
                     continue
-                if var_level[v] == 0 and not tainted[v]:
+                lv = var_level[v]
+                if lv == 0 and not tainted[v]:
                     continue   # formula-entailed fact: safe to drop
-                seen.add(v)
-                self.bump_activity(v)
-                if in_scope(v):
+                seen[v] = None
+                if lv == dl and (cur_sub < 0 or var_sub[v] == cur_sub):
                     pending += 1
                 else:
                     out.append(q)
-
-        absorb(conflict.lits, 0)
-        idx = len(trail_lits) - 1
-        uip = 0
-        stop_idx = -1
-        while True:
             if stop_idx >= 0 and pending == 1:
                 lit = trail_lits[stop_idx]   # only the pivot remains
             else:
@@ -401,7 +404,8 @@ class Kernel:
                         raise RuntimeError("conflict analysis ran off the trail")
                     lit = trail_lits[idx]
                     v = abs(lit)
-                    if v in seen and in_scope(v):
+                    if v in seen and var_level[v] == dl \
+                            and (cur_sub < 0 or var_sub[v] == cur_sub):
                         if v == stop_var and pending > 1:
                             stop_idx = idx   # defer: pivot must end as UIP
                             idx -= 1
@@ -419,17 +423,16 @@ class Kernel:
             reason = reasons[v]
             if reason is None:
                 out.append(-lit)   # flip: not expandable, keep in clause
+                absorb = ()
             else:
-                absorb(reason.lits, v)
+                absorb, skip_var = reason.lits, v
         if stop_lit is not None and uip != stop_lit:
             raise RuntimeError("targeted analysis did not end at the pivot")
-
-        lits = [-uip] + out
-        assert_level = 0
-        if out:
-            assert_level = max(var_level[abs(l)] for l in out)
+        for v in seen:
+            self.bump_activity(v)
         self.decay_activity()
-        return LearnedClause(Clause(lits), assert_level)
+        assert_level = max((var_level[abs(l)] for l in out), default=0)
+        return LearnedClause(Clause([-uip] + out), assert_level)
 
 
 @dataclass(eq=False)

@@ -4,11 +4,12 @@ The trail is a flat list of literals in assignment order.  ``values`` is
 indexed by the signed literal (length 2n+1): ``values[lit]`` is 1 when
 ``lit`` is true and 0 when false, so ``values[v]`` is variable v's value
 and ``values[-v]`` (read from the end of the list) its negation's.  Level,
-sublevel, antecedent (reason), trail position and level-0 taint live in
-per-variable arrays.  An assignment writes both halves of ``values`` and a
-cancel resets both, leaving the per-variable arrays to be overwritten by
-the next assignment.  ``level_start`` gives each level's first trail index,
-and the assignment there is the level's decision.
+sublevel, antecedent (reason) and level-0 taint live in per-variable
+arrays; a variable's trail position is the index of its literal in ``lits``.
+Assigning writes both halves of ``values`` and a cancel resets both, leaving
+the per-variable arrays to be overwritten by the next assignment.
+``level_start`` gives each level's first trail index, whose literal is the
+level's decision.
 
 The trail doubles as the implication graph: an assignment's antecedent
 clause names the assignments that forced it, and assignments with no
@@ -46,7 +47,6 @@ class Trail:
         self.var_level = [0] * n1
         self.var_sublevel = [0] * n1
         self.reasons: list[Clause | None] = [None] * n1
-        self.positions = [0] * n1         # var -> index into lits
         # a level-0 variable is tainted when its value depends on a flipped
         # decision; such facts are search choices, not consequences of the
         # formula, so conflict analysis must not silently drop them.  Only
@@ -60,9 +60,6 @@ class Trail:
     def __len__(self) -> int:
         return len(self.lits)
 
-    def is_assigned(self, var: int) -> bool:
-        return self.values[var] != UNASSIGNED
-
     def all_assigned(self) -> bool:
         return len(self.lits) == self.num_vars
 
@@ -74,7 +71,6 @@ class Trail:
             raise RuntimeError(f"variable {var} already assigned")
         level = self.level = self.level + 1
         lits = self.lits
-        self.positions[var] = len(lits)
         self.level_start.append(len(lits))
         self.cur_sublevel.append(0)
         lits.append(lit)
@@ -86,13 +82,12 @@ class Trail:
 
     def assign(self, lit: int, reason: Clause | None = None) -> None:
         """Append an implied assignment at the current level and sublevel
-        (decisions go through :meth:`decide`)."""
+        (``Kernel.propagate`` writes one itself above level 0)."""
         var = lit if lit > 0 else -lit
         values = self.values
         if values[lit] != UNASSIGNED:
             raise RuntimeError(f"variable {var} already assigned")
         level = self.level
-        self.positions[var] = len(self.lits)
         self.lits.append(lit)
         values[lit] = 1
         values[-lit] = 0
@@ -154,8 +149,7 @@ class Trail:
         level -= 1
         self.level = level
         sub = cur_sublevel[level] = cur_sublevel[level] + 1
-        # the decision's slot and both halves of ``values`` turn over; its
-        # position and its NULL reason stay as they are
+        # its slot and both halves of values turn over; its NULL reason stays
         lits[keep] = -dec
         values[-dec] = 1
         values[dec] = 0
@@ -177,7 +171,6 @@ class Trail:
             assert self.values[var] == (1 if lit > 0 else 0)
             level = self.var_level[var]
             assert level == bisect_right(self.level_start, idx) - 1
-            assert self.positions[var] == idx
             assert level >= last_level, "levels must be non-decreasing"
             last_level = level
             if level >= 1 and self.level_start[level] == idx:

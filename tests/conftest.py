@@ -9,6 +9,7 @@ from allsat import (compute_cuts, count_models, from_clause_lists, load,
                     make_formula)
 from allsat.bddcache import CACHE_MODES
 from allsat.obdd import iter_paths
+from allsat.trail import UNASSIGNED
 
 try:
     from hypothesis import settings
@@ -121,7 +122,7 @@ def script_decisions(solver, lits):
     def decide():
         while script:
             lit = script.pop()
-            if not kernel.trail.is_assigned(abs(lit)):
+            if kernel.trail.values[lit] == UNASSIGNED:
                 return lit
         return heuristic()
 

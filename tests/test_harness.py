@@ -662,6 +662,21 @@ def test_closed_stdout_ends_the_run_with_exit_141(tmp_path):
     assert err.count("c error:") == 1
 
 
+def test_closed_stdout_and_stderr_end_the_run_with_exit_141(tmp_path):
+    """With stderr on the same pipe (``2>&1 | head -1``) the error line
+    cannot be written either; the run still ends with exit 141."""
+    cnf = tmp_path / "free.cnf"
+    cnf.write_text("p cnf 14 0\n")
+    with subprocess.Popen(
+            [sys.executable, "-m", "allsat.cli", "solve", str(cnf),
+             "--mode", "nonblocking", "--output", "cubes"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=cli_env()) as proc:
+        assert proc.stdout.readline().endswith(" 0\n")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+
+
 def test_determinism(ex31_file):
     cfg = RunConfig(mode="nonblocking")
     a = run_instance(ex31_file, cfg)

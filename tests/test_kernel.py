@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from allsat import (BlockingConfig, BlockingSolver, Kernel,
                     NonBlockingConfig, NonBlockingSolver, entails,
                     from_clause_lists)
+from allsat.formula import Clause
 from allsat.kernel import ACTIVITY_RESCALE, FALSIFIED, UNIT, clause_status
 from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
 from allsat.trail import UNASSIGNED
@@ -21,7 +23,7 @@ def drive(kernel, decisions):
     for lit in decisions:
         if conflict is not None:
             break
-        if kernel.trail.is_assigned(abs(lit)):
+        if kernel.trail.values[lit] != UNASSIGNED:
             continue
         kernel.make_decision(lit)
         conflict = kernel.propagate()
@@ -120,7 +122,7 @@ def test_watched_literals_match_naive_scan():
         for lit in decisions:
             if conflict is not None:
                 break
-            if k.trail.is_assigned(abs(lit)):
+            if k.trail.values[lit] != UNASSIGNED:
                 continue
             k.make_decision(lit)
             conflict = k.propagate()
@@ -153,7 +155,7 @@ def collect_conflicts(f, rng, scope):
     while conflict is None and not k.trail.all_assigned() and guard < 100:
         guard += 1
         v = next(v for v in range(1, f.num_vars + 1)
-                 if not k.trail.is_assigned(v))
+                 if k.trail.values[v] == UNASSIGNED)
         k.make_decision(v if rng.random() < 0.5 else -v)
         conflict = k.propagate()
     if conflict is None or k.trail.level == 0:
@@ -339,3 +341,302 @@ def test_watch_lists_stay_exact_during_full_runs(monkeypatch):
             attached.clear()
             make(f).run()
     assert any(calls) and not all(calls)   # fixpoints and conflicts seen
+
+
+# ----------------------------------------------------------------------
+# the written-out propagation and analysis loops against the loops they
+# replaced, kept here as references
+
+def reference_propagate(k):
+    """The watcher loop with an index walk, a ``range`` scan of the
+    candidates, swaps, and ``Trail.assign`` for every implied literal."""
+    trail = k.trail
+    values = trail.values
+    watches = k.store.watches
+    for c in k.store.pending_units:
+        lit = c.lits[0]
+        v = values[lit]
+        if v == UNASSIGNED:
+            trail.assign(lit, c)
+            k.stats.propagations += 1
+        elif v == 0:
+            k.qhead = len(trail.lits)
+            k.stats.conflicts += 1
+            return c
+    trail_lits = trail.lits
+    start = len(trail_lits)
+    qhead = k.qhead
+    conflict = None
+    while qhead < len(trail_lits) and conflict is None:
+        false_lit = -trail_lits[qhead]
+        qhead += 1
+        watchers = watches[false_lit]
+        i = j = 0
+        end = len(watchers)
+        while i < end:
+            clause = watchers[i]
+            i += 1
+            lits = clause.lits
+            if lits[0] == false_lit:
+                lits[0], lits[1] = lits[1], lits[0]
+            other = lits[0]
+            ov = values[other]
+            if ov == 1:
+                watchers[j] = clause
+                j += 1
+                continue
+            for m in range(2, len(lits)):
+                cand = lits[m]
+                if values[cand] != 0:
+                    lits[1], lits[m] = lits[m], lits[1]
+                    watches[cand].append(clause)
+                    break
+            else:
+                watchers[j] = clause
+                j += 1
+                if ov == 0:
+                    conflict = clause
+                    break
+                trail.assign(other, clause)
+        del watchers[j:i]
+    k.stats.propagations += len(trail_lits) - start
+    if conflict is not None:
+        k.qhead = len(trail_lits)
+        k.stats.conflicts += 1
+    else:
+        k.qhead = qhead
+    return conflict
+
+
+def reference_analyze(k, conflict, scope="level", stop_lit=None):
+    """First-UIP analysis with ``absorb`` and ``in_scope`` closures, bumping
+    each variable when it is first absorbed."""
+    trail = k.trail
+    dl = trail.level
+    var_level = trail.var_level
+    var_sub = trail.var_sublevel
+    reasons = trail.reasons
+    trail_lits = trail.lits
+    lits_at_dl = [l for l in conflict.lits if var_level[abs(l)] == dl]
+    if not lits_at_dl:
+        raise RuntimeError("conflict clause has no current-level literal")
+    if scope == "sublevel":
+        cur_sub = max(var_sub[abs(l)] for l in lits_at_dl)
+
+        def in_scope(v):
+            return var_level[v] == dl and var_sub[v] == cur_sub
+    else:
+        def in_scope(v):
+            return var_level[v] == dl
+    seen = set()
+    out = []
+    pending = 0
+    stop_var = abs(stop_lit) if stop_lit is not None else 0
+    tainted = trail.tainted
+
+    def absorb(clause_lits, skip_var):
+        nonlocal pending
+        for q in clause_lits:
+            v = abs(q)
+            if v == skip_var or v in seen:
+                continue
+            if var_level[v] == 0 and not tainted[v]:
+                continue
+            seen.add(v)
+            k.bump_activity(v)
+            if in_scope(v):
+                pending += 1
+            else:
+                out.append(q)
+
+    absorb(conflict.lits, 0)
+    idx = len(trail_lits) - 1
+    uip = 0
+    stop_idx = -1
+    while True:
+        if stop_idx >= 0 and pending == 1:
+            lit = trail_lits[stop_idx]
+        else:
+            while True:
+                if idx < 0:
+                    raise RuntimeError("conflict analysis ran off the trail")
+                lit = trail_lits[idx]
+                v = abs(lit)
+                if v in seen and in_scope(v):
+                    if v == stop_var and pending > 1:
+                        stop_idx = idx
+                        idx -= 1
+                        continue
+                    break
+                idx -= 1
+        v = abs(lit)
+        pending -= 1
+        if pending == 0 and (stop_var == 0 or v == stop_var):
+            uip = lit
+            break
+        idx -= 1
+        reason = reasons[v]
+        if reason is None:
+            out.append(-lit)
+        else:
+            absorb(reason.lits, v)
+    if stop_lit is not None and uip != stop_lit:
+        raise RuntimeError("targeted analysis did not end at the pivot")
+    lits = [-uip] + out
+    assert_level = max((var_level[abs(l)] for l in out), default=0)
+    k.decay_activity()
+    return lits, assert_level
+
+
+def clause_keys(k):
+    """Clause identity -> its place in the store, comparable across two
+    kernels built from one formula."""
+    keys = {id(c): ("problem", i) for i, c in enumerate(k.store.problem)}
+    keys.update((id(c), ("learned", i))
+                for i, c in enumerate(k.store.learned))
+    return keys
+
+
+def kernel_state(k):
+    """Everything propagation writes: the trail, the clauses' literal
+    order, every watch list in order, the queue head and the counters."""
+    t = k.trail
+    keys = clause_keys(k)
+    return (t.lits, t.values, t.var_level, t.var_sublevel,
+            [keys.get(id(r)) for r in t.reasons], t.tainted, t.level,
+            t.level_start, t.cur_sublevel,
+            [c.lits for c in k.store.problem + k.store.learned],
+            [[keys[id(c)] for c in w] for w in k.store.watches],
+            [keys[id(c)] for c in k.store.pending_units],
+            k.qhead, k.stats.propagations, k.stats.conflicts)
+
+
+def twin_step(rng, k, ref):
+    """One random decide / flip / cancel / learn step, decisions the most
+    likely, applied to both kernels alike.  False, and no step, when every
+    variable is assigned at level 0 and nothing is left to do."""
+    t = k.trail
+    free = [v for v in range(1, k.n + 1) if t.values[v] == UNASSIGNED]
+    if not free and t.level == 0:
+        return False
+    op = rng.choice((["decide"] * 6 if free else [])
+                    + (["flip"] * 2 if t.level else []) + ["cancel", "learn"])
+    if op == "decide":
+        lit = rng.choice(free) * rng.choice((1, -1))
+        for x in (k, ref):
+            x.make_decision(lit)
+    elif op == "flip":
+        twin_flip(k, ref, rng.randint(1, t.level))
+    elif op == "cancel":
+        level = rng.randint(0, t.level)
+        for x in (k, ref):
+            x.cancel_to(level)
+    else:
+        size = 1 if rng.random() < 0.05 else rng.randint(2, 6)
+        twin_learn(k, ref, random_clause(rng, k.n, size))
+    return True
+
+
+def twin_flip(k, ref, level):
+    for x in (k, ref):
+        x.trail.flip(level)
+        # as NonBlockingSolver.backtrack_bt: propagate the flip next
+        x.qhead = min(x.qhead, len(x.trail.lits) - 1)
+
+
+def twin_learn(k, ref, lits):
+    """Record and attach a clause in both kernels, and assign its literal
+    if it is unit."""
+    for x in (k, ref):
+        clause = Clause(list(lits))
+        x.add_learned(clause)
+        if x.attach_clause(clause) == UNIT:
+            x.trail.assign(clause.lits[0], clause)
+
+
+def random_clause(rng, n, size):
+    """Variables drawn with replacement: repeated and complementary
+    literals included."""
+    return [rng.randint(1, n) * rng.choice((1, -1)) for _ in range(size)]
+
+
+def twin_kernels(rng):
+    """Two kernels on one random formula of 2- to 4-literal clauses, at a
+    clause/variable ratio of 1.5 to 4.5, plus a unit clause in one of
+    four."""
+    n = rng.randint(3, 12)
+    clauses = [random_clause(rng, n, rng.randint(2, 4))
+               for _ in range(int(n * rng.uniform(1.5, 4.5)))]
+    clauses += [random_clause(rng, n, 1)] * (rng.random() < 0.25)
+    f = from_clause_lists(n, clauses)
+    return Kernel(f), Kernel(f)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_propagate_matches_reference(seed):
+    """Random formulas, learned clauses, decisions, flips and cancels on
+    two kernels: ``propagate`` on one and the reference loop on the other
+    leave the same trail, clauses, watch lists, queue head and counters,
+    and report the same conflict clause.  A run whose variables are all
+    assigned at level 0 goes on with a new formula."""
+    rng = random.Random(seed)
+    k, ref = twin_kernels(rng)
+    for _ in range(100):
+        got, want = k.propagate(), reference_propagate(ref)
+        assert (None if got is None else clause_keys(k)[id(got)]) \
+            == (None if want is None else clause_keys(ref)[id(want)])
+        assert kernel_state(k) == kernel_state(ref)
+        k.trail.check_consistent()
+        if not twin_step(rng, k, ref):
+            k, ref = twin_kernels(rng)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_analyze_matches_reference(seed):
+    """Random decide / flip / cancel / learn runs on two kernels, in which
+    each conflict is analyzed at its highest level, for any of the three
+    scopes, with or without a stop literal, and then learned and undone by
+    a flip or a backjump: ``analyze`` on one kernel and the closure-based
+    reference on the other learn the same literals in order with the same
+    assert level, and leave the same activities and ``var_inc``; an
+    analysis that fails, fails alike.  A ``var_inc`` near the rescale
+    threshold makes the bump order show.  A run goes on with a new formula
+    after a failed analysis, a level-0 conflict, or when every variable is
+    assigned at level 0."""
+    rng = random.Random(seed)
+    k, ref = twin_kernels(rng)
+    for _ in range(100):
+        conflict, ref_conflict = k.propagate(), ref.propagate()
+        if conflict is None:
+            if not twin_step(rng, k, ref):
+                k, ref = twin_kernels(rng)
+            continue
+        t = k.trail
+        lmax = max(t.var_level[abs(l)] for l in conflict.lits)
+        if lmax == 0:
+            k, ref = twin_kernels(rng)
+            continue
+        for x in (k, ref):
+            x.cancel_to(lmax)
+        if rng.random() < 0.3:
+            k.var_inc = ref.var_inc = ACTIVITY_RESCALE * rng.choice(
+                (0.3, 0.6, 1.5))
+        scope = rng.choice(("level", "sublevel", "dlevel"))
+        at_dl = [l for l in t.lits if t.var_level[abs(l)] == t.level]
+        stop_lit = rng.choice([None] * len(at_dl) + at_dl)
+        try:
+            want = reference_analyze(ref, ref_conflict, scope, stop_lit)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError, match=re.escape(str(exc))):
+                k.analyze(conflict, scope, stop_lit)
+            k, ref = twin_kernels(rng)
+            continue
+        got = k.analyze(conflict, scope, stop_lit)
+        assert (got.lits, got.assert_level) == want
+        assert k.activity == ref.activity and k.var_inc == ref.var_inc
+        if rng.random() < 0.5:
+            twin_flip(k, ref, t.level)
+        else:
+            for x in (k, ref):
+                x.cancel_to(got.assert_level)
+        twin_learn(k, ref, got.lits)

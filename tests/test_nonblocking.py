@@ -4,6 +4,7 @@ from allsat import (Kernel, NonBlockingConfig, NonBlockingSolver,
                     enumerate_all, entails, from_clause_lists)
 from allsat.formula import Clause
 from allsat.nonblocking import resolve_clauses
+from allsat.trail import UNASSIGNED
 
 from conftest import random_instances, solution_mask
 
@@ -66,7 +67,7 @@ def test_flip_increments_sublevel_once():
         conflict = k.propagate()
         while conflict is None and not k.trail.all_assigned():
             v = next(v for v in range(1, f.num_vars + 1)
-                     if not k.trail.is_assigned(v))
+                     if k.trail.values[v] == UNASSIGNED)
             k.make_decision(v if rng.random() < 0.5 else -v)
             conflict = k.propagate()
         if conflict is not None or k.trail.level == 0:

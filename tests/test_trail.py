@@ -187,7 +187,7 @@ def reference_flip(t: Trail, level: int) -> None:
 
 def trail_state(t: Trail) -> tuple:
     return (t.lits, t.values, t.var_level, t.var_sublevel,
-            [id(r) for r in t.reasons], t.positions, t.tainted,
+            [id(r) for r in t.reasons], t.tainted,
             t.level, t.level_start, t.cur_sublevel)
 
 
