@@ -27,7 +27,7 @@ from .nonblocking import (STRATEGIES, UIP_SCHEMES, NonBlockingConfig,
 # count_models is unused here; the benchmark's tracer wraps it by this name
 from .obdd import count_models, dump
 from .oracle import (GUARD_VARS, OracleGuardError, check_cube_cover,
-                     enumerate_all, lits_to_mask)
+                     clause_masks, enumerate_all, lits_to_mask)
 
 EXIT_OK = 0
 EXIT_LIMIT = 10
@@ -54,7 +54,7 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class Mode:
     flags: tuple[str, ...] = ()   # the FLAGS it owns, in label order
-    # cubes it emits: "total" (one model each, checked for duplicates),
+    # cubes it emits: "total" (distinct models, both checked by verify),
     # "partial" (disjoint, covering the models) or None (no --output cubes)
     cubes: str | None = None
     # runs via run_bdd, which builds an OBDD, writes the manifest of its
@@ -372,7 +372,7 @@ def _collect_run(path, cfg: RunConfig, formula: CnfFormula):
 def verify(path: str | Path, cfg_a: RunConfig, cfg_b: RunConfig,
            save_dir: str | Path | None = None) -> VerifyReport:
     """Run two configurations plus the oracle and cross-check counts,
-    duplicate solutions, and cube overlaps.  On mismatch a minimized
+    duplicates, non-models and cube overlaps.  On mismatch a minimized
     counterexample is saved next to the instance (or in ``save_dir``).  An
     input error of either run is reported as such: no formula could make it
     go away, so there is nothing to minimize or save."""
@@ -426,6 +426,10 @@ def _verify_formula(formula: CnfFormula, cfg_a: RunConfig, cfg_b: RunConfig,
             masks = [lits_to_mask(c) for c in cubes]
             if len(masks) != len(set(masks)):
                 problems.append(f"{stats.config}: duplicate solutions")
+            cms = clause_masks(formula)   # then O(m) per cube
+            if bad := sum(not all(m & p or ~m & q for p, q in cms)
+                          for m in masks):
+                problems.append(f"{stats.config}: {bad} cubes are not models")
         if kind == "partial" and small:
             ok, msg = check_cube_cover(cubes, formula)
             if not ok:

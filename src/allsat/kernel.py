@@ -19,15 +19,15 @@ level 0 it writes implied literals into the trail itself (level 0 goes
 through ``Trail.assign`` for the taint).  Analysis is one loop; it bumps the
 variables it met afterwards, in the order it met them.
 
-Decisions read a cached decision order: the variables sorted by
+``decide`` reads a cached decision order: the variables sorted by
 decreasing activity with ties kept in index order, followed by the
 never-assigned sentinel ``values[0]``.  An ``itemgetter`` over the order
 reads their values in one C call, and ``index(UNASSIGNED)`` on the result
 finds the first unassigned variable.  Every activity bump (a rescale
-included) marks the order stale, and it is sorted again on the next pick,
-so at most once per conflict.  An engine with an order of its own (the
-formula-BDD engine decides the first unassigned variable) never picks
-here, so it never pays for a sort.
+included) marks the order stale, and it is sorted again on the next
+decision, so at most once per conflict.  An engine with an order of its
+own (the formula-BDD engine decides the first unassigned variable) never
+calls ``decide``, so it never pays for a sort.
 
 Restarts and clause deletion are deliberately absent: enumeration relies on
 learned and blocking clauses staying put.
@@ -45,6 +45,9 @@ from .trail import UNASSIGNED, Trail
 
 ACTIVITY_DECAY = 0.95
 ACTIVITY_RESCALE = 1e100
+# propagate work (calls plus implied literals) between clock reads; less
+# from 4,096 variables on, since each decision reads all n values
+CLOCK_STRIDE = 16
 
 
 class SearchHalted(Exception):
@@ -61,7 +64,8 @@ class LimitExceeded(Exception):
 
 @dataclass
 class Budget:
-    """Wall-clock and (accounting-based) memory limits for one run."""
+    """Wall-clock and (accounting-based) memory limits for one run.  The
+    search reads the clock in ``Kernel.propagate``, by work (see there)."""
 
     time_limit: float | None = None
     mem_limit: int | None = None
@@ -148,6 +152,8 @@ class Kernel:
         self.var_inc = 1.0
         self._sort_order()
         self.qhead = 0
+        self._clock_stride = min(CLOCK_STRIDE, 65536 // (self.n + 1)) or 1
+        self._clock_due = 1   # propagations + calls at the next clock read
         # nothing is assigned yet: watch each problem clause on its first
         # two literals (the store holds no empty clause)
         for c in self.store.problem:
@@ -224,9 +230,13 @@ class Kernel:
 
     def propagate(self) -> Clause | None:
         """Run unit propagation to fixpoint; return the falsified clause on
-        conflict (halting immediately), else None."""
-        if time.monotonic() >= self.budget.deadline:
-            raise LimitExceeded("time")
+        conflict (halting immediately), else None.  The first call checks the
+        deadline, and so does each call that completes a stride of work."""
+        due = self._clock_due = self._clock_due - 1
+        if due <= self.stats.propagations:
+            if time.monotonic() >= self.budget.deadline:
+                raise LimitExceeded("time")
+            self._clock_due = self.stats.propagations + self._clock_stride
         trail = self.trail
         values = trail.values
         watches = self.store.watches
@@ -295,7 +305,8 @@ class Kernel:
                         trail.reasons[var] = clause
                     else:
                         trail.assign(other, clause)
-            del watchers[j:]
+            if j < end:
+                del watchers[j:]
         self.stats.propagations += len(trail_lits) - start
         self.qhead = qhead
         return None
@@ -327,21 +338,13 @@ class Kernel:
         self._order_values = itemgetter(*order)
         self._order_stale = False
 
-    def pick_branch_var(self) -> int | None:
-        """Next unassigned variable: highest activity, lowest index on
-        ties."""
+    def decide(self) -> int | None:
+        """The unassigned variable of highest activity (ties: lowest index)
+        decided false, or None when every variable is assigned."""
         if self._order_stale:
             self._sort_order()
         first = self._order_values(self.trail.values).index(UNASSIGNED)
-        return self._order[first] or None
-
-    def decide(self) -> int | None:
-        """Pick the next decision literal, or None when all assigned: the
-        heuristic's variable, decided false."""
-        var = self.pick_branch_var()
-        if var is None:
-            return None
-        return -var
+        return -self._order[first] or None
 
     def make_decision(self, lit: int) -> None:
         self.trail.decide(lit)
@@ -404,8 +407,8 @@ class Kernel:
                         raise RuntimeError("conflict analysis ran off the trail")
                     lit = trail_lits[idx]
                     v = abs(lit)
-                    if v in seen and var_level[v] == dl \
-                            and (cur_sub < 0 or var_sub[v] == cur_sub):
+                    # in scope: levels and sublevels only grow along the trail
+                    if v in seen:
                         if v == stop_var and pending > 1:
                             stop_idx = idx   # defer: pivot must end as UIP
                             idx -= 1

@@ -83,44 +83,45 @@ class NonBlockingSolver:
         k = self.kernel
         if self.formula.has_empty_clause():
             return 0
+        # bound per run, so that wrappers put on the classes are called
+        trail, stats, propagate = k.trail, k.stats, k.propagate
+        next_decision, backtrack_bt = self._next_decision, self.backtrack_bt
         pending: Clause | None = None
         try:
             while True:
                 if pending is None:
-                    pending = k.propagate()
+                    pending = propagate()
                 if pending is not None:
                     conflict, pending = pending, None
-                    if k.trail.level <= 0:
+                    if trail.level <= 0:
                         break
                     conflict = self._normalize(conflict)
                     pending = self._resolve(conflict)
                 else:
-                    lit = self._next_decision()
+                    lit = next_decision()
                     if lit is not None:
-                        k.make_decision(lit)
-                    elif k.trail.level <= 0:
+                        trail.decide(lit)
+                        stats.decisions += 1
+                    elif trail.level <= 0:
                         break
                     else:
-                        self.backtrack_bt()
-                        self.lim = k.trail.level
+                        backtrack_bt()
+                        self.lim = trail.level
         except SearchHalted:
             pass
-        return self.stats.solutions
+        return stats.solutions
 
     # hook point: formula-BDD caching looks the prefix up in its cache here
     def _next_decision(self) -> int | None:
         """The next decision literal, or None once the branch is closed (a
-        total model was reported)."""
+        total model, which it reports)."""
         k = self.kernel
         if len(k.trail.lits) == k.n:
-            self._report()
+            k.stats.solutions += 1
+            if self.sink is not None:
+                self.sink(tuple(sorted(k.trail.lits, key=abs)))
             return None
         return k.decide()
-
-    def _report(self) -> None:
-        self.kernel.stats.solutions += 1
-        if self.sink is not None:
-            self.sink(tuple(sorted(self.kernel.trail.lits, key=abs)))
 
     def _normalize(self, conflict: Clause) -> Clause:
         """Make sure the conflict touches the current level.
@@ -151,10 +152,10 @@ class NonBlockingSolver:
         if level is None:
             level = t.level
         self._before_cancel(level - 1)
-        t.flip(level)
+        pos = t.flip(level)
         # the flipped literal, at the top of the trail, is not propagated yet
-        if k.qhead >= len(t.lits):
-            k.qhead = len(t.lits) - 1
+        if k.qhead > pos:
+            k.qhead = pos
 
     # the name CBJ calls it by, kept because tracing wraps it by name
     _backtrack_flip_at = backtrack_bt

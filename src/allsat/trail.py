@@ -128,10 +128,10 @@ class Trail:
         del self.cur_sublevel[level + 1:]
         self.level = level
 
-    def flip(self, level: int) -> None:
-        """Cancel ``level`` (>= 1) and every level above it, then assign the
-        negation of its decision at ``level - 1`` in a new sublevel: no
-        antecedent, not a decision, tainted when it lands at level 0."""
+    def flip(self, level: int) -> int:
+        """Cancel ``level`` (>= 1) and all above it, then assign the negated
+        decision at ``level - 1`` in a new sublevel: no antecedent, not a
+        decision, tainted at level 0.  Returns its (the last) trail index."""
         if not 1 <= level <= self.level:
             raise RuntimeError(f"no decision at level {level}")
         lits = self.lits
@@ -139,10 +139,11 @@ class Trail:
         dec = lits[keep]
         var = dec if dec > 0 else -dec
         values = self.values
-        for lit in lits[keep + 1:]:
-            values[lit] = UNASSIGNED
-            values[-lit] = UNASSIGNED
-        del lits[keep + 1:]
+        if len(lits) > keep + 1:
+            for lit in lits[keep + 1:]:
+                values[lit] = UNASSIGNED
+                values[-lit] = UNASSIGNED
+            del lits[keep + 1:]
         del self.level_start[level:]
         cur_sublevel = self.cur_sublevel
         del cur_sublevel[level:]
@@ -157,6 +158,7 @@ class Trail:
         self.var_sublevel[var] = sub
         if level == 0:
             self.tainted[var] = True
+        return keep
 
     def check_consistent(self) -> None:
         """Internal consistency: the per-variable view mirrors the trail,

@@ -162,7 +162,6 @@ def test_bdd_engine_decides_by_its_cursor(tmp_path, monkeypatch):
         raise AssertionError("the kernel was asked for a decision")
 
     monkeypatch.setattr(allsat.kernel.Kernel, "decide", refuse)
-    monkeypatch.setattr(allsat.kernel.Kernel, "pick_branch_var", refuse)
     runs = 0
     for f in random_instances(seed=71, count=20, n_range=(4, 12)):
         want = enumerate_all(f).count

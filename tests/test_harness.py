@@ -475,6 +475,37 @@ def test_verify_checks_cubes_by_kind(ex31_file, tmp_path, monkeypatch,
     assert any(problem in p for p in report.problems), report.problems
 
 
+def test_verify_checks_that_total_cubes_are_models(tmp_path, monkeypatch):
+    """Negative control for the model check: a nonblocking engine whose
+    sink receives 31 distinct non-models in place of its 31 models keeps
+    the count and has no duplicates, and verify still fails; agreeing
+    configurations still pass."""
+    import allsat.harness as H
+    from allsat.oracle import enumerate_all, mask_to_lits
+    f = random_3cnf(random.Random(1), 8, 14)
+    models = set(enumerate_all(f).masks)
+    assert len(models) == 31
+    non_models = [mask_to_lits(m, 8) for m in range(256) if m not in models]
+    path = tmp_path / "p8.cnf"
+    path.write_text(render_dimacs(f))
+    configs = [parse_config_string(s) for s in
+               ("--mode nonblocking", "--mode oracle", "--mode blocking")]
+    assert verify(path, configs[0], configs[1]).ok
+    real = H.NonBlockingSolver
+
+    class Lying(real):
+        def run(self):
+            sink, wrong = self.sink, iter(non_models)
+            self.sink = lambda cube: sink(next(wrong, cube))
+            return super().run()
+
+    monkeypatch.setattr(H, "NonBlockingSolver", Lying)
+    report = verify(path, configs[0], configs[2], save_dir=tmp_path)
+    assert not report.ok and report.count_a == report.count_b == 31
+    assert report.problems == [
+        "nonblocking+dlevel+bj: 31 cubes are not models"]
+
+
 # ----------------------------------------------------------------------
 # CLI surface
 

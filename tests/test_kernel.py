@@ -10,11 +10,12 @@ from allsat import (BlockingConfig, BlockingSolver, Kernel,
                     NonBlockingConfig, NonBlockingSolver, entails,
                     from_clause_lists)
 from allsat.formula import Clause
-from allsat.kernel import ACTIVITY_RESCALE, FALSIFIED, UNIT, clause_status
+from allsat.kernel import (ACTIVITY_RESCALE, CLOCK_STRIDE, FALSIFIED, UNIT,
+                           clause_status)
 from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
 from allsat.trail import UNASSIGNED
 
-from conftest import random_instances, trail_trace
+from conftest import StopClock, random_instances, trail_trace
 
 
 def drive(kernel, decisions):
@@ -197,38 +198,82 @@ def test_stats_counters(ex31):
     assert k.stats.propagations == 3   # -6, 1, 4
 
 
-def test_pick_branch_var_highest_activity_lowest_index():
-    """The decision scan picks the highest activity and, on ties, the
-    lowest index, also after a rescale; every search counter depends on
-    this choice."""
+def test_decide_highest_activity_lowest_index():
+    """A decision takes the highest activity and, on ties, the lowest
+    index, also after a rescale, and decides it false; every search counter
+    depends on this choice."""
     k = Kernel(from_clause_lists(6, []))
-    assert k.pick_branch_var() == 1          # all activities zero
+    assert k.decide() == -1          # all activities zero
     k.bump_activity(5)
     k.bump_activity(3)
-    assert k.pick_branch_var() == 3          # tie
+    assert k.decide() == -3          # tie
     k.decay_activity()
     k.bump_activity(5)
-    assert k.pick_branch_var() == 5
+    assert k.decide() == -5
     k.make_decision(-5)
-    assert k.pick_branch_var() == 3
+    assert k.decide() == -3
     # a bump past ACTIVITY_RESCALE scales every activity down
     k.var_inc = ACTIVITY_RESCALE
     k.bump_activity(6)
     k.bump_activity(6)
     assert k.activity[6] < 10 and k.var_inc < 10
     assert 0 < k.activity[3] < k.activity[6]
-    assert k.pick_branch_var() == 6
+    assert k.decide() == -6
     k.bump_activity(4)
     k.bump_activity(2)
     assert k.activity[2] == k.activity[4] < k.activity[6]
-    assert k.pick_branch_var() == 6
+    assert k.decide() == -6
     k.make_decision(6)
-    assert k.pick_branch_var() == 2          # tie after the rescale
+    assert k.decide() == -2          # tie after the rescale
+
+
+@pytest.mark.parametrize("engine", ["nonblocking", "blocking"])
+def test_propagate_reads_the_clock_by_work(engine, monkeypatch):
+    """The first propagate reads the clock, and after that a call reads it
+    exactly when the work since the last read reaches CLOCK_STRIDE (16):
+    1 per call, counted when it starts, plus the literals it implied,
+    counted when it ends (the reading call's own included)."""
+    import allsat.kernel
+    clock = StopClock()
+    monkeypatch.setattr(allsat.kernel, "time", clock)
+    calls = []
+    for f in random_instances(seed=31, count=12, n_range=(8, 30),
+                              ratio=(1.0, 4.3)):
+        solver = NonBlockingSolver(f) if engine == "nonblocking" \
+            else BlockingSolver(f)
+        k = solver.kernel
+        assert k._clock_stride == CLOCK_STRIDE
+        propagate = k.propagate
+
+        def counted():
+            reads, before = clock.calls, k.stats.propagations
+            try:
+                return propagate()
+            finally:
+                calls.append((clock.calls - reads,
+                              k.stats.propagations - before))
+        k.propagate = counted
+        start = len(calls)
+        solver.run()
+        work = None   # since the last read; None: nothing read yet
+        for reads, implied in calls[start:]:
+            if work is not None:
+                work += 1
+            assert reads == (work is None or work >= CLOCK_STRIDE)
+            if reads:
+                work = 0
+            work += implied
+    assert len(calls) > 1000
+    assert max(i for _, i in calls) > CLOCK_STRIDE   # long runs were met
+    assert 0 < sum(r for r, _ in calls) < len(calls) // 4
+    # a decision reads all n values, so the stride shrinks from n = 4,096
+    assert [Kernel(from_clause_lists(n, []))._clock_stride
+            for n in (4095, 4096, 20000, 70000)] == [16, 15, 3, 1]
 
 
 def reference_pick(k):
-    """The linear scan ``pick_branch_var`` replaced: the highest activity,
-    lowest index first."""
+    """The linear scan the cached decision order replaced: the highest
+    activity, lowest index first."""
     values = k.trail.values
     best = None
     best_act = -1.0
@@ -240,18 +285,17 @@ def reference_pick(k):
 
 
 @pytest.mark.parametrize("n", [0, 1])
-def test_pick_branch_var_on_tiny_formulas(n):
+def test_decide_on_tiny_formulas(n):
     k = Kernel(from_clause_lists(n, []))
-    assert k.pick_branch_var() == (1 if n else None)
+    assert k.decide() == (-1 if n else None)
     if n:
         k.bump_activity(1)
         k.make_decision(1)
-        assert k.pick_branch_var() is None
     assert k.decide() is None
 
 
 @given(st.integers(0, 8), st.data())
-def test_pick_branch_var_matches_the_linear_scan(n, data):
+def test_decide_matches_the_linear_scan(n, data):
     """Random bump / decay / rescale / decide / assign / cancel sequences:
     the cached order picks what the linear scan picks after every step."""
     k = Kernel(from_clause_lists(n, []))
@@ -280,7 +324,8 @@ def test_pick_branch_var_matches_the_linear_scan(n, data):
                 k.make_decision(lit)
             else:
                 t.assign(lit)
-        assert k.pick_branch_var() == reference_pick(k)
+        var = reference_pick(k)
+        assert k.decide() == (-var if var else None)
 
 
 def check_watches(kernel, attached):

@@ -147,7 +147,7 @@ def test_flip_into_level_0_taints():
     t.decide(2)
     t.assign(3, reason=Clause([-2, 3]))
     t.decide(4)
-    t.flip(1)                          # cancels every level, -2 lands at 0
+    assert t.flip(1) == 1              # cancels every level, -2 lands at 0
     assert t.lits == [1, -2] and t.level == 0
     assert t.var_level[2] == 0 and t.var_sublevel[2] == 1
     assert t.tainted[2] and not t.tainted[1]
@@ -218,8 +218,11 @@ def test_flip_matches_cancel_sublevel_assign(n, data):
                 ref.assign(lit, reason)
         elif op == "flip":
             level = data.draw(st.integers(1, t.level))
-            t.flip(level)
+            dec = t.decision_of(level)
+            pos = t.flip(level)
             reference_flip(ref, level)
+            # the returned slot is the flipped decision's, now the last one
+            assert pos == len(t.lits) - 1 and t.lits[pos] == -dec
         else:
             level = data.draw(st.integers(0, t.level))
             t.cancel_to(level)
