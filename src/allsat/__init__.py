@@ -5,9 +5,8 @@ from .formula import (Clause, CnfFormula, DimacsError, apply_order,
                       from_clause_lists, parse_dimacs, render_dimacs)
 from .kernel import Budget, Kernel, LimitExceeded, SolverStats
 from .oracle import ModelSet, entails, enumerate_all, subinstance_models
-from .blocking import (BlockingConfig, BlockingSolver, replay_decisions,
-                       simplify_assignment)
-from .nonblocking import NonBlockingConfig, NonBlockingSolver
+from .blocking import BlockingSolver, replay_decisions, simplify_assignment
+from .nonblocking import NonBlockingSolver
 from .obdd import ObddStore, count_models, dump, extend_obdd, load
 from .bddcache import (BddBlockingSolver, BddSolver, RefreshPolicy,
                        compute_cuts, make_formula)
@@ -17,9 +16,8 @@ __all__ = [
     "from_clause_lists", "parse_dimacs", "render_dimacs",
     "Budget", "Kernel", "LimitExceeded", "SolverStats",
     "ModelSet", "entails", "enumerate_all", "subinstance_models",
-    "BlockingConfig", "BlockingSolver", "replay_decisions",
-    "simplify_assignment",
-    "NonBlockingConfig", "NonBlockingSolver",
+    "BlockingSolver", "replay_decisions", "simplify_assignment",
+    "NonBlockingSolver",
     "ObddStore", "count_models", "dump", "extend_obdd", "load",
     "BddBlockingSolver", "BddSolver", "RefreshPolicy", "compute_cuts",
     "make_formula",

@@ -110,7 +110,9 @@ below what the final diagram needs after compaction still makes a run dump
 over and over (README, known limit).  When the search ends, or a limit
 stops it, ``run_bdd`` counts the final diagram, sets ``solutions`` (final
 plus the dumped parts), ``obdd_nodes`` and ``dumps`` in the engine's stats,
-and writes the parts' manifest.
+and writes the parts' manifest; it returns ``solutions``.  The final
+diagram stays on ``solver.store`` and the dumped parts, (file, models)
+pairs, on ``solver.dumps``.
 """
 
 from __future__ import annotations
@@ -122,9 +124,8 @@ from pathlib import Path
 
 from .formula import Clause, CnfFormula
 from .kernel import Budget, LimitExceeded
-from .nonblocking import NonBlockingConfig, NonBlockingSolver
-from .obdd import (TOP, ObddStore, compact, count_models, dump,
-                   extend_obdd)
+from .nonblocking import NonBlockingSolver
+from .obdd import TOP, ObddStore, compact, count_models, dump, extend_obdd
 from .blocking import BlockingSolver
 from .trail import UNASSIGNED
 
@@ -268,20 +269,13 @@ def _refresh(solver) -> None:
     solver.solved = {}
 
 
-@dataclass
-class BddResult:
-    store: ObddStore
-    dumps: list[tuple[str, int]]    # (part file, models in it)
-    final: int                      # models in the final diagram
-    total: int                      # final plus every dumped part
-
-
-def _run_bdd(solver) -> BddResult:
+def _run_bdd(solver) -> int:
     """``run_bdd`` of both engines: run the search, then count the final
     diagram, set ``solutions``, ``obdd_nodes`` and ``dumps`` in the stats,
     and write ``<stem>.obdd.manifest`` next to the dumped parts, if any.
-    A limit that stops the search gets the same bookkeeping before it
-    propagates, so the stats then hold a lower bound."""
+    Returns ``solutions``.  A limit that stops the search gets the same
+    bookkeeping before it propagates, so the stats then hold a lower
+    bound."""
     try:
         solver.run()
     except LimitExceeded:
@@ -290,7 +284,7 @@ def _run_bdd(solver) -> BddResult:
     return _tally(solver)
 
 
-def _tally(solver) -> BddResult:
+def _tally(solver) -> int:
     store, dumps, stats = solver.store, solver.dumps, solver.stats
     final = count_models(store)
     stats.solutions = final + sum(c for _, c in dumps)
@@ -303,17 +297,16 @@ def _tally(solver) -> BddResult:
             for part, count in dumps:
                 fh.write(f"{part} {count}\n")
             fh.write(f"final {final}\n")
-    return BddResult(store, dumps, final, stats.solutions)
+    return stats.solutions
 
 
-def _init_cache(solver, cache_mode: str,
-                policy: RefreshPolicy | None) -> None:
+def _init_cache(solver, cache: str, policy: RefreshPolicy | None) -> None:
     """Cache state both engines keep: the key mode's step tables, the
     refresh policy and the arena size that triggers it, the diagram, the
     solved cache and the dumped parts.  The tables are built under the
     engine's budget, so a time limit binds them too."""
     formula = solver.formula
-    solver.steps = compute_cuts(formula, cache_mode, solver.kernel.budget)
+    solver.steps = compute_cuts(formula, cache, solver.kernel.budget)
     solver.policy = policy or RefreshPolicy()
     solver.policy.validate(formula.num_vars)
     theta = solver.policy.threshold
@@ -325,15 +318,14 @@ def _init_cache(solver, cache_mode: str,
 
 class BddSolver(NonBlockingSolver):
     """Non-blocking engine with the encode / extend / enroll stages wired
-    into its decision step and every cancel."""
+    into its decision step and every cancel.  ``options`` (``uip``,
+    ``backtrack``) go to ``NonBlockingSolver``."""
 
-    def __init__(self, formula: CnfFormula,
-                 cfg: NonBlockingConfig | None = None,
-                 cache_mode: str = "cutset",
+    def __init__(self, formula: CnfFormula, *, cache: str = "cutset",
                  policy: RefreshPolicy | None = None,
-                 budget: Budget | None = None):
-        super().__init__(formula, cfg, sink=None, budget=budget)
-        _init_cache(self, cache_mode, policy)
+                 budget: Budget | None = None, **options):
+        super().__init__(formula, budget=budget, **options)
+        _init_cache(self, cache, policy)
         self.n = formula.num_vars
         # codes of the prefix at cuts 0, 1, ... for the values on the trail
         self.codes = [0]
@@ -448,12 +440,12 @@ class BddBlockingSolver(BlockingSolver):
     """Blocking engine that materializes every reported solution as an OBDD
     path, with creation-time node merging keyed by the formula cache."""
 
-    def __init__(self, formula: CnfFormula, cache_mode: str = "cutset",
+    def __init__(self, formula: CnfFormula, *, cache: str = "cutset",
                  policy: RefreshPolicy | None = None,
                  budget: Budget | None = None):
         # the default configuration: each model is total, an OBDD path
         super().__init__(formula, budget=budget)
-        _init_cache(self, cache_mode, policy)
+        _init_cache(self, cache, policy)
         # sharing across equivalent prefixes is only sound when no dump can
         # freeze a node before the search finishes filling it
         self.sharing = self.policy.threshold is None

@@ -9,22 +9,17 @@ pre-restart decisions to return the search to where it left off.
 
 ``all_literals`` switches to the textbook loop that blocks the full
 assignment and only stops when the extended formula becomes unsatisfiable.
+
+``run`` returns the models the emitted cubes cover, ``stats.solutions``; a
+simplified cube stands for every model that extends it, so the cubes
+themselves are counted at the sink.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .formula import Clause, CnfFormula
 from .kernel import FALSIFIED, UNIT, Budget, ClauseStore, Kernel
 from .trail import UNASSIGNED, Trail
-
-
-@dataclass
-class BlockingConfig:
-    simplify: bool = False
-    continue_search: bool = False
-    all_literals: bool = False
 
 
 def simplify_assignment(trail: Trail, store: ClauseStore) -> list[int]:
@@ -87,14 +82,16 @@ def replay_decisions(kernel: Kernel, saved: list[int]) -> Clause | None:
 class BlockingSolver:
     """One enumeration run over a formula (single-threaded)."""
 
-    def __init__(self, formula: CnfFormula, cfg: BlockingConfig | None = None,
+    def __init__(self, formula: CnfFormula, *, simplify: bool = False,
+                 continue_search: bool = False, all_literals: bool = False,
                  sink=None, budget: Budget | None = None):
         self.formula = formula
-        self.cfg = cfg or BlockingConfig()
+        self.simplify = simplify
+        self.continue_search = continue_search
+        self.all_literals = all_literals
         self.sink = sink
         self.kernel = Kernel(formula, budget=budget)
         self.saved: list[int] = []   # decisions before the last restart
-        self.count = 0            # cubes emitted; stats.solutions has models
 
     @property
     def stats(self):
@@ -117,7 +114,7 @@ class BlockingSolver:
                     break
                 if lmax < k.trail.level:
                     k.cancel_to(lmax)
-                learned = k.analyze(conflict, scope="level")
+                learned = k.analyze(conflict)
                 k.cancel_to(learned.assert_level)
                 k.add_learned(learned.clause)
                 status = k.attach_clause(learned.clause)
@@ -132,13 +129,12 @@ class BlockingSolver:
             else:
                 lit = k.decide()
                 k.make_decision(lit)
-        return self.count
+        return k.stats.solutions
 
     # ------------------------------------------------------------------
 
     def _emit(self, lits: list[int]) -> None:
         """Report the cube of ``lits``, in any order."""
-        self.count += 1
         self.kernel.stats.solutions += 1 << (self.formula.num_vars - len(lits))
         if self.sink is not None:
             self.sink(tuple(sorted(lits, key=abs)))
@@ -151,9 +147,9 @@ class BlockingSolver:
         pending_conflict)."""
         t = self.kernel.trail
         cube = t.lits
-        if self.cfg.all_literals:
+        if self.all_literals:
             negate = t.lits
-        elif self.cfg.simplify:
+        elif self.simplify:
             negate = simplify_assignment(t, self.kernel.store)
             dropped = set(t.decisions()).difference(negate)
             cube = [l for l in t.lits if l not in dropped]
@@ -166,7 +162,7 @@ class BlockingSolver:
 
     def _block_and_restart(self, clause: Clause) -> Clause | None:
         k = self.kernel
-        if self.cfg.continue_search:
+        if self.continue_search:
             self.saved = k.trail.decisions()
         k.cancel_to(0)
         k.add_blocking(clause)
@@ -175,7 +171,7 @@ class BlockingSolver:
             return clause
         if status == UNIT:
             k.trail.assign(clause.lits[0], clause)
-        if self.cfg.continue_search:
+        if self.continue_search:
             return replay_decisions(k, self.saved)
         return None
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,12 +19,11 @@ from typing import Callable
 
 from .bddcache import (CACHE_MODES, BddBlockingSolver, BddSolver,
                        RefreshPolicy)
-from .blocking import BlockingConfig, BlockingSolver
+from .blocking import BlockingSolver
 from .formula import (CnfFormula, InputError, apply_order, parse_dimacs,
                       read_order_file, read_text, render_dimacs)
-from .kernel import Budget, LimitExceeded, SolverStats
-from .nonblocking import (STRATEGIES, UIP_SCHEMES, NonBlockingConfig,
-                          NonBlockingSolver)
+from .kernel import UIP_SCHEMES, Budget, LimitExceeded, SolverStats
+from .nonblocking import STRATEGIES, NonBlockingSolver
 # count_models is unused here; the benchmark's tracer wraps it by this name
 from .obdd import count_models, dump
 from .oracle import (GUARD_VARS, OracleGuardError, check_cube_cover,
@@ -68,21 +68,22 @@ MODES = {
     "blocking": Mode(
         ("simplify", "continue_search"), cubes="partial",
         build=lambda f, cfg, emit, budget, policy: BlockingSolver(
-            f, BlockingConfig(cfg.simplify, cfg.continue_search),
+            f, simplify=cfg.simplify, continue_search=cfg.continue_search,
             sink=emit, budget=budget)),
     "nonblocking": Mode(
         ("uip", "backtrack"), cubes="total",
         build=lambda f, cfg, emit, budget, policy: NonBlockingSolver(
-            f, cfg.nonblocking_config(), sink=emit, budget=budget)),
+            f, uip=cfg.setting("uip"), backtrack=cfg.setting("backtrack"),
+            sink=emit, budget=budget)),
     "bdd": Mode(
         ("uip", "backtrack", "cache", "refresh_threshold"), diagram=True,
         build=lambda f, cfg, emit, budget, policy: BddSolver(
-            f, cfg.nonblocking_config(), cfg.setting("cache"), policy,
-            budget)),
+            f, uip=cfg.setting("uip"), backtrack=cfg.setting("backtrack"),
+            cache=cfg.setting("cache"), policy=policy, budget=budget)),
     "bdd-blocking": Mode(
         ("cache", "refresh_threshold"), diagram=True,
         build=lambda f, cfg, emit, budget, policy: BddBlockingSolver(
-            f, cfg.setting("cache"), policy, budget=budget)),
+            f, cache=cfg.setting("cache"), policy=policy, budget=budget)),
     "oracle": Mode(),
 }
 
@@ -139,10 +140,6 @@ class RunConfig:
         """A mode flag's value, or the value it stands for when unset."""
         value = getattr(self, name)
         return FLAGS[name][2] if value is None else value
-
-    def nonblocking_config(self) -> NonBlockingConfig:
-        return NonBlockingConfig(self.setting("uip"),
-                                 self.setting("backtrack"))
 
 
 @dataclass
@@ -375,35 +372,40 @@ def verify(path: str | Path, cfg_a: RunConfig, cfg_b: RunConfig,
     duplicates, non-models and cube overlaps.  On mismatch a minimized
     counterexample is saved next to the instance (or in ``save_dir``).  An
     input error of either run is reported as such: no formula could make it
-    go away, so there is nothing to minimize or save."""
+    go away, so there is nothing to minimize or save.  Refresh dumps go
+    next to the path a run is given, and verify never reads them, so its
+    runs are given paths in a temporary directory that it removes."""
     try:
         formula = parse_dimacs(read_text(path))
     except InputError as exc:
         return VerifyReport(str(path), 0, 0, None, False, [f"{path}: {exc}"],
                             input_error=True)
-    report = _verify_formula(formula, cfg_a, cfg_b, str(path))
-    if not report.ok and not report.input_error:
-        counter = _minimize(formula, cfg_a, cfg_b)
-        directory = Path(save_dir) if save_dir else Path(path).parent
-        directory.mkdir(parents=True, exist_ok=True)
-        stem = Path(path).stem
-        cnf_path = directory / f"{stem}.counterexample.cnf"
-        with open(cnf_path, "w") as fh:
-            fh.write(render_dimacs(counter))
-        meta_path = directory / f"{stem}.counterexample.json"
-        with open(meta_path, "w") as fh:
-            json.dump({"instance": str(path),
-                       "config_a": cfg_a.label(),
-                       "config_b": cfg_b.label(),
-                       "problems": report.problems}, fh, indent=2)
-        report.counterexample = str(cnf_path)
+    with tempfile.TemporaryDirectory() as scratch:
+        report = _verify_formula(formula, cfg_a, cfg_b, str(path), scratch)
+        if report.ok or report.input_error:
+            return report
+        counter = _minimize(formula, cfg_a, cfg_b, scratch)
+    directory = Path(save_dir) if save_dir else Path(path).parent
+    directory.mkdir(parents=True, exist_ok=True)
+    stem = Path(path).stem
+    cnf_path = directory / f"{stem}.counterexample.cnf"
+    with open(cnf_path, "w") as fh:
+        fh.write(render_dimacs(counter))
+    meta_path = directory / f"{stem}.counterexample.json"
+    with open(meta_path, "w") as fh:
+        json.dump({"instance": str(path),
+                   "config_a": cfg_a.label(),
+                   "config_b": cfg_b.label(),
+                   "problems": report.problems}, fh, indent=2)
+    report.counterexample = str(cnf_path)
     return report
 
 
 def _verify_formula(formula: CnfFormula, cfg_a: RunConfig, cfg_b: RunConfig,
-                    name: str) -> VerifyReport:
-    stats_a, cubes_a = _collect_run(name, cfg_a, formula)
-    stats_b, cubes_b = _collect_run(name, cfg_b, formula)
+                    name: str, scratch: str) -> VerifyReport:
+    run_path = Path(scratch) / Path(name).name
+    stats_a, cubes_a = _collect_run(run_path, cfg_a, formula)
+    stats_b, cubes_b = _collect_run(run_path, cfg_b, formula)
     problems = [f"{s.config}: {s.error}" for s in (stats_a, stats_b)
                 if s.exit_code == EXIT_INPUT]
     if problems:
@@ -438,8 +440,8 @@ def _verify_formula(formula: CnfFormula, cfg_a: RunConfig, cfg_b: RunConfig,
                         oracle_count, not problems, problems)
 
 
-def _minimize(formula: CnfFormula, cfg_a: RunConfig,
-              cfg_b: RunConfig) -> CnfFormula:
+def _minimize(formula: CnfFormula, cfg_a: RunConfig, cfg_b: RunConfig,
+              scratch: str) -> CnfFormula:
     """Greedy one-pass clause removal keeping the discrepancy alive."""
     if formula.num_vars > 15:
         return formula
@@ -448,7 +450,7 @@ def _minimize(formula: CnfFormula, cfg_a: RunConfig,
     for i in range(len(current) - 1, -1, -1):
         trial = current[:i] + current[i + 1:]
         candidate = from_clause_lists(formula.num_vars, trial)
-        rep = _verify_formula(candidate, cfg_a, cfg_b, "minimize")
+        rep = _verify_formula(candidate, cfg_a, cfg_b, "minimize", scratch)
         if not rep.ok:
             current = trial
     return from_clause_lists(formula.num_vars, current)

@@ -1,17 +1,15 @@
 """CDCL kernel: two-watched-literal propagation, decision heuristics, and
 the first-UIP conflict analysis family shared by every enumeration engine.
 
-Three analysis scopes are supported:
+Two analysis scopes, the ``--uip`` schemes, are supported:
 
-* ``level``    - classic first UIP over the current decision level, used by
-                 SAT-style search (blocking engine); the asserting literal is
-                 enqueued by the caller after backjumping.
 * ``sublevel`` - first UIP within the current sublevel; assignments from
                  earlier sublevels of the same level are treated like
                  lower-level literals.
 * ``dlevel``   - first UIP over the whole level where flipped decisions
                  (NULL antecedent) are not expanded but negated into the
-                 clause.
+                 clause.  With no flips, as in the blocking engine's
+                 SAT-style search, this is the classic first UIP.
 
 Watch lists, like the trail's values, are indexed by the signed literal
 (``watches[lit]``), so propagation needs no sign test or encoding.  Above
@@ -43,6 +41,7 @@ from operator import itemgetter
 from .formula import Clause, CnfFormula
 from .trail import UNASSIGNED, Trail
 
+UIP_SCHEMES = ("sublevel", "dlevel")
 ACTIVITY_DECAY = 0.95
 ACTIVITY_RESCALE = 1e100
 # propagate work (calls plus implied literals) between clock reads; less
@@ -127,15 +126,12 @@ class ClauseStore:
     since the enumeration engines rely on them to encode exhausted regions.
     """
 
-    def __init__(self, formula: CnfFormula):
-        # own copies: propagation reorders literals, and the formula is
-        # shared with the caller
-        self.problem: list[Clause] = [Clause(list(c.lits), c.cid)
-                                      for c in formula.clauses if len(c) > 0]
+    def __init__(self, num_vars: int):
+        self.problem: list[Clause] = []
         self.learned: list[Clause] = []
         self.blocking: list[Clause] = []
         self.watches: list[list[Clause]] = [   # signed literal -> watchers
-            [] for _ in range(2 * formula.num_vars + 1)]
+            [] for _ in range(2 * num_vars + 1)]
         self.pending_units: list[Clause] = []
 
 
@@ -144,7 +140,7 @@ class Kernel:
 
     def __init__(self, formula: CnfFormula, budget: Budget | None = None):
         self.n = formula.num_vars
-        self.store = ClauseStore(formula)
+        self.store = ClauseStore(self.n)
         self.trail = Trail(self.n)
         self.budget = budget or Budget()
         self.stats = SolverStats()
@@ -154,14 +150,24 @@ class Kernel:
         self.qhead = 0
         self._clock_stride = min(CLOCK_STRIDE, 65536 // (self.n + 1)) or 1
         self._clock_due = 1   # propagations + calls at the next clock read
-        # nothing is assigned yet: watch each problem clause on its first
-        # two literals (the store holds no empty clause)
-        for c in self.store.problem:
-            if len(c) == 1:
+        # own copies of the non-empty clauses: propagation reorders literals,
+        # and the formula is shared with the caller.  Nothing is assigned
+        # yet: watch each on its first two literals.  The deadline is
+        # checked every 1,024 clauses.
+        problem, watches = self.store.problem, self.store.watches
+        for c in formula.clauses:
+            lits = list(c.lits)
+            if not lits:
+                continue
+            c = Clause(lits, c.cid)
+            problem.append(c)
+            if len(lits) == 1:
                 self.store.pending_units.append(c)
             else:
-                self.store.watches[c.lits[0]].append(c)
-                self.store.watches[c.lits[1]].append(c)
+                watches[lits[0]].append(c)
+                watches[lits[1]].append(c)
+            if not len(problem) & 1023:
+                self.budget.check_time()
         self.budget.charge(sum(_CLAUSE_BASE_BYTES + _LIT_BYTES * len(c)
                                for c in self.store.problem))
 
@@ -353,17 +359,20 @@ class Kernel:
     # ------------------------------------------------------------------
     # conflict analysis
 
-    def analyze(self, conflict: Clause, scope: str = "level",
+    def analyze(self, conflict: Clause, uip: str = "dlevel",
                 stop_lit: int | None = None) -> LearnedClause:
         """Derive a first-UIP clause from ``conflict``.
 
-        ``scope`` selects the analysis family (see module docstring).  With
+        ``uip`` selects the analysis scope, one of ``UIP_SCHEMES`` (see
+        module docstring); any other raises ValueError.  With
         ``stop_lit`` the traversal never expands that literal, so it ends up
         as the clause's UIP (used by conflict-directed backjumping).
 
         The clause's first literal is the negated UIP.  Literals assigned at
         level 0 are dropped (they are permanent facts).
         """
+        if uip not in UIP_SCHEMES:
+            raise ValueError(f"unknown uip scheme {uip!r}")
         trail = self.trail
         dl = trail.level
         var_level = trail.var_level
@@ -377,7 +386,7 @@ class Kernel:
             raise RuntimeError("conflict clause has no current-level literal")
         # the scope is level dl, or only its sublevel cur_sub (-1: all)
         cur_sub = max(var_sub[abs(l)] for l in lits_at_dl) \
-            if scope == "sublevel" else -1
+            if uip == "sublevel" else -1
 
         seen: dict[int, None] = {}   # insertion order is the bump order
         out: list[int] = []

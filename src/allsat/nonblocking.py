@@ -18,26 +18,11 @@ by analysis itself; implications surface through regular propagation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .formula import Clause, CnfFormula
-from .kernel import (FALSIFIED, UNIT, Budget, Kernel, SearchHalted,
-                     clause_status)
+from .kernel import (FALSIFIED, UIP_SCHEMES, UNIT, Budget, Kernel,
+                     SearchHalted, clause_status)
 
-UIP_SCHEMES = ("sublevel", "dlevel")
 STRATEGIES = ("bt", "bj", "cbj", "bjcbj")
-
-
-@dataclass
-class NonBlockingConfig:
-    uip_scheme: str = "dlevel"
-    strategy: str = "bj"
-
-    def __post_init__(self):
-        if self.uip_scheme not in UIP_SCHEMES:
-            raise ValueError(f"unknown uip scheme {self.uip_scheme!r}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
 def resolve_clauses(c1: Clause, c2: Clause, pivot_var: int) -> Clause:
@@ -55,13 +40,19 @@ def resolve_clauses(c1: Clause, c2: Clause, pivot_var: int) -> Clause:
 
 class NonBlockingSolver:
     """Total-assignment enumerator (Algorithm: propagate / resolve / report /
-    backtrack loop with a limit level)."""
+    backtrack loop with a limit level).  ``uip`` is one of ``UIP_SCHEMES``
+    and ``backtrack`` one of ``STRATEGIES``; any other raises ValueError."""
 
-    def __init__(self, formula: CnfFormula,
-                 cfg: NonBlockingConfig | None = None, sink=None,
+    def __init__(self, formula: CnfFormula, *, uip: str = "dlevel",
+                 backtrack: str = "bj", sink=None,
                  budget: Budget | None = None):
+        if uip not in UIP_SCHEMES:
+            raise ValueError(f"unknown uip scheme {uip!r}")
+        if backtrack not in STRATEGIES:
+            raise ValueError(f"unknown backtrack strategy {backtrack!r}")
         self.formula = formula
-        self.cfg = cfg or NonBlockingConfig()
+        self.uip = uip
+        self.backtrack = backtrack
         self.sink = sink
         self.kernel = Kernel(formula, budget=budget)
         self.lim = 0
@@ -164,7 +155,7 @@ class NonBlockingSolver:
     # conflict resolution strategies
 
     def _resolve(self, conflict: Clause) -> Clause | None:
-        return getattr(self, "resolve_" + self.cfg.strategy)(conflict)
+        return getattr(self, "resolve_" + self.backtrack)(conflict)
 
     def _attach_learned(self, clause: Clause) -> Clause | None:
         """Attach a recorded clause under the post-backtrack trail; enqueue
@@ -179,7 +170,7 @@ class NonBlockingSolver:
 
     def resolve_bt(self, conflict: Clause) -> Clause | None:
         k = self.kernel
-        learned = k.analyze(conflict, scope=self.cfg.uip_scheme)
+        learned = k.analyze(conflict, self.uip)
         k.add_learned(learned.clause)
         self.backtrack_bt()
         self.lim = k.trail.level
@@ -189,7 +180,7 @@ class NonBlockingSolver:
         """Backjump to the asserting level but never below the limit level;
         at the limit, fall back to BT so the flip guards found solutions."""
         k = self.kernel
-        learned = k.analyze(conflict, scope=self.cfg.uip_scheme)
+        learned = k.analyze(conflict, self.uip)
         k.add_learned(learned.clause)
         if self.lim < k.trail.level:
             bl = max(learned.assert_level, self.lim)
@@ -211,7 +202,7 @@ class NonBlockingSolver:
                 if k.trail.level <= 0:
                     raise SearchHalted
                 pending = self._normalize(pending)
-                learned = k.analyze(pending, scope=self.cfg.uip_scheme)
+                learned = k.analyze(pending, self.uip)
                 pending = None
                 k.add_learned(learned.clause)
                 stack.append(learned.clause)
@@ -226,8 +217,7 @@ class NonBlockingSolver:
                     if follow_up is not None:
                         if k.trail.level <= 0:
                             raise SearchHalted
-                        targeted = k.analyze(follow_up,
-                                             scope=self.cfg.uip_scheme,
+                        targeted = k.analyze(follow_up, self.uip,
                                              stop_lit=unit)
                         cl3 = resolve_clauses(cl1, targeted.clause, abs(unit))
                         k.add_learned(cl3)

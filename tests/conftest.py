@@ -1,6 +1,7 @@
 import math
 import random
 import signal
+import time
 from contextlib import contextmanager
 
 import pytest
@@ -182,16 +183,16 @@ def path_mask(path) -> int:
     return sum(1 << (var - 1) for var, value in path if value)
 
 
-def check_partition(result, n: int, want: set[int], label) -> None:
-    """The dumped parts and the final diagram of a diagram engine's result
-    are ordered, never skip a variable, and split the models ``want``
+def check_partition(solver, n: int, want: set[int], label) -> None:
+    """The dumped parts and the final diagram of a diagram engine that has
+    run are ordered, never skip a variable, and split the models ``want``
     between them."""
-    assert result.total == len(want), label
+    assert solver.stats.solutions == len(want), label
     stores = []
-    for part, count in result.dumps:
+    for part, count in solver.dumps:
         with open(part) as fh:
             stores.append((load(fh.read()), count))
-    stores.append((result.store, result.final))
+    stores.append((solver.store, count_models(solver.store)))
     masks = []
     for store, count in stores:
         store.check_ordered()
@@ -204,18 +205,37 @@ def check_partition(result, n: int, want: set[int], label) -> None:
     assert set(masks) == want, label
 
 
+# seconds each test may take: its setup (session fixtures included), call
+# and teardown together
+TEST_TIME_LIMIT = 300
+
+
 @contextmanager
 def time_limit(seconds: float):
-    """Fail with TimeoutError instead of hanging past ``seconds``."""
+    """Fail with TimeoutError instead of hanging past ``seconds``.  An
+    outer limit that was armed is armed again on exit, with what is left
+    of it (a limit that passed meanwhile fires at once)."""
     def expire(signum, frame):
         raise TimeoutError(f"still running after {seconds} s")
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
+    started = time.monotonic()
     try:
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+        if outer:
+            left = outer - (time.monotonic() - started)
+            signal.setitimer(signal.ITIMER_REAL, max(left, 1e-6))
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """A test fails after TEST_TIME_LIMIT seconds instead of hanging the
+    suite; the phase the alarm interrupts reports the TimeoutError."""
+    with time_limit(TEST_TIME_LIMIT):
+        yield
 
 
 class StopClock:

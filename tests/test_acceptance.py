@@ -15,9 +15,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from allsat import (BddBlockingSolver, BddSolver, BlockingConfig,
-                    BlockingSolver, Budget, Kernel, LimitExceeded,
-                    NonBlockingConfig, NonBlockingSolver, RefreshPolicy,
+from allsat import (BddBlockingSolver, BddSolver, BlockingSolver, Budget,
+                    Kernel, LimitExceeded, NonBlockingSolver, RefreshPolicy,
                     compute_cuts, count_models, dump, enumerate_all,
                     from_clause_lists, load, make_formula)
 from allsat.obdd import iter_paths
@@ -30,10 +29,10 @@ from conftest import (EX31_CLAUSES, EX41_CLAUSES, blocking_clauses,
 SWEEP_INSTANCES = 200
 MODEL_CAP = 1500         # keeps the exhaustive sweep inside the time budget
 
-NONBLOCKING_CONFIGS = [NonBlockingConfig(s, b)
-                       for s in ("sublevel", "dlevel")
+NONBLOCKING_CONFIGS = [dict(uip=u, backtrack=b)
+                       for u in ("sublevel", "dlevel")
                        for b in ("bt", "bj", "cbj", "bjcbj")]
-BLOCKING_CONFIGS = [BlockingConfig(simplify=s, continue_search=c)
+BLOCKING_CONFIGS = [dict(simplify=s, continue_search=c)
                     for s in (False, True) for c in (False, True)]
 BDD_CONFIGS = [("bdd", "cutset"), ("bdd", "separator"),
                ("bdd-blocking", "cutset"), ("bdd-blocking", "separator")]
@@ -97,8 +96,8 @@ def checked_analyze(kernel, violations):
     literal in the clause is a flip (NULL antecedent)."""
     original = kernel.analyze
 
-    def wrapper(conflict, scope="level", stop_lit=None):
-        learned = original(conflict, scope, stop_lit)
+    def wrapper(conflict, uip="dlevel", stop_lit=None):
+        learned = original(conflict, uip, stop_lit)
         t = kernel.trail
         uip_lit = learned.lits[0]
         dl = t.level
@@ -109,7 +108,7 @@ def checked_analyze(kernel, violations):
             v = abs(l)
             if t.var_level[v] != dl:
                 continue
-            if scope == "sublevel" and t.var_sublevel[v] != sub:
+            if uip == "sublevel" and t.var_sublevel[v] != sub:
                 continue
             in_scope.append(l)
         with_reason = [l for l in in_scope if t.reasons[abs(l)] is not None]
@@ -159,25 +158,26 @@ def sweep():
 
         for cfg in BLOCKING_CONFIGS:
             cubes = []
-            solver = BlockingSolver(f, cfg, sink=cubes.append)
+            solver = BlockingSolver(f, **cfg, sink=cubes.append)
             got = solver.run()
             result.runs += 1
-            if not cfg.simplify and got != want:
-                result.count_mismatches.append((idx, "blocking", got, want))
-            if solver.stats.solutions != want:
+            if not cfg["simplify"] and len(cubes) != want:
                 result.count_mismatches.append(
-                    (idx, "blocking-covered", solver.stats.solutions, want))
+                    (idx, "blocking", len(cubes), want))
+            if got != want:
+                result.count_mismatches.append(
+                    (idx, "blocking-covered", got, want))
             ok, msg = check_cube_cover(cubes, f)
             if not ok:
                 result.cover_failures.append((idx, cfg, msg))
 
         for cfg in NONBLOCKING_CONFIGS:
             sols = []
-            solver = NonBlockingSolver(f, cfg, sink=sols.append)
+            solver = NonBlockingSolver(f, **cfg, sink=sols.append)
             checked_analyze(solver.kernel, result.structure_violations)
             got = solver.run()
             result.runs += 1
-            label = f"{cfg.uip_scheme}/{cfg.strategy}"
+            label = f"{cfg['uip']}/{cfg['backtrack']}"
             if got != want:
                 result.count_mismatches.append((idx, label, got, want))
             masks = [solution_mask(s) for s in sols]
@@ -189,16 +189,15 @@ def sweep():
 
         for engine, cache in BDD_CONFIGS:
             if engine == "bdd":
-                solver = BddSolver(f, cache_mode=cache)
+                solver = BddSolver(f, cache=cache)
             else:
-                solver = BddBlockingSolver(f, cache_mode=cache)
-            bdd_result = solver.run_bdd()
+                solver = BddBlockingSolver(f, cache=cache)
+            got = solver.run_bdd()
             result.runs += 1
             label = f"{engine}/{cache}"
-            if bdd_result.total != want:
-                result.count_mismatches.append(
-                    (idx, label, bdd_result.total, want))
-            store = bdd_result.store
+            if got != want:
+                result.count_mismatches.append((idx, label, got, want))
+            store = solver.store
             if count_models(store) != want:
                 result.obdd_count_mismatches.append((idx, label))
             seen_paths = set()
@@ -256,13 +255,13 @@ def test_criterion_1_worked_goldens():
             k.make_decision(lit)
             conflict = k.propagate()
         assert conflict is not None
-        learned = k.analyze(conflict, scope="level")
+        learned = k.analyze(conflict)
         assert sorted(learned.lits, key=abs) == [-3, 4]
         assert learned.assert_level == 1
 
         # (c) textbook blocking run: two cubes, two clauses, in order
         cubes = []
-        solver = BlockingSolver(ex41(), BlockingConfig(all_literals=True),
+        solver = BlockingSolver(ex41(), all_literals=True,
                                 sink=cubes.append)
         assert solver.run() == 2
         assert cubes == [(-1, -2, -3), (1, 2, 3)]
@@ -270,7 +269,7 @@ def test_criterion_1_worked_goldens():
 
         # (d) simplification under forced decisions yields x5 | -x3
         solver = script_decisions(
-            BlockingSolver(f, BlockingConfig(simplify=True)), [-5, 3, 2])
+            BlockingSolver(f, simplify=True), [-5, 3, 2])
         solver.run()
         assert blocking_clauses(solver)[0] == (-3, 5)
 
@@ -325,7 +324,7 @@ def test_criterion_5_scalability_smoke():
         f60 = from_clause_lists(60, chain)
         want = enumerate_all(from_clause_lists(12, chain)).count * 2 ** 48
         started = time.monotonic()
-        total = BddSolver(f60).run_bdd().total
+        total = BddSolver(f60).run_bdd()
         elapsed = time.monotonic() - started
         assert total == want
         assert elapsed < 5.0
@@ -351,17 +350,17 @@ def test_criterion_6_refresh_partition(tmp_path):
             checked += 1
             policy = RefreshPolicy(threshold=n + 1, dump_dir=tmp_path,
                                    stem=f"acc6_{checked}")
-            result = BddSolver(f, policy=policy).run_bdd()
-            assert result.total == models.count
-            assert result.dumps
+            solver = BddSolver(f, policy=policy)
+            assert solver.run_bdd() == models.count
+            assert solver.dumps
             seen = set()
-            for part, _ in result.dumps:
+            for part, _ in solver.dumps:
                 with open(part) as fh:
                     part_store = load(fh.read())
                 for path in iter_paths(part_store):
                     assert path not in seen, "assignment in two dumps"
                     seen.add(path)
-            for path in iter_paths(result.store):
+            for path in iter_paths(solver.store):
                 assert path not in seen
                 seen.add(path)
             assert len(seen) == models.count

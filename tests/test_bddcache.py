@@ -4,8 +4,8 @@ from unittest import mock
 import pytest
 
 import allsat.kernel
-from allsat import (BddSolver, Budget, LimitExceeded, NonBlockingConfig,
-                    RefreshPolicy, compute_cuts, enumerate_all, entails,
+from allsat import (BddSolver, Budget, LimitExceeded, RefreshPolicy,
+                    compute_cuts, count_models, enumerate_all, entails,
                     extend_obdd, from_clause_lists, load, make_formula,
                     subinstance_models)
 from allsat import bddcache
@@ -20,8 +20,9 @@ from conftest import StopClock, check_partition, random_3cnf, random_instances
 from test_search_counters import window_chain
 
 
-def nonblocking_configs():
-    return [NonBlockingConfig(u, b) for u in UIP_SCHEMES for b in STRATEGIES]
+def nonblocking_options():
+    """The keyword options of every nonblocking configuration."""
+    return [dict(uip=u, backtrack=b) for u in UIP_SCHEMES for b in STRATEGIES]
 
 
 def fresh_key(f, mode, values, cut_index):
@@ -53,10 +54,18 @@ def test_cuts_single_clause():
 
 
 def test_compute_cuts_rejects_an_unknown_mode(ex31):
+    """``compute_cuts`` and both diagram engines reject an unknown cache
+    mode, and ``BddSolver`` a bad option it forwards to the nonblocking
+    engine."""
     with pytest.raises(ValueError, match="unknown cache mode"):
         compute_cuts(ex31, "steps")
-    with pytest.raises(ValueError, match="unknown cache mode"):
-        BddSolver(ex31, cache_mode="Cutset")
+    for engine in (BddSolver, BddBlockingSolver):
+        with pytest.raises(ValueError, match="unknown cache mode"):
+            engine(ex31, cache="Cutset")
+    with pytest.raises(ValueError, match="unknown uip scheme"):
+        BddSolver(ex31, uip="firstuip")
+    with pytest.raises(ValueError, match="unknown backtrack strategy"):
+        BddSolver(ex31, backtrack="cdcl")
 
 
 def test_make_formula_worked_prefix(ex31):
@@ -82,26 +91,26 @@ def test_counts_match_oracle_both_modes(ex31, ex41, tmp_path):
         want = enumerate_all(f).count
         for mode in ("cutset", "separator"):
             for engine in (BddSolver, BddBlockingSolver):
-                solver = engine(f, cache_mode=mode)
-                result = solver.run_bdd()
-                assert result.total == solver.stats.solutions == want
-                assert solver.stats.obdd_nodes == result.store.size
+                solver = engine(f, cache=mode)
+                assert solver.run_bdd() == solver.stats.solutions == want
+                assert solver.stats.obdd_nodes == solver.store.size
     policy = RefreshPolicy(threshold=ex31.num_vars + 1, dump_dir=tmp_path,
                            stem="direct")
     solver = BddSolver(ex31, policy=policy)
-    result = solver.run_bdd()
-    assert result.dumps and solver.stats.dumps == len(result.dumps)
+    solver.run_bdd()
+    assert solver.dumps and solver.stats.dumps == len(solver.dumps)
     manifest = (tmp_path / "direct.obdd.manifest").read_text()
     assert manifest.splitlines() == (
-        [f"{part} {count}" for part, count in result.dumps]
-        + [f"final {result.final}"])
+        [f"{part} {count}" for part, count in solver.dumps]
+        + [f"final {count_models(solver.store)}"])
 
 
 def test_every_path_satisfies_formula(ex31):
-    result = BddSolver(ex31).run_bdd()
+    solver = BddSolver(ex31)
     n = ex31.num_vars
-    paths = list(iter_paths(result.store))
-    assert len(paths) == result.total == 22
+    assert solver.run_bdd() == 22
+    paths = list(iter_paths(solver.store))
+    assert len(paths) == 22
     for path in paths:
         assert len(path) == n
         mask = 0
@@ -113,15 +122,16 @@ def test_every_path_satisfies_formula(ex31):
 
 def test_unsat_instance_gives_false_root():
     f = from_clause_lists(2, [[1], [-1]])
-    result = BddSolver(f).run_bdd()
-    assert result.total == 0 and result.store.root == 0 and not result.dumps
-    result = BddBlockingSolver(f).run_bdd()
-    assert result.total == 0 and result.store.root == 0
+    solver = BddSolver(f)
+    assert solver.run_bdd() == 0
+    assert solver.store.root == 0 and not solver.dumps
+    solver = BddBlockingSolver(f)
+    assert solver.run_bdd() == 0 and solver.store.root == 0
 
 
 def test_free_variables_double_the_count():
     f = from_clause_lists(6, [[1, 2]])     # vars 3..6 unconstrained
-    total = BddSolver(f).run_bdd().total
+    total = BddSolver(f).run_bdd()
     assert total == 3 * 2 ** 4
 
 
@@ -132,7 +142,7 @@ def test_wide_suffix_absorbed_fast():
     # a cache that stopped absorbing the free suffix would search 2^38
     # leaves: the budget turns that into a LimitExceeded, not a hang
     budget = Budget(time_limit=5.0, mem_limit=1 << 20)
-    total = BddSolver(f, budget=budget).run_bdd().total
+    total = BddSolver(f, budget=budget).run_bdd()
     assert total == want12 * 2 ** 38
 
 
@@ -140,18 +150,17 @@ def test_all_four_cache_configs_match_oracle():
     for f in random_instances(seed=61, count=25, n_range=(3, 12)):
         want = enumerate_all(f).count
         for mode in ("cutset", "separator"):
-            t1 = BddSolver(f, cache_mode=mode).run_bdd().total
-            t2 = BddBlockingSolver(f, cache_mode=mode).run_bdd().total
+            t1 = BddSolver(f, cache=mode).run_bdd()
+            t2 = BddBlockingSolver(f, cache=mode).run_bdd()
             assert t1 == want, f"bdd/{mode}"
             assert t2 == want, f"bdd-blocking/{mode}"
 
 
 def test_underlying_resolvers_all_work(ex31):
-    for scheme in ("sublevel", "dlevel"):
-        for strat in ("bt", "bj", "cbj", "bjcbj"):
-            total = BddSolver(
-                ex31, cfg=NonBlockingConfig(scheme, strat)).run_bdd().total
-            assert total == 22, (scheme, strat)
+    for uip in ("sublevel", "dlevel"):
+        for backtrack in ("bt", "bj", "cbj", "bjcbj"):
+            total = BddSolver(ex31, uip=uip, backtrack=backtrack).run_bdd()
+            assert total == 22, (uip, backtrack)
 
 
 def test_bdd_engine_decides_by_its_cursor(tmp_path, monkeypatch):
@@ -166,13 +175,13 @@ def test_bdd_engine_decides_by_its_cursor(tmp_path, monkeypatch):
     for f in random_instances(seed=71, count=20, n_range=(4, 12)):
         want = enumerate_all(f).count
         n = f.num_vars
-        for cfg in nonblocking_configs():
+        for cfg in nonblocking_options():
             for mode in CACHE_MODES:
                 for theta in (None, n + 20):
                     policy = RefreshPolicy(theta, tmp_path, "cursor")
-                    solver = BddSolver(f, cfg=cfg, cache_mode=mode,
+                    solver = BddSolver(f, **cfg, cache=mode,
                                        policy=policy)
-                    assert solver.run_bdd().total == want, (cfg, mode, theta)
+                    assert solver.run_bdd() == want, (cfg, mode, theta)
                     runs += 1
     assert runs == 640
 
@@ -243,17 +252,17 @@ def test_refresh_partition(tmp_path):
         n = f.num_vars
         policy = RefreshPolicy(threshold=n + 1, dump_dir=tmp_path,
                                stem=f"r{checked}")
-        result = BddSolver(f, policy=policy).run_bdd()
-        assert result.total == want
-        assert result.dumps        # theta = n+1 forces dumping
+        solver = BddSolver(f, policy=policy)
+        assert solver.run_bdd() == want
+        assert solver.dumps        # theta = n+1 forces dumping
         seen = set()
-        for part, _ in result.dumps:
+        for part, _ in solver.dumps:
             with open(part) as fh:
                 part_store = load(fh.read())
             for path in iter_paths(part_store):
                 assert path not in seen
                 seen.add(path)
-        for path in iter_paths(result.store):
+        for path in iter_paths(solver.store):
             assert path not in seen
             seen.add(path)
         assert len(seen) == want
@@ -269,7 +278,7 @@ def test_refresh_blocking_engine(tmp_path):
             continue
         policy = RefreshPolicy(threshold=f.num_vars + 1, dump_dir=tmp_path,
                                stem="blk")
-        total = BddBlockingSolver(f, policy=policy).run_bdd().total
+        total = BddBlockingSolver(f, policy=policy).run_bdd()
         assert total == want
         break
 
@@ -281,17 +290,17 @@ def test_refresh_threshold_validated(ex31):
 
 def test_huge_threshold_no_dumps(ex31):
     policy = RefreshPolicy(threshold=10 ** 9)
-    result = BddSolver(ex31, policy=policy).run_bdd()
-    assert result.total == 22 and not result.dumps
+    solver = BddSolver(ex31, policy=policy)
+    assert solver.run_bdd() == 22 and not solver.dumps
 
 
 def test_dump_dir_env_override(tmp_path, monkeypatch, ex31):
     monkeypatch.setenv("ALLSAT_DUMP_DIR", str(tmp_path / "override"))
     policy = RefreshPolicy(threshold=ex31.num_vars + 1,
                            dump_dir=tmp_path / "ignored", stem="env")
-    result = BddSolver(ex31, policy=policy).run_bdd()
-    assert result.total == 22
-    assert all(str(tmp_path / "override") in d for d, _ in result.dumps)
+    solver = BddSolver(ex31, policy=policy)
+    assert solver.run_bdd() == 22
+    assert all(str(tmp_path / "override") in d for d, _ in solver.dumps)
 
 
 def test_enroll_and_prune_mechanics():
@@ -314,8 +323,7 @@ def test_enroll_and_prune_mechanics():
         trace.append((level, dict(solver.solved), dict(solver.pending_keys)))
 
     solver._before_cancel = spy
-    result = solver.run_bdd()
-    assert result.total == 4
+    assert solver.run_bdd() == 4
 
     # first backtrack: bl=1 < level(x2)=2 enrolls (1, 0); (0, 0) survives
     bl, solved, pending = trace[0]
@@ -427,13 +435,13 @@ def test_trail_synced_state_matches_full_walks(tmp_path):
     for f in random_instances(seed=67, count=12, n_range=(4, 11)):
         want = enumerate_all(f).count
         n = f.num_vars
-        for cfg in nonblocking_configs():
+        for cfg in nonblocking_options():
             for mode in ("cutset", "separator"):
                 for threshold in (None, n + 3, n + 40):
                     policy = RefreshPolicy(threshold, tmp_path, "checked")
-                    solver = CheckedSolver(f, cfg=cfg, cache_mode=mode,
+                    solver = CheckedSolver(f, **cfg, cache=mode,
                                            policy=policy)
-                    assert solver.run_bdd().total == want
+                    assert solver.run_bdd() == want
     assert CheckedSolver.grafts > 1000
     assert CheckedSolver.enrollments > 1000
     assert CheckedSolver.renumberings > 10
@@ -493,9 +501,9 @@ class FrozenOffPathSolver(BddSolver):
             FrozenOffPathSolver.kept += 1
 
     def run_bdd(self):
-        result = super().run_bdd()
+        total = super().run_bdd()
         self._check_frozen()
-        return result
+        return total
 
 
 def test_compaction_merges_only_final_nodes(tmp_path):
@@ -509,15 +517,16 @@ def test_compaction_merges_only_final_nodes(tmp_path):
     for f in random_instances(seed=68, count=20, n_range=(6, 12)):
         want = set(enumerate_all(f).masks)
         n = f.num_vars
-        for cfg in nonblocking_configs():
+        for cfg in nonblocking_options():
             for mode in CACHE_MODES:
                 for theta in (n + rng.randint(1, 30),
                               n + rng.randint(31, 300)):
                     runs += 1
                     policy = RefreshPolicy(theta, tmp_path, f"c{runs}")
-                    result = FrozenOffPathSolver(
-                        f, cfg=cfg, cache_mode=mode, policy=policy).run_bdd()
-                    check_partition(result, n, want, (cfg, mode, theta))
+                    solver = FrozenOffPathSolver(
+                        f, **cfg, cache=mode, policy=policy)
+                    solver.run_bdd()
+                    check_partition(solver, n, want, (cfg, mode, theta))
     assert FrozenOffPathSolver.compactions > 1000
     assert FrozenOffPathSolver.kept > 100
 
@@ -533,18 +542,17 @@ def test_refresh_without_a_dump_keeps_the_search(tmp_path):
     compacted = 0
     for f in random_instances(seed=69, count=16, n_range=(8, 12)):
         n = f.num_vars
-        for cfg in nonblocking_configs():
+        for cfg in nonblocking_options():
             for mode in CACHE_MODES:
-                plain = BddSolver(f, cfg=cfg, cache_mode=mode)
-                total = plain.run_bdd().total
+                plain = BddSolver(f, **cfg, cache=mode)
+                total = plain.run_bdd()
                 size = plain.store.size
                 for theta in (n + size // 2, n + size):
                     policy = RefreshPolicy(theta, tmp_path, "same")
-                    solver = BddSolver(f, cfg=cfg, cache_mode=mode,
+                    solver = BddSolver(f, **cfg, cache=mode,
                                        policy=policy)
-                    result = solver.run_bdd()
-                    assert result.total == total
-                    if result.dumps:
+                    assert solver.run_bdd() == total
+                    if solver.dumps:
                         continue
                     for name in SEARCH_COUNTERS:
                         assert (getattr(solver.kernel.stats, name)
@@ -562,10 +570,9 @@ def test_blocking_engine_dumps_without_compacting(tmp_path):
         for mode in CACHE_MODES:
             theta = n + 12
             policy = RefreshPolicy(theta, tmp_path, f"b{mode}")
-            result = BddBlockingSolver(f, cache_mode=mode,
-                                       policy=policy).run_bdd()
-            assert result.total == enumerate_all(f).count
-            for part, _ in result.dumps:
+            solver = BddBlockingSolver(f, cache=mode, policy=policy)
+            assert solver.run_bdd() == enumerate_all(f).count
+            for part, _ in solver.dumps:
                 with open(part) as fh:
                     assert load(fh.read()).size >= theta - n
 
@@ -598,11 +605,13 @@ def test_time_limit_stops_the_diagram_engines_inside_compute_cuts(
             raise
 
     monkeypatch.setattr(bddcache, "compute_cuts", watched)
+    # the harness reads the clock once before it builds the engine, and the
+    # kernel's setup once per 1,024 clauses
+    setup = 1 + len(f.clauses) // 1024
     for mode in ("bdd", "bdd-blocking"):
         for cache in CACHE_MODES:
-            # the harness reads the clock once before it builds the engine
             with mock.patch.object(allsat.kernel, "time",
-                                   StopClock(checks[cache])):
+                                   StopClock(setup + checks[cache] - 1)):
                 stats = run_instance(
                     tmp_path / "chain.cnf",
                     RunConfig(mode=mode, cache=cache, time_limit=60.0),

@@ -51,11 +51,12 @@ def digests(name: str, directory: Path) -> dict[str, dict]:
                 label = f"{engine}+{mode}+theta{theta}"
                 stem = label.replace("+", "_")
                 policy = RefreshPolicy(theta, directory, stem)
-                result = build(f, cache_mode=mode, policy=policy).run_bdd()
+                solver = build(f, cache=mode, policy=policy)
+                solver.run_bdd()
                 rows[label] = {
                     "parts": [sha(Path(part).read_text())
-                              for part, _ in result.dumps],
-                    "final": sha(dump(result.store)),
+                              for part, _ in solver.dumps],
+                    "final": sha(dump(solver.store)),
                 }
     return rows
 

@@ -4,6 +4,7 @@ import io
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -19,7 +20,7 @@ from allsat.harness import (EXIT_INPUT, EXIT_LIMIT, EXIT_OK, FLAGS, MODES,
                             run_suite, verify)
 from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
 
-from conftest import random_3cnf, time_limit
+from conftest import TEST_TIME_LIMIT, random_3cnf, time_limit
 
 EX41_TEXT = "p cnf 3 3\n1 -2 0\n2 -3 0\n3 -1 0\n"
 EX31_TEXT = ("p cnf 6 5\n1 -3 0\n2 3 5 0\n-1 -3 4 0\n"
@@ -61,13 +62,13 @@ def test_run_instance_all_modes_agree(ex31_file):
 
 def test_simplified_blocking_reports_covered_assignments(ex31_file):
     """The cube count and the solution count differ under simplification;
-    statistics always report total assignments."""
-    from allsat import BlockingConfig, BlockingSolver, parse_dimacs
+    ``run`` and the statistics always report total assignments."""
+    from allsat import BlockingSolver, parse_dimacs
     f = parse_dimacs(EX31_TEXT)
-    solver = BlockingSolver(f, BlockingConfig(simplify=True))
-    cubes = solver.run()
-    assert cubes < 22
-    assert solver.stats.solutions == 22
+    cubes = []
+    solver = BlockingSolver(f, simplify=True, sink=cubes.append)
+    assert solver.run() == solver.stats.solutions == 22
+    assert len(cubes) < 22
     report = verify(ex31_file, parse_config_string("--mode blocking --simplify"),
                     parse_config_string("--mode bdd --cache separator"))
     assert report.ok and report.count_a == 22
@@ -447,6 +448,34 @@ def test_verify_detects_corruption(ex41_file, tmp_path, monkeypatch):
     assert report.counterexample and Path(report.counterexample).exists()
 
 
+def test_verify_leaves_no_dumps(tmp_path, monkeypatch):
+    """Refresh runs of an agreeing and of a mismatching pair (whose
+    minimization reruns both many times) leave no part or manifest in the
+    working directory or next to the instance."""
+    import allsat.harness as H
+    monkeypatch.delenv("ALLSAT_DUMP_DIR", raising=False)
+    cwd, instances, saved = (tmp_path / d for d in ("cwd", "in", "saved"))
+    cwd.mkdir()
+    instances.mkdir()
+    monkeypatch.chdir(cwd)
+    path = instances / "p8.cnf"
+    path.write_text(render_dimacs(random_3cnf(random.Random(1), 8, 14)))
+    refresh = parse_config_string("--mode bdd --refresh-threshold 10")
+    assert verify(path, refresh, parse_config_string("--mode blocking")).ok
+
+    class Broken(H.BlockingSolver):
+        def run(self):
+            count = super().run()
+            self.stats.solutions -= 1     # drop one found solution
+            return count
+
+    monkeypatch.setattr(H, "BlockingSolver", Broken)
+    report = verify(path, refresh, parse_config_string("--mode blocking"),
+                    save_dir=saved)
+    assert not report.ok and report.counterexample
+    assert list(cwd.iterdir()) == [] and list(instances.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("engine,flags,problem", [
     ("NonBlockingSolver", "--mode nonblocking", "duplicate solutions"),
     ("BlockingSolver", "--mode blocking", "overlap")])
@@ -736,3 +765,20 @@ def test_reused_formula_runs_identically():
         assert ([getattr(a, c) for c in counters]
                 == [getattr(b, c) for c in counters]), cfg.label()
     assert render_dimacs(f) == text
+
+
+def test_time_limit_restores_the_outer_timer():
+    """A nested limit arms the outer one again with what is left of it, as
+    the per-test limit around this test is armed again."""
+    with time_limit(50):
+        with time_limit(1):
+            pass
+        left, _ = signal.getitimer(signal.ITIMER_REAL)
+        assert 49 < left <= 50
+    left, _ = signal.getitimer(signal.ITIMER_REAL)
+    assert 0 < left <= TEST_TIME_LIMIT
+    with pytest.raises(TimeoutError, match="after 0.05 s"):
+        with time_limit(0.05):
+            with time_limit(1):
+                time.sleep(0.1)
+            time.sleep(1)

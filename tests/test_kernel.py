@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from allsat import (BlockingConfig, BlockingSolver, Kernel,
-                    NonBlockingConfig, NonBlockingSolver, entails,
-                    from_clause_lists)
+from allsat import (BlockingSolver, Budget, Kernel, NonBlockingSolver,
+                    entails, from_clause_lists)
 from allsat.formula import Clause
+from allsat.harness import EXIT_LIMIT, RunConfig, run_instance
 from allsat.kernel import (ACTIVITY_RESCALE, CLOCK_STRIDE, FALSIFIED, UNIT,
-                           clause_status)
-from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
+                           UIP_SCHEMES, clause_status)
+from allsat.nonblocking import STRATEGIES
 from allsat.trail import UNASSIGNED
 
-from conftest import StopClock, random_instances, trail_trace
+from conftest import StopClock, random_3cnf, random_instances, trail_trace
 
 
 def drive(kernel, decisions):
@@ -53,9 +53,19 @@ def test_conflict_worked_example(ex31):
     k = Kernel(ex31)
     conflict = drive(k, [-4, -6, -2])
     assert conflict is not None
-    learned = k.analyze(conflict, scope="level")
+    learned = k.analyze(conflict)
     assert sorted(learned.lits, key=abs) == [-3, 4]   # x4 or not-x3
     assert learned.assert_level == 1
+
+
+def test_analyze_rejects_an_unknown_scope(ex31):
+    """``analyze`` takes exactly the ``--uip`` schemes."""
+    k = Kernel(ex31)
+    conflict = drive(k, [-4, -6, -2])
+    for uip in ("level", "Dlevel", ""):
+        with pytest.raises(ValueError, match="unknown uip scheme"):
+            k.analyze(conflict, uip)
+    assert k.stats.learned_clauses == 0
 
 
 def test_conflict_on_empty_formula():
@@ -147,7 +157,7 @@ def test_propagation_fixpoint_no_unit_or_false_clause():
             assert status not in (UNIT, FALSIFIED)
 
 
-def collect_conflicts(f, rng, scope):
+def collect_conflicts(f, rng, uip):
     """Generate conflicts via random decisions; return analysis results."""
     k = Kernel(f)
     out = []
@@ -165,14 +175,14 @@ def collect_conflicts(f, rng, scope):
     if lmax == 0:
         return out
     k.cancel_to(lmax)
-    out.append((k, k.analyze(conflict, scope=scope)))
+    out.append((k, k.analyze(conflict, uip)))
     return out
 
 
 def test_learned_clauses_entailed_and_falsified():
     rng = random.Random(3)
     for f in random_instances(seed=31, count=40, n_range=(4, 10)):
-        for k, learned in collect_conflicts(f, rng, "level"):
+        for k, learned in collect_conflicts(f, rng, "dlevel"):
             # falsified by the pre-conflict trail
             assert all(k.trail.values[l] == 0 for l in learned.lits)
             # entailed by problem clauses (nothing else was learned yet)
@@ -269,6 +279,31 @@ def test_propagate_reads_the_clock_by_work(engine, monkeypatch):
     # a decision reads all n values, so the stride shrinks from n = 4,096
     assert [Kernel(from_clause_lists(n, []))._clock_stride
             for n in (4095, 4096, 20000, 70000)] == [16, 15, 3, 1]
+
+
+@pytest.mark.parametrize("mode", ["nonblocking", "blocking"])
+def test_setup_checks_the_deadline_every_1024_clauses(mode, tmp_path,
+                                                      monkeypatch):
+    """The kernel's setup reads the clock once per 1,024 non-empty clauses,
+    from the 1,024th on, so a deadline that passes while a long formula is
+    set up stops the run before its search, with a count of 0."""
+    import allsat.kernel
+    for m, reads in ((1023, 0), (1024, 1), (3000, 2)):
+        clock = StopClock()
+        monkeypatch.setattr(allsat.kernel, "time", clock)
+        Kernel(random_3cnf(random.Random(m), 50, m), Budget(time_limit=60.0))
+        assert clock.calls == reads, m
+
+    def refuse(self):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(Kernel, "propagate", refuse)
+    # the harness reads the clock once before it builds the engine
+    monkeypatch.setattr(allsat.kernel, "time", StopClock(1))
+    stats = run_instance(tmp_path / "long.cnf",
+                         RunConfig(mode=mode, time_limit=60.0),
+                         formula=random_3cnf(random.Random(1), 300, 1500))
+    assert stats.exit_code == EXIT_LIMIT and stats.solutions == 0
 
 
 def reference_pick(k):
@@ -375,10 +410,10 @@ def test_watch_lists_stay_exact_during_full_runs(monkeypatch):
     monkeypatch.setattr(Kernel, "__init__", init_and_record)
     monkeypatch.setattr(Kernel, "attach_clause", attach_and_record)
     monkeypatch.setattr(Kernel, "propagate", propagate_and_check)
-    solvers = [lambda f, u=u, b=b: NonBlockingSolver(f, NonBlockingConfig(u, b))
+    solvers = [lambda f, u=u, b=b: NonBlockingSolver(f, uip=u, backtrack=b)
                for u in UIP_SCHEMES for b in STRATEGIES]
     solvers += [lambda f, s=s, c=c: BlockingSolver(
-                    f, BlockingConfig(simplify=s, continue_search=c))
+                    f, simplify=s, continue_search=c)
                 for s in (False, True) for c in (False, True)]
     for f in random_instances(seed=61, count=12, n_range=(4, 10),
                               ratio=(2.0, 4.5)):
@@ -453,7 +488,7 @@ def reference_propagate(k):
     return conflict
 
 
-def reference_analyze(k, conflict, scope="level", stop_lit=None):
+def reference_analyze(k, conflict, uip="dlevel", stop_lit=None):
     """First-UIP analysis with ``absorb`` and ``in_scope`` closures, bumping
     each variable when it is first absorbed."""
     trail = k.trail
@@ -465,7 +500,7 @@ def reference_analyze(k, conflict, scope="level", stop_lit=None):
     lits_at_dl = [l for l in conflict.lits if var_level[abs(l)] == dl]
     if not lits_at_dl:
         raise RuntimeError("conflict clause has no current-level literal")
-    if scope == "sublevel":
+    if uip == "sublevel":
         cur_sub = max(var_sub[abs(l)] for l in lits_at_dl)
 
         def in_scope(v):
@@ -639,8 +674,7 @@ def test_propagate_matches_reference(seed):
 @given(st.integers(0, 2**32 - 1))
 def test_analyze_matches_reference(seed):
     """Random decide / flip / cancel / learn runs on two kernels, in which
-    each conflict is analyzed at its highest level, for any of the three
-    scopes, with or without a stop literal, and then learned and undone by
+    each conflict is analyzed at its highest level, for either scope, with or without a stop literal, and then learned and undone by
     a flip or a backjump: ``analyze`` on one kernel and the closure-based
     reference on the other learn the same literals in order with the same
     assert level, and leave the same activities and ``var_inc``; an
@@ -666,17 +700,17 @@ def test_analyze_matches_reference(seed):
         if rng.random() < 0.3:
             k.var_inc = ref.var_inc = ACTIVITY_RESCALE * rng.choice(
                 (0.3, 0.6, 1.5))
-        scope = rng.choice(("level", "sublevel", "dlevel"))
+        uip = rng.choice(UIP_SCHEMES)
         at_dl = [l for l in t.lits if t.var_level[abs(l)] == t.level]
         stop_lit = rng.choice([None] * len(at_dl) + at_dl)
         try:
-            want = reference_analyze(ref, ref_conflict, scope, stop_lit)
+            want = reference_analyze(ref, ref_conflict, uip, stop_lit)
         except RuntimeError as exc:
             with pytest.raises(RuntimeError, match=re.escape(str(exc))):
-                k.analyze(conflict, scope, stop_lit)
+                k.analyze(conflict, uip, stop_lit)
             k, ref = twin_kernels(rng)
             continue
-        got = k.analyze(conflict, scope, stop_lit)
+        got = k.analyze(conflict, uip, stop_lit)
         assert (got.lits, got.assert_level) == want
         assert k.activity == ref.activity and k.var_inc == ref.var_inc
         if rng.random() < 0.5:

@@ -1,15 +1,17 @@
 import random
 
-from allsat import (Kernel, NonBlockingConfig, NonBlockingSolver,
-                    enumerate_all, entails, from_clause_lists)
+import pytest
+
+from allsat import (Kernel, NonBlockingSolver, enumerate_all, entails,
+                    from_clause_lists)
 from allsat.formula import Clause
 from allsat.nonblocking import resolve_clauses
 from allsat.trail import UNASSIGNED
 
 from conftest import random_instances, solution_mask
 
-ALL_CONFIGS = [NonBlockingConfig(s, b)
-               for s in ("sublevel", "dlevel")
+ALL_CONFIGS = [dict(uip=u, backtrack=b)
+               for u in ("sublevel", "dlevel")
                for b in ("bt", "bj", "cbj", "bjcbj")]
 
 
@@ -26,6 +28,15 @@ def test_worked_small(ex41):
 
 def test_worked_count(ex31):
     assert NonBlockingSolver(ex31).run() == 22
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("uip", "Dlevel", "unknown uip scheme"),
+    ("uip", None, "unknown uip scheme"),
+    ("backtrack", "cdcl", "unknown backtrack strategy")])
+def test_rejects_an_unknown_option(ex31, option, value, message):
+    with pytest.raises(ValueError, match=message):
+        NonBlockingSolver(ex31, **{option: value})
 
 
 def test_unsat_halts_immediately():
@@ -60,7 +71,7 @@ def test_flip_increments_sublevel_once():
     rng = random.Random(9)
     checked = 0
     for f in random_instances(seed=51, count=10, n_range=(4, 8)):
-        solver = NonBlockingSolver(f, NonBlockingConfig("dlevel", "bt"))
+        solver = NonBlockingSolver(f, uip="dlevel", backtrack="bt")
         k = solver.kernel
         if f.has_empty_clause():
             continue
@@ -91,7 +102,7 @@ def test_all_configs_match_oracle():
         want_masks = set(want.masks)
         for cfg in ALL_CONFIGS:
             sols = []
-            count = NonBlockingSolver(f, cfg, sink=sols.append).run()
+            count = NonBlockingSolver(f, **cfg, sink=sols.append).run()
             got = masks_of(sols)
             assert count == want.count, f"{cfg} count"
             assert len(got) == len(set(got)), f"{cfg} emitted a duplicate"
@@ -106,16 +117,16 @@ def test_lim_level_invariant():
             return out
 
     for f in random_instances(seed=53, count=10, n_range=(4, 10)):
-        solver = Watched(f, NonBlockingConfig("dlevel", "bjcbj"))
+        solver = Watched(f, uip="dlevel", backtrack="bjcbj")
         solver.run()
 
 
 def test_learned_clause_entailment_and_structure():
     for f in random_instances(seed=54, count=15, n_range=(3, 10)):
-        for cfg in (NonBlockingConfig("sublevel", "bt"),
-                    NonBlockingConfig("dlevel", "bj"),
-                    NonBlockingConfig("dlevel", "cbj")):
-            solver = NonBlockingSolver(f, cfg)
+        for cfg in (dict(uip="sublevel", backtrack="bt"),
+                    dict(uip="dlevel", backtrack="bj"),
+                    dict(uip="dlevel", backtrack="cbj")):
+            solver = NonBlockingSolver(f, **cfg)
             solver.run()
             for c in solver.kernel.store.learned:
                 assert entails(f, c.lits), (cfg, c.lits)
@@ -132,11 +143,11 @@ def test_structural_invariant_of_analysis():
         def _resolve(self, conflict):
             k = self.kernel
             t = k.trail
-            scheme = self.cfg.uip_scheme
+            scheme = self.uip
             dl = t.level
             sub = max(t.var_sublevel[abs(l)] for l in conflict.lits
                       if t.var_level[abs(l)] == dl)
-            learned = k.analyze(conflict, scope=scheme)
+            learned = k.analyze(conflict, scheme)
             in_scope = []
             null_ante = []
             for l in learned.lits:
@@ -153,7 +164,7 @@ def test_structural_invariant_of_analysis():
     for f in random_instances(seed=55, count=12, n_range=(4, 10)):
         for scheme in ("sublevel", "dlevel"):
             recorded.clear()
-            Recording(f, NonBlockingConfig(scheme, "bt")).run()
+            Recording(f, uip=scheme, backtrack="bt").run()
             for learned, in_scope, null_ante in recorded:
                 uip_lit = learned.lits[0]
                 assert uip_lit in in_scope
@@ -167,17 +178,17 @@ def test_structural_invariant_of_analysis():
 
 
 def test_dlevel_reduces_to_level_scheme_without_flips(ex31):
-    # before any flip exists both analyses agree with the classic one
+    # before any flip exists both scopes learn the classic first-UIP
+    # clause, x4 or not-x3
     k = Kernel(ex31)
     conflict = k.propagate()
     for lit in (-4, -6, -2):
         k.make_decision(lit)
         conflict = k.propagate()
     assert conflict is not None
-    l_level = k.analyze(conflict, scope="level")
-    l_dlevel = k.analyze(conflict, scope="dlevel")
-    l_sub = k.analyze(conflict, scope="sublevel")
-    assert sorted(l_level.lits) == sorted(l_dlevel.lits) == sorted(l_sub.lits)
+    l_dlevel = k.analyze(conflict, "dlevel")
+    l_sub = k.analyze(conflict, "sublevel")
+    assert sorted(l_dlevel.lits) == sorted(l_sub.lits) == [-3, 4]
 
 
 def test_learned_clause_may_stay_non_unit():
@@ -186,7 +197,7 @@ def test_learned_clause_may_stay_non_unit():
     for f in random_instances(seed=56, count=10, n_range=(5, 10)):
         want = enumerate_all(f).count
         assert NonBlockingSolver(
-            f, NonBlockingConfig("sublevel", "bt")).run() == want
+            f, uip="sublevel", backtrack="bt").run() == want
 
 
 def test_solution_at_level_zero_halts():
@@ -222,8 +233,8 @@ def test_bj_jump_clipped_exactly_at_limit_level():
             captured = {}
             orig = k.analyze
 
-            def capture(c, scope="level", stop_lit=None):
-                learned = orig(c, scope, stop_lit)
+            def capture(c, uip="dlevel", stop_lit=None):
+                learned = orig(c, uip, stop_lit)
                 captured["assert_level"] = learned.assert_level
                 return learned
 
@@ -244,7 +255,7 @@ def test_bj_jump_clipped_exactly_at_limit_level():
 
     for seed in (70, 71, 72):
         for f in random_instances(seed=seed, count=40, n_range=(5, 12)):
-            Probe(f, NonBlockingConfig("dlevel", "bj")).run()
+            Probe(f, uip="dlevel", backtrack="bj").run()
     assert observed, "no clipped backjump exercised; adjust seeds"
     for lim_before, landed, flipped in observed:
         assert landed == lim_before

@@ -198,9 +198,9 @@ def test_count_unconstrained_chain():
 
 def test_count_equals_model_count(ex41):
     from allsat import BddSolver
-    result = BddSolver(ex41).run_bdd()
-    store = result.store
-    assert result.total == 2
+    solver = BddSolver(ex41)
+    assert solver.run_bdd() == 2
+    store = solver.store
     assert count_models(store) == enumerate_all(ex41).count
     for path in iter_paths(store):
         assert len(path) == 3       # no index skipping: paths are total
@@ -221,11 +221,12 @@ def test_dump_empty():
 
 def test_round_trip(ex31):
     from allsat import BddSolver
-    result = BddSolver(ex31).run_bdd()
-    store = result.store
+    solver = BddSolver(ex31)
+    total = solver.run_bdd()
+    store = solver.store
     text = dump(store)
     again = load(text)
-    assert count_models(again) == result.total == 22
+    assert count_models(again) == total == 22
     assert dump(again) == text
     buf = io.StringIO()
     dump(store, out=buf)
@@ -258,8 +259,9 @@ def test_load_rejects_corrupt_diagrams(text):
 
 def test_ordering_invariant_after_runs(ex31):
     from allsat import BddSolver
-    store = BddSolver(ex31).run_bdd().store
-    store.check_ordered()
+    solver = BddSolver(ex31)
+    solver.run_bdd()
+    solver.store.check_ordered()
 
 
 def test_resumed_walk_matches_walk_from_root():

@@ -10,11 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import allsat.kernel
-from allsat import (BddBlockingSolver, BddSolver, BlockingConfig,
-                    BlockingSolver, NonBlockingConfig, NonBlockingSolver,
-                    RefreshPolicy, apply_order, compute_cuts, count_models,
-                    dump, enumerate_all, from_clause_lists, load,
-                    make_formula)
+from allsat import (BddBlockingSolver, BddSolver, BlockingSolver,
+                    NonBlockingSolver, RefreshPolicy, apply_order,
+                    compute_cuts, count_models, dump, enumerate_all,
+                    from_clause_lists, load, make_formula)
 from allsat.bddcache import CACHE_MODES
 from allsat.harness import (EXIT_LIMIT, EXIT_OK, FLAGS, MODES, RunConfig,
                             run_instance)
@@ -51,14 +50,14 @@ def test_bdd_counts_orders_and_partitions(case):
     f = apply_order(formula, perm)
     want = set(enumerate_all(f).masks)
     with tempfile.TemporaryDirectory() as tmp:
-        for cfg in (NonBlockingConfig(u, b)
+        for cfg in (dict(uip=u, backtrack=b)
                     for u in UIP_SCHEMES for b in STRATEGIES):
             for mode in CACHE_MODES:
-                policy = RefreshPolicy(threshold, tmp,
-                                       f"{cfg.uip_scheme}-{cfg.strategy}-{mode}")
-                result = BddSolver(f, cfg=cfg, cache_mode=mode,
-                                   policy=policy).run_bdd()
-                check_partition(result, f.num_vars, want, (cfg, mode))
+                policy = RefreshPolicy(
+                    threshold, tmp, f"{cfg['uip']}-{cfg['backtrack']}-{mode}")
+                solver = BddSolver(f, **cfg, cache=mode, policy=policy)
+                solver.run_bdd()
+                check_partition(solver, f.num_vars, want, (cfg, mode))
 
 
 # bdd-blocking restarts after every model, like blocking
@@ -71,9 +70,9 @@ def test_bdd_blocking_counts_orders_and_partitions(case):
         for theta in {None, threshold}:
             for mode in CACHE_MODES:
                 policy = RefreshPolicy(theta, tmp, f"{mode}-{theta}")
-                result = BddBlockingSolver(f, cache_mode=mode,
-                                           policy=policy).run_bdd()
-                check_partition(result, f.num_vars, want, (mode, theta))
+                solver = BddBlockingSolver(f, cache=mode, policy=policy)
+                solver.run_bdd()
+                check_partition(solver, f.num_vars, want, (mode, theta))
 
 
 def quasi_reduced(n: int, masks: set[int]) -> ObddStore:
@@ -128,12 +127,13 @@ def test_compacted_diagram_is_the_quasi_reduced_obdd(case):
     formula, perm, _ = case
     f = apply_order(formula, perm)
     want = quasi_reduced(f.num_vars, set(enumerate_all(f).masks))
-    solvers = [BddSolver(f, cfg=NonBlockingConfig(u, b), cache_mode=mode)
+    solvers = [BddSolver(f, uip=u, backtrack=b, cache=mode)
                for u in UIP_SCHEMES for b in STRATEGIES
                for mode in CACHE_MODES]
-    solvers += [BddBlockingSolver(f, cache_mode=mode) for mode in CACHE_MODES]
+    solvers += [BddBlockingSolver(f, cache=mode) for mode in CACHE_MODES]
     for solver in solvers:
-        store = solver.run_bdd().store
+        solver.run_bdd()
+        store = solver.store
         compact(store)
         store.check_ordered()
         assert_same_up_to_ids(store, want, type(solver).__name__)
@@ -185,10 +185,10 @@ def test_nonblocking_reports_each_model_once(case):
     formula, perm, _ = case
     f = apply_order(formula, perm)
     want = set(enumerate_all(f).masks)
-    for cfg in (NonBlockingConfig(u, b)
+    for cfg in (dict(uip=u, backtrack=b)
                 for u in UIP_SCHEMES for b in STRATEGIES):
         models = []
-        count = NonBlockingSolver(f, cfg, sink=models.append).run()
+        count = NonBlockingSolver(f, **cfg, sink=models.append).run()
         assert count == len(models) == len(want), cfg
         assert all(len(m) == f.num_vars for m in models), cfg
         masks = [solution_mask(m) for m in models]
@@ -206,10 +206,10 @@ def test_blocking_cubes_partition_the_models(case):
     want = set(enumerate_all(f).masks)
     for simplify in (False, True):
         for cont in (False, True):
-            cfg = BlockingConfig(simplify=simplify, continue_search=cont)
+            cfg = dict(simplify=simplify, continue_search=cont)
             cubes = []
-            solver = BlockingSolver(f, cfg, sink=cubes.append)
-            solver.run()
+            solver = BlockingSolver(f, **cfg, sink=cubes.append)
+            assert solver.run() == len(want), cfg
             # cubes are disjoint exactly when their expansions never repeat
             masks = [m for cube in cubes for m in expand_cube(cube, n)]
             assert len(set(masks)) == len(masks), cfg
@@ -226,8 +226,9 @@ def test_load_of_a_mutated_dump_fails_typed_or_loads_a_sound_diagram(
     raises ObddLoadError or loads an ordered diagram that counts at most
     2^n models without hanging."""
     formula, _, _ = case
-    lines = [line.split() for line in
-             dump(BddSolver(formula).run_bdd().store).splitlines()]
+    solver = BddSolver(formula)
+    solver.run_bdd()
+    lines = [line.split() for line in dump(solver.store).splitlines()]
     row = data.draw(st.integers(0, len(lines) - 1))
     col = data.draw(st.integers(0, len(lines[row]) - 1))
     lines[row][col] = str(data.draw(st.integers(-3, len(lines) + 3)))
