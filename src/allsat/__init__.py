@@ -1,8 +1,8 @@
 """AllSAT enumeration engines: blocking, non-blocking, and formula-BDD
 caching, plus a brute-force oracle and a benchmark harness."""
 
-from .formula import (Clause, CnfFormula, DimacsError, apply_order,
-                      from_clause_lists, parse_dimacs, render_dimacs)
+from .formula import (CnfFormula, DimacsError, apply_order, from_clause_lists,
+                      parse_dimacs, render_dimacs)
 from .kernel import Budget, Kernel, LimitExceeded, SolverStats
 from .oracle import ModelSet, entails, enumerate_all, subinstance_models
 from .blocking import BlockingSolver, replay_decisions, simplify_assignment
@@ -12,7 +12,7 @@ from .bddcache import (BddBlockingSolver, BddSolver, RefreshPolicy,
                        compute_cuts, make_formula)
 
 __all__ = [
-    "Clause", "CnfFormula", "DimacsError", "apply_order",
+    "CnfFormula", "DimacsError", "apply_order",
     "from_clause_lists", "parse_dimacs", "render_dimacs",
     "Budget", "Kernel", "LimitExceeded", "SolverStats",
     "ModelSet", "entails", "enumerate_all", "subinstance_models",

@@ -122,7 +122,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .formula import Clause, CnfFormula
+from .formula import CnfFormula
 from .kernel import Budget, LimitExceeded
 from .nonblocking import NonBlockingSolver
 from .obdd import TOP, ObddStore, compact, count_models, dump, extend_obdd
@@ -190,10 +190,10 @@ def compute_cuts(f: CnfFormula, mode: str, budget: Budget | None = None
         for p, c in enumerate(f.clauses):
             if not p & 1023 and budget is not None:
                 budget.check_time()
-            hi = max(map(abs, c.lits), default=0)
+            hi = max(map(abs, c), default=0)
             bit = 1 << p
             spans = False
-            for l in c.lits:
+            for l in c:
                 if l > 0:
                     if l < hi:
                         add[l][1] |= bit
@@ -208,8 +208,8 @@ def compute_cuts(f: CnfFormula, mode: str, budget: Budget | None = None
     for p, c in enumerate(f.clauses):
         if not p & 1023 and budget is not None:
             budget.check_time()
-        hi = max(map(abs, c.lits), default=0)
-        for l in c.lits:
+        hi = max(map(abs, c), default=0)
+        for l in c:
             v = l if l > 0 else -l
             if reach[v] < hi:
                 reach[v] = hi
@@ -318,13 +318,14 @@ def _init_cache(solver, cache: str, policy: RefreshPolicy | None) -> None:
 
 class BddSolver(NonBlockingSolver):
     """Non-blocking engine with the encode / extend / enroll stages wired
-    into its decision step and every cancel.  ``options`` (``uip``,
-    ``backtrack``) go to ``NonBlockingSolver``."""
+    into its decision step and every cancel.  ``uip`` and ``backtrack``
+    are ``NonBlockingSolver``'s; models go to the diagram, not a sink."""
 
     def __init__(self, formula: CnfFormula, *, cache: str = "cutset",
                  policy: RefreshPolicy | None = None,
-                 budget: Budget | None = None, **options):
-        super().__init__(formula, budget=budget, **options)
+                 budget: Budget | None = None, uip: str = "dlevel",
+                 backtrack: str = "bj"):
+        super().__init__(formula, uip=uip, backtrack=backtrack, budget=budget)
         _init_cache(self, cache, policy)
         self.n = formula.num_vars
         # codes of the prefix at cuts 0, 1, ... for the values on the trail
@@ -479,7 +480,7 @@ class BddBlockingSolver(BlockingSolver):
         node = self.solved[key] = self.store.new_node(var)
         return node
 
-    def _block_and_restart(self, clause: Clause) -> Clause | None:
+    def _block_and_restart(self, clause: list[int]) -> list[int] | None:
         pending = super()._block_and_restart(clause)
         if self.store.size >= self.limit:
             _refresh(self)

@@ -17,7 +17,7 @@ themselves are counted at the sink.
 
 from __future__ import annotations
 
-from .formula import Clause, CnfFormula
+from .formula import CnfFormula
 from .kernel import FALSIFIED, UNIT, Budget, ClauseStore, Kernel
 from .trail import UNASSIGNED, Trail
 
@@ -39,15 +39,15 @@ def simplify_assignment(trail: Trail, store: ClauseStore) -> list[int]:
         reason = trail.reasons[abs(lit)]
         if reason is None:
             continue
-        for q in reason.lits:
+        for q in reason:
             if -q in decision_lits:
                 related.add(-q)
 
     sat_set = related | implied
     for clause in store.problem + store.blocking:
-        if any(l in sat_set for l in clause.lits):
+        if any(l in sat_set for l in clause):
             continue
-        in_clause = set(clause.lits)
+        in_clause = set(clause)
         for d in decisions_in_order:
             if d in in_clause:
                 related.add(d)
@@ -58,7 +58,7 @@ def simplify_assignment(trail: Trail, store: ClauseStore) -> list[int]:
     return [d for d in decisions_in_order if d in related]
 
 
-def replay_decisions(kernel: Kernel, saved: list[int]) -> Clause | None:
+def replay_decisions(kernel: Kernel, saved: list[int]) -> list[int] | None:
     """Re-make the saved decision literals in level order after a restart.
 
     Stops at the first conflict (returned for the caller's diagnose stage)
@@ -101,7 +101,7 @@ class BlockingSolver:
         k = self.kernel
         if self.formula.has_empty_clause():
             return 0
-        pending: Clause | None = None
+        pending: list[int] | None = None
         while True:
             if pending is None:
                 pending = k.propagate()
@@ -109,19 +109,19 @@ class BlockingSolver:
                 conflict, pending = pending, None
                 if k.trail.level <= 0:
                     break
-                lmax = max(k.trail.var_level[abs(l)] for l in conflict.lits)
+                lmax = max(k.trail.var_level[abs(l)] for l in conflict)
                 if lmax == 0:
                     break
                 if lmax < k.trail.level:
                     k.cancel_to(lmax)
                 learned = k.analyze(conflict)
                 k.cancel_to(learned.assert_level)
-                k.add_learned(learned.clause)
-                status = k.attach_clause(learned.clause)
+                k.add_learned(learned.lits)
+                status = k.attach_clause(learned.lits)
                 if status == FALSIFIED:
-                    pending = learned.clause
+                    pending = learned.lits
                     continue
-                k.trail.assign(learned.clause.lits[0], learned.clause)
+                k.trail.assign(learned.lits[0], learned.lits)
             elif k.trail.all_assigned():
                 halt, pending = self._handle_solution()
                 if halt:
@@ -139,7 +139,7 @@ class BlockingSolver:
         if self.sink is not None:
             self.sink(tuple(sorted(lits, key=abs)))
 
-    def _handle_solution(self) -> tuple[bool, Clause | None]:
+    def _handle_solution(self) -> tuple[bool, list[int] | None]:
         """Report the current total assignment (or its simplified cube),
         block it by negating every literal, the simplified decisions or
         every decision, and restart.  With nothing to negate (at level 0
@@ -158,9 +158,9 @@ class BlockingSolver:
         self._emit(cube)
         if not negate:
             return True, None
-        return False, self._block_and_restart(Clause([-l for l in negate]))
+        return False, self._block_and_restart([-l for l in negate])
 
-    def _block_and_restart(self, clause: Clause) -> Clause | None:
+    def _block_and_restart(self, clause: list[int]) -> list[int] | None:
         k = self.kernel
         if self.continue_search:
             self.saved = k.trail.decisions()
@@ -170,7 +170,7 @@ class BlockingSolver:
         if status == FALSIFIED:
             return clause
         if status == UNIT:
-            k.trail.assign(clause.lits[0], clause)
+            k.trail.assign(clause[0], clause)
         if self.continue_search:
             return replay_decisions(k, self.saved)
         return None

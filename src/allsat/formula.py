@@ -2,9 +2,10 @@
 reordering.
 
 Literals are signed integers in the DIMACS convention: ``v`` is the positive
-literal of variable ``v`` (1-based), ``-v`` its negation.  Clauses keep their
-literals in first-occurrence order after deduplication; tautological clauses
-are dropped at parse time.
+literal of variable ``v`` (1-based), ``-v`` its negation.  A clause is the
+tuple of its literals, in first-occurrence order after deduplication;
+tautological clauses are dropped at parse time.  The engines copy the
+clauses into lists of their own.
 """
 
 from __future__ import annotations
@@ -31,32 +32,6 @@ def var_of(lit: int) -> int:
     return lit if lit > 0 else -lit
 
 
-@dataclass(eq=False)
-class Clause:
-    """A disjunction of literals.
-
-    ``cid`` is a problem clause's position in the input (-1 for learned and
-    blocking clauses); which kind a clause is shows in the clause store list
-    that holds it.  Identity (not value) equality keeps clauses usable as
-    watcher-list entries and antecedents.
-    """
-
-    lits: list[int]
-    cid: int = -1
-
-    def __len__(self) -> int:
-        return len(self.lits)
-
-    def __iter__(self):
-        return iter(self.lits)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Clause({self.lits}, id={self.cid})"
-
-    def lit_set(self) -> frozenset[int]:
-        return frozenset(self.lits)
-
-
 @dataclass
 class ParseStats:
     tautologies_dropped: int = 0
@@ -64,14 +39,15 @@ class ParseStats:
 
 
 class CnfFormula:
-    """An immutable CNF problem over variables ``1..num_vars``.
+    """An immutable CNF problem over variables ``1..num_vars`` whose
+    clauses are literal tuples.
 
     ``order`` maps external (original) variable names to internal indices;
     results computed internally are reported back in external names through
     :meth:`to_external`.
     """
 
-    def __init__(self, num_vars: int, clauses: list[Clause],
+    def __init__(self, num_vars: int, clauses: list[tuple[int, ...]],
                  order: list[int] | None = None,
                  parse_stats: ParseStats | None = None):
         self.num_vars = num_vars
@@ -100,7 +76,7 @@ class CnfFormula:
         return self.external[lit]
 
     def lit_sets(self) -> list[frozenset[int]]:
-        return [c.lit_set() for c in self.clauses]
+        return [frozenset(c) for c in self.clauses]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CnfFormula):
@@ -129,7 +105,7 @@ def parse_dimacs(text: str | bytes | io.TextIOBase) -> CnfFormula:
 
     num_vars = num_clauses = -1
     header_line = 0
-    clauses: list[Clause] = []
+    clauses: list[tuple[int, ...]] = []
     stats = ParseStats()
     current: list[int] = []
     current_set: set[int] = set()
@@ -140,7 +116,7 @@ def parse_dimacs(text: str | bytes | io.TextIOBase) -> CnfFormula:
         if tautological:
             stats.tautologies_dropped += 1
         else:
-            clauses.append(Clause(current, cid=len(clauses)))
+            clauses.append(tuple(current))
         current = []
         current_set = set()
         tautological = False
@@ -219,14 +195,13 @@ def render_dimacs(f: CnfFormula) -> str:
     """Render a formula back to DIMACS text (round-trips through parse)."""
     out = [f"p cnf {f.num_vars} {f.num_clauses}"]
     for c in f.clauses:
-        out.append(" ".join(str(l) for l in c.lits) + " 0")
+        out.append(" ".join(str(l) for l in c) + " 0")
     return "\n".join(out) + "\n"
 
 
 def from_clause_lists(num_vars: int, clause_lists: list[list[int]]) -> CnfFormula:
     """Build a formula from plain literal lists (test/bench convenience)."""
-    clauses = [Clause(list(dict.fromkeys(lits)), cid=i)
-               for i, lits in enumerate(clause_lists)]
+    clauses = [tuple(dict.fromkeys(lits)) for lits in clause_lists]
     return CnfFormula(num_vars, clauses)
 
 
@@ -243,10 +218,8 @@ def apply_order(f: CnfFormula, perm: list[int]) -> CnfFormula:
     seen = sorted(perm[1:])
     if seen != list(range(1, n + 1)):
         raise ValueError("permutation is not a bijection on 1..n")
-    clauses = []
-    for c in f.clauses:
-        lits = [(perm[l] if l > 0 else -perm[-l]) for l in c.lits]
-        clauses.append(Clause(lits, cid=c.cid))
+    clauses = [tuple(perm[l] if l > 0 else -perm[-l] for l in c)
+               for c in f.clauses]
     order = [0] * (n + 1)
     for ext in range(1, n + 1):
         order[ext] = perm[f.order[ext]]

@@ -446,7 +446,7 @@ def _minimize(formula: CnfFormula, cfg_a: RunConfig, cfg_b: RunConfig,
     if formula.num_vars > 15:
         return formula
     from .formula import from_clause_lists
-    current = [list(c.lits) for c in formula.clauses]
+    current = list(formula.clauses)
     for i in range(len(current) - 1, -1, -1):
         trial = current[:i] + current[i + 1:]
         candidate = from_clause_lists(formula.num_vars, trial)

@@ -11,10 +11,12 @@ Two analysis scopes, the ``--uip`` schemes, are supported:
                  clause.  With no flips, as in the blocking engine's
                  SAT-style search, this is the classic first UIP.
 
-Watch lists, like the trail's values, are indexed by the signed literal
-(``watches[lit]``), so propagation needs no sign test or encoding.  Above
-level 0 it writes implied literals into the trail itself (level 0 goes
-through ``Trail.assign`` for the taint).  Analysis is one loop; it bumps the
+Every clause the kernel holds is a list of literals that it owns and
+reorders: a clause's first two literals are its watches.  Watch lists, like
+the trail's values, are indexed by the signed literal (``watches[lit]``),
+so propagation needs no sign test or encoding.  Above level 0 it writes
+implied literals into the trail itself (level 0 goes through
+``Trail.assign`` for the taint).  Analysis is one loop; it bumps the
 variables it met afterwards, in the order it met them.
 
 ``decide`` reads a cached decision order: the variables sorted by
@@ -38,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .formula import Clause, CnfFormula
+from .formula import CnfFormula
 from .trail import UNASSIGNED, Trail
 
 UIP_SCHEMES = ("sublevel", "dlevel")
@@ -127,12 +129,12 @@ class ClauseStore:
     """
 
     def __init__(self, num_vars: int):
-        self.problem: list[Clause] = []
-        self.learned: list[Clause] = []
-        self.blocking: list[Clause] = []
-        self.watches: list[list[Clause]] = [   # signed literal -> watchers
+        self.problem: list[list[int]] = []
+        self.learned: list[list[int]] = []
+        self.blocking: list[list[int]] = []
+        self.watches: list[list[list[int]]] = [   # signed literal -> watchers
             [] for _ in range(2 * num_vars + 1)]
-        self.pending_units: list[Clause] = []
+        self.pending_units: list[list[int]] = []
 
 
 class Kernel:
@@ -150,22 +152,21 @@ class Kernel:
         self.qhead = 0
         self._clock_stride = min(CLOCK_STRIDE, 65536 // (self.n + 1)) or 1
         self._clock_due = 1   # propagations + calls at the next clock read
-        # own copies of the non-empty clauses: propagation reorders literals,
-        # and the formula is shared with the caller.  Nothing is assigned
-        # yet: watch each on its first two literals.  The deadline is
-        # checked every 1,024 clauses.
+        # list copies of the non-empty clauses, since propagation reorders
+        # literals and the formula's clauses are tuples.  Nothing is
+        # assigned yet: watch each on its first two literals.  The deadline
+        # is checked every 1,024 clauses.
         problem, watches = self.store.problem, self.store.watches
         for c in formula.clauses:
-            lits = list(c.lits)
-            if not lits:
+            if not c:
                 continue
-            c = Clause(lits, c.cid)
-            problem.append(c)
+            lits = list(c)
+            problem.append(lits)
             if len(lits) == 1:
-                self.store.pending_units.append(c)
+                self.store.pending_units.append(lits)
             else:
-                watches[lits[0]].append(c)
-                watches[lits[1]].append(c)
+                watches[lits[0]].append(lits)
+                watches[lits[1]].append(lits)
             if not len(problem) & 1023:
                 self.budget.check_time()
         self.budget.charge(sum(_CLAUSE_BASE_BYTES + _LIT_BYTES * len(c)
@@ -174,20 +175,19 @@ class Kernel:
     # ------------------------------------------------------------------
     # clause attachment and the trail
 
-    def attach_clause(self, clause: Clause) -> str:
+    def attach_clause(self, lits: list[int]) -> str:
         """Register a clause under the current trail and report its status.
 
         Watches go to non-false literals when possible; otherwise to the most
         recently falsified ones so the watch invariant survives backtracking.
         The caller is responsible for acting on UNIT/FALSIFIED.
         """
-        self.budget.charge(_CLAUSE_BASE_BYTES + _LIT_BYTES * len(clause))
-        lits = clause.lits
+        self.budget.charge(_CLAUSE_BASE_BYTES + _LIT_BYTES * len(lits))
         if len(lits) == 0:
             return FALSIFIED
         values = self.trail.values
         if len(lits) == 1:
-            self.store.pending_units.append(clause)
+            self.store.pending_units.append(lits)
             v = values[lits[0]]
             if v == 1:
                 return SATISFIED
@@ -215,15 +215,15 @@ class Kernel:
         if i1 == 0:
             i1 = i0   # original head moved there in the swap above
         lits[1], lits[i1] = lits[i1], lits[1]
-        self.store.watches[lits[0]].append(clause)
-        self.store.watches[lits[1]].append(clause)
+        self.store.watches[lits[0]].append(lits)
+        self.store.watches[lits[1]].append(lits)
         return status
 
-    def add_learned(self, clause: Clause) -> None:
+    def add_learned(self, clause: list[int]) -> None:
         self.store.learned.append(clause)
         self.stats.learned_clauses += 1
 
-    def add_blocking(self, clause: Clause) -> None:
+    def add_blocking(self, clause: list[int]) -> None:
         self.store.blocking.append(clause)
         self.stats.blocking_clauses += 1
 
@@ -234,7 +234,7 @@ class Kernel:
     # ------------------------------------------------------------------
     # unit propagation
 
-    def propagate(self) -> Clause | None:
+    def propagate(self) -> list[int] | None:
         """Run unit propagation to fixpoint; return the falsified clause on
         conflict (halting immediately), else None.  The first call checks the
         deadline, and so does each call that completes a stride of work."""
@@ -248,7 +248,7 @@ class Kernel:
         watches = self.store.watches
         # single-literal clauses have no watches; re-assert them here
         for c in self.store.pending_units:
-            lit = c.lits[0]
+            lit = c[0]
             v = values[lit]
             if v == UNASSIGNED:
                 trail.assign(lit, c)
@@ -272,22 +272,21 @@ class Kernel:
             while i < end:
                 clause = watchers[i]
                 i += 1
-                lits = clause.lits
-                if lits[0] == false_lit:
-                    lits[0] = lits[1]
-                    lits[1] = false_lit
-                other = lits[0]
+                if clause[0] == false_lit:
+                    clause[0] = clause[1]
+                    clause[1] = false_lit
+                other = clause[0]
                 ov = values[other]
                 if ov == 1:
                     watchers[j] = clause
                     j += 1
                     continue
-                k, size = 2, len(lits)
+                k, size = 2, len(clause)
                 while k < size:
-                    cand = lits[k]
+                    cand = clause[k]
                     if values[cand] != 0:
-                        lits[1] = cand
-                        lits[k] = false_lit
+                        clause[1] = cand
+                        clause[k] = false_lit
                         watches[cand].append(clause)
                         break
                     k += 1
@@ -359,7 +358,7 @@ class Kernel:
     # ------------------------------------------------------------------
     # conflict analysis
 
-    def analyze(self, conflict: Clause, uip: str = "dlevel",
+    def analyze(self, conflict: list[int], uip: str = "dlevel",
                 stop_lit: int | None = None) -> LearnedClause:
         """Derive a first-UIP clause from ``conflict``.
 
@@ -381,7 +380,7 @@ class Kernel:
         trail_lits = trail.lits
         tainted = trail.tainted
 
-        lits_at_dl = [l for l in conflict.lits if var_level[abs(l)] == dl]
+        lits_at_dl = [l for l in conflict if var_level[abs(l)] == dl]
         if not lits_at_dl:
             raise RuntimeError("conflict clause has no current-level literal")
         # the scope is level dl, or only its sublevel cur_sub (-1: all)
@@ -394,7 +393,7 @@ class Kernel:
         stop_var = abs(stop_lit) if stop_lit is not None else 0
         idx = len(trail_lits) - 1
         stop_idx = -1
-        absorb, skip_var = conflict.lits, 0
+        absorb, skip_var = conflict, 0
         while True:
             for q in absorb:
                 v = abs(q)
@@ -437,29 +436,25 @@ class Kernel:
                 out.append(-lit)   # flip: not expandable, keep in clause
                 absorb = ()
             else:
-                absorb, skip_var = reason.lits, v
+                absorb, skip_var = reason, v
         if stop_lit is not None and uip != stop_lit:
             raise RuntimeError("targeted analysis did not end at the pivot")
         for v in seen:
             self.bump_activity(v)
         self.decay_activity()
         assert_level = max((var_level[abs(l)] for l in out), default=0)
-        return LearnedClause(Clause([-uip] + out), assert_level)
+        return LearnedClause([-uip] + out, assert_level)
 
 
 @dataclass(eq=False)
 class LearnedClause:
     """A conflict clause plus the analysis metadata the resolvers need."""
 
-    clause: Clause
+    lits: list[int]
     assert_level: int        # highest level among non-UIP literals (0 if unit)
 
-    @property
-    def lits(self) -> list[int]:
-        return self.clause.lits
 
-
-def clause_status(kernel: Kernel, clause: Clause) -> tuple[str, int | None]:
+def clause_status(kernel: Kernel, clause: list[int]) -> tuple[str, int | None]:
     """Evaluate a clause under the current trail.
 
     Returns (status, unit_literal).  UNIT means exactly one literal is
@@ -468,7 +463,7 @@ def clause_status(kernel: Kernel, clause: Clause) -> tuple[str, int | None]:
     unit_lit = None
     free = 0
     values = kernel.trail.values
-    for l in clause.lits:
+    for l in clause:
         v = values[l]
         if v == 1:
             return SATISFIED, None

@@ -18,24 +18,24 @@ by analysis itself; implications surface through regular propagation.
 
 from __future__ import annotations
 
-from .formula import Clause, CnfFormula
+from .formula import CnfFormula
 from .kernel import (FALSIFIED, UIP_SCHEMES, UNIT, Budget, Kernel,
                      SearchHalted, clause_status)
 
 STRATEGIES = ("bt", "bj", "cbj", "bjcbj")
 
 
-def resolve_clauses(c1: Clause, c2: Clause, pivot_var: int) -> Clause:
+def resolve_clauses(c1: list[int], c2: list[int], pivot_var: int) -> list[int]:
     """Binary resolution of two clauses on ``pivot_var``."""
     lits: list[int] = []
     seen = set()
-    for source in (c1.lits, c2.lits):
+    for source in (c1, c2):
         for l in source:
             if abs(l) == pivot_var or l in seen:
                 continue
             seen.add(l)
             lits.append(l)
-    return Clause(lits)
+    return lits
 
 
 class NonBlockingSolver:
@@ -77,7 +77,7 @@ class NonBlockingSolver:
         # bound per run, so that wrappers put on the classes are called
         trail, stats, propagate = k.trail, k.stats, k.propagate
         next_decision, backtrack_bt = self._next_decision, self.backtrack_bt
-        pending: Clause | None = None
+        pending: list[int] | None = None
         try:
             while True:
                 if pending is None:
@@ -114,7 +114,7 @@ class NonBlockingSolver:
             return None
         return k.decide()
 
-    def _normalize(self, conflict: Clause) -> Clause:
+    def _normalize(self, conflict: list[int]) -> list[int]:
         """Make sure the conflict touches the current level.
 
         A clause can be falsified strictly below the current level (e.g. a
@@ -123,7 +123,7 @@ class NonBlockingSolver:
         nothing; a clause false at level 0 ends the search.
         """
         k = self.kernel
-        lmax = max(k.trail.var_level[abs(l)] for l in conflict.lits)
+        lmax = max(k.trail.var_level[abs(l)] for l in conflict)
         if lmax == 0:
             raise SearchHalted
         if lmax < k.trail.level:
@@ -154,10 +154,10 @@ class NonBlockingSolver:
     # ------------------------------------------------------------------
     # conflict resolution strategies
 
-    def _resolve(self, conflict: Clause) -> Clause | None:
+    def _resolve(self, conflict: list[int]) -> list[int] | None:
         return getattr(self, "resolve_" + self.backtrack)(conflict)
 
-    def _attach_learned(self, clause: Clause) -> Clause | None:
+    def _attach_learned(self, clause: list[int]) -> list[int] | None:
         """Attach a recorded clause under the post-backtrack trail; enqueue
         its implication if unit, surface it as a conflict if falsified."""
         k = self.kernel
@@ -165,37 +165,37 @@ class NonBlockingSolver:
         if status == FALSIFIED:
             return clause
         if status == UNIT:
-            k.trail.assign(clause.lits[0], clause)
+            k.trail.assign(clause[0], clause)
         return None
 
-    def resolve_bt(self, conflict: Clause) -> Clause | None:
+    def resolve_bt(self, conflict: list[int]) -> list[int] | None:
         k = self.kernel
         learned = k.analyze(conflict, self.uip)
-        k.add_learned(learned.clause)
+        k.add_learned(learned.lits)
         self.backtrack_bt()
         self.lim = k.trail.level
-        return self._attach_learned(learned.clause)
+        return self._attach_learned(learned.lits)
 
-    def resolve_bj(self, conflict: Clause) -> Clause | None:
+    def resolve_bj(self, conflict: list[int]) -> list[int] | None:
         """Backjump to the asserting level but never below the limit level;
         at the limit, fall back to BT so the flip guards found solutions."""
         k = self.kernel
         learned = k.analyze(conflict, self.uip)
-        k.add_learned(learned.clause)
+        k.add_learned(learned.lits)
         if self.lim < k.trail.level:
             bl = max(learned.assert_level, self.lim)
             self._cancel(bl)
         else:
             self.backtrack_bt()
             self.lim = k.trail.level
-        return self._attach_learned(learned.clause)
+        return self._attach_learned(learned.lits)
 
-    def resolve_cbj(self, conflict: Clause | None) -> Clause | None:
+    def resolve_cbj(self, conflict: list[int] | None) -> list[int] | None:
         """Resolution-driven backjumping: pair each conflict clause with the
         clause of the follow-up conflict of its unit implication, resolve,
         and jump below the highest level of the resolvent."""
         k = self.kernel
-        stack: list[Clause] = []
+        stack: list[list[int]] = []
         pending = conflict
         while True:
             if pending is not None:
@@ -204,10 +204,10 @@ class NonBlockingSolver:
                 pending = self._normalize(pending)
                 learned = k.analyze(pending, self.uip)
                 pending = None
-                k.add_learned(learned.clause)
-                stack.append(learned.clause)
+                k.add_learned(learned.lits)
+                stack.append(learned.lits)
                 self.backtrack_bt()
-                k.attach_clause(learned.clause)
+                k.attach_clause(learned.lits)
             elif stack:
                 cl1 = stack.pop()
                 status, unit = clause_status(k, cl1)
@@ -219,12 +219,12 @@ class NonBlockingSolver:
                             raise SearchHalted
                         targeted = k.analyze(follow_up, self.uip,
                                              stop_lit=unit)
-                        cl3 = resolve_clauses(cl1, targeted.clause, abs(unit))
+                        cl3 = resolve_clauses(cl1, targeted.lits, abs(unit))
                         k.add_learned(cl3)
                         stack.append(cl3)
-                        if not cl3.lits:
+                        if not cl3:
                             raise SearchHalted
-                        bl = max(k.trail.var_level[abs(l)] for l in cl3.lits)
+                        bl = max(k.trail.var_level[abs(l)] for l in cl3)
                         if bl <= 0:
                             raise SearchHalted
                         self._backtrack_flip_at(bl)
@@ -240,7 +240,7 @@ class NonBlockingSolver:
         self.lim = k.trail.level
         return None
 
-    def resolve_bjcbj(self, conflict: Clause) -> Clause | None:
+    def resolve_bjcbj(self, conflict: list[int]) -> list[int] | None:
         if self.lim < self.kernel.trail.level:
             return self.resolve_bj(conflict)
         return self.resolve_cbj(conflict)

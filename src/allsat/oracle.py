@@ -33,9 +33,6 @@ class ModelSet:
     def count(self) -> int:
         return len(self.masks)
 
-    def as_literal_sets(self) -> set[frozenset[int]]:
-        return {frozenset(mask_to_lits(m, self.num_vars)) for m in self.masks}
-
     def __contains__(self, mask: int) -> bool:
         lo, hi = 0, len(self.masks)
         while lo < hi:
@@ -64,7 +61,7 @@ def clause_masks(f: CnfFormula) -> list[tuple[int, int]]:
     out = []
     for c in f.clauses:
         pos = neg = 0
-        for l in c.lits:
+        for l in c:
             if l > 0:
                 pos |= 1 << (l - 1)
             else:

@@ -28,10 +28,6 @@ every level above ``level`` (backjumps and restarts).
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
-from .formula import Clause
-
 UNASSIGNED = -1
 
 
@@ -46,7 +42,7 @@ class Trail:
         self.values = [UNASSIGNED] * (2 * num_vars + 1)
         self.var_level = [0] * n1
         self.var_sublevel = [0] * n1
-        self.reasons: list[Clause | None] = [None] * n1
+        self.reasons: list[list[int] | None] = [None] * n1
         # a level-0 variable is tainted when its value depends on a flipped
         # decision; such facts are search choices, not consequences of the
         # formula, so conflict analysis must not silently drop them.  Only
@@ -80,7 +76,7 @@ class Trail:
         self.var_sublevel[var] = 0
         self.reasons[var] = None
 
-    def assign(self, lit: int, reason: Clause | None = None) -> None:
+    def assign(self, lit: int, reason: list[int] | None = None) -> None:
         """Append an implied assignment at the current level and sublevel
         (``Kernel.propagate`` writes one itself above level 0)."""
         var = lit if lit > 0 else -lit
@@ -101,7 +97,7 @@ class Trail:
                 tainted[var] = True   # a search choice, like a flip
             else:
                 tainted[var] = any(tainted[abs(q)]
-                                   for q in reason.lits if abs(q) != var)
+                                   for q in reason if abs(q) != var)
 
     def decision_of(self, level: int) -> int:
         """The decision literal that opened ``level`` (level >= 1)."""
@@ -159,29 +155,3 @@ class Trail:
         if level == 0:
             self.tainted[var] = True
         return keep
-
-    def check_consistent(self) -> None:
-        """Internal consistency: the per-variable view mirrors the trail,
-        the negative half of ``values`` mirrors the positive one, and
-        the first assignment of each level >= 1 has no antecedent."""
-        seen = set()
-        last_level = 0
-        for idx, lit in enumerate(self.lits):
-            var = abs(lit)
-            assert var not in seen, f"variable {var} appears twice"
-            seen.add(var)
-            assert self.values[var] == (1 if lit > 0 else 0)
-            level = self.var_level[var]
-            assert level == bisect_right(self.level_start, idx) - 1
-            assert level >= last_level, "levels must be non-decreasing"
-            last_level = level
-            if level >= 1 and self.level_start[level] == idx:
-                assert self.reasons[var] is None, \
-                    f"decision of level {level} has an antecedent"
-        assert len(self.level_start) == self.level + 1
-        values = self.values
-        for var in range(1, self.num_vars + 1):
-            if var in seen:
-                assert values[-var] == 1 - values[var]
-            else:
-                assert values[var] == values[-var] == UNASSIGNED

@@ -2,6 +2,7 @@ import math
 import random
 import signal
 import time
+from bisect import bisect_right
 from contextlib import contextmanager
 
 import pytest
@@ -10,6 +11,7 @@ from allsat import (compute_cuts, count_models, from_clause_lists, load,
                     make_formula)
 from allsat.bddcache import CACHE_MODES
 from allsat.obdd import iter_paths
+from allsat.oracle import mask_to_lits
 from allsat.trail import UNASSIGNED
 
 try:
@@ -64,12 +66,12 @@ def brute_force_cuts(f):
     separators = [[] for _ in range(n + 1)]
     for i in range(n + 1):
         sep = set()
-        for c in f.clauses:
-            if not c.lits:
+        for p, c in enumerate(f.clauses):
+            if not c:
                 continue
-            vs = [abs(l) for l in c.lits]
+            vs = [abs(l) for l in c]
             if min(vs) <= i < max(vs):
-                cutsets[i].append(c.cid)
+                cutsets[i].append(p)
                 sep.update(v for v in vs if v <= i)
         separators[i] = sorted(sep)
     return cutsets, separators
@@ -91,7 +93,7 @@ def check_keys_decode(f, values) -> None:
             if mode == "cutset":
                 want = {p for p in cutsets[i] if any(
                     abs(l) <= i and values[abs(l)] == (l > 0)
-                    for l in f.clauses[p].lits)}
+                    for l in f.clauses[p])}
             else:
                 want = {v for v in separators[i] if values[v] == 1}
             cut, code = make_formula(steps, values, codes, i)
@@ -131,22 +133,57 @@ def script_decisions(solver, lits):
     return solver
 
 
-def trail_trace(trail):
-    """(literal, level, reason cid or None) for each assignment in trail
-    order."""
+def trail_trace(kernel):
+    """(literal, level, reason) for each assignment on the kernel's trail,
+    in trail order.  The reason is named by its position in the kernel's
+    problem clauses (-1 for any other clause, None for no reason); for a
+    formula without empty clauses that is its position in the formula."""
+    trail = kernel.trail
+    position = {id(c): p for p, c in enumerate(kernel.store.problem)}
     out = []
     for lit in trail.lits:
         reason = trail.reasons[abs(lit)]
         out.append((lit, trail.var_level[abs(lit)],
-                    reason.cid if reason else None))
+                    None if reason is None else position.get(id(reason), -1)))
     return out
+
+
+def check_consistent(trail) -> None:
+    """Internal consistency of a trail: the per-variable view mirrors the
+    trail, the negative half of ``values`` mirrors the positive one, and
+    the first assignment of each level >= 1 has no antecedent."""
+    seen = set()
+    last_level = 0
+    for idx, lit in enumerate(trail.lits):
+        var = abs(lit)
+        assert var not in seen, f"variable {var} appears twice"
+        seen.add(var)
+        assert trail.values[var] == (1 if lit > 0 else 0)
+        level = trail.var_level[var]
+        assert level == bisect_right(trail.level_start, idx) - 1
+        assert level >= last_level, "levels must be non-decreasing"
+        last_level = level
+        if level >= 1 and trail.level_start[level] == idx:
+            assert trail.reasons[var] is None, \
+                f"decision of level {level} has an antecedent"
+    assert len(trail.level_start) == trail.level + 1
+    values = trail.values
+    for var in range(1, trail.num_vars + 1):
+        if var in seen:
+            assert values[-var] == 1 - values[var]
+        else:
+            assert values[var] == values[-var] == UNASSIGNED
+
+
+def literal_sets(models) -> set[frozenset[int]]:
+    """A ``ModelSet``'s models, each as the set of its literals."""
+    return {frozenset(mask_to_lits(m, models.num_vars)) for m in models.masks}
 
 
 def blocking_clauses(solver):
     """A blocking engine's blocking clauses in the order it added them, each
     as a tuple of its literals sorted by variable."""
-    return [tuple(sorted(c.lits, key=abs))
-            for c in solver.kernel.store.blocking]
+    return [tuple(sorted(c, key=abs)) for c in solver.kernel.store.blocking]
 
 
 def solution_mask(cube) -> int:

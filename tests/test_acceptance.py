@@ -101,7 +101,7 @@ def checked_analyze(kernel, violations):
         t = kernel.trail
         uip_lit = learned.lits[0]
         dl = t.level
-        sub = max(t.var_sublevel[abs(l)] for l in conflict.lits
+        sub = max(t.var_sublevel[abs(l)] for l in conflict
                   if t.var_level[abs(l)] == dl)
         in_scope = []
         for l in learned.lits:
@@ -153,8 +153,8 @@ def sweep():
 
         def check_entailment(kernel, label):
             for c in kernel.store.learned:
-                if not entailed_by_models(models.masks, n, c.lits):
-                    result.entailment_failures.append((idx, label, c.lits))
+                if not entailed_by_models(models.masks, n, c):
+                    result.entailment_failures.append((idx, label, c))
 
         for cfg in BLOCKING_CONFIGS:
             cubes = []
@@ -236,11 +236,11 @@ def test_criterion_1_worked_goldens():
         assert k.propagate() is None
         k.make_decision(-5)
         assert k.propagate() is None
-        trace = trail_trace(k.trail)
+        trace = trail_trace(k)
         assert trace == [(-5, 1, None), (-6, 1, 4)]
         k.make_decision(3)
         assert k.propagate() is None
-        trace = trail_trace(k.trail)
+        trace = trail_trace(k)
         assert trace == [(-5, 1, None), (-6, 1, 4), (3, 2, None),
                          (1, 2, 0), (4, 2, 2)]
         k.make_decision(2)

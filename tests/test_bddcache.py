@@ -68,6 +68,16 @@ def test_compute_cuts_rejects_an_unknown_mode(ex31):
         BddSolver(ex31, backtrack="cdcl")
 
 
+@pytest.mark.parametrize("engine", [BddSolver, BddBlockingSolver])
+def test_diagram_engines_refuse_a_sink(engine):
+    """A diagram engine's models go into its diagram, so a ``sink`` would
+    never be called: passing one raises TypeError instead."""
+    got = []
+    with pytest.raises(TypeError, match="sink"):
+        engine(from_clause_lists(3, [[1, 2]]), sink=got.append)
+    assert got == []
+
+
 def test_make_formula_worked_prefix(ex31):
     values = [None, 1, 0, 1, None, None, None]   # x1=1, x2=0, x3=1
     cut_key = fresh_key(ex31, "cutset", values, 3)
@@ -239,7 +249,7 @@ def test_learned_clauses_entailed_in_bdd_mode():
         solver = BddSolver(f)
         solver.run_bdd()
         for c in solver.kernel.store.learned:
-            assert entails(f, c.lits)
+            assert entails(f, c)
 
 
 def test_refresh_partition(tmp_path):

@@ -100,7 +100,6 @@ def test_continuation_replays_saved_decisions(ex31):
     for x5 is remade, while x3 is barred by the new blocking clause."""
     from allsat import Kernel
     from allsat.blocking import replay_decisions
-    from allsat.formula import Clause
 
     k = Kernel(ex31)
     k.propagate()
@@ -113,7 +112,7 @@ def test_continuation_replays_saved_decisions(ex31):
 
     # simplified blocking clause x5 or not-x3, then restart and replay
     k.cancel_to(0)
-    clause = Clause([5, -3])
+    clause = [5, -3]
     k.add_blocking(clause)
     k.attach_clause(clause)
     conflict = replay_decisions(k, saved)
@@ -162,8 +161,7 @@ def test_every_learned_clause_entailed_by_problem_and_blocking():
         # at learning time; the final store is a superset, so check against
         # problem clauses plus all blocking clauses (sound direction is
         # guaranteed by construction; here we sanity-check the final state)
-        base = [list(c.lits) for c in f.clauses]
-        blocking = [list(c.lits) for c in solver.kernel.store.blocking]
-        extended = from_clause_lists(f.num_vars, base + blocking)
+        extended = from_clause_lists(
+            f.num_vars, f.clauses + solver.kernel.store.blocking)
         for c in solver.kernel.store.learned:
-            assert oracle_entails(extended, c.lits)
+            assert oracle_entails(extended, c)

@@ -20,7 +20,7 @@ from allsat.harness import (EXIT_INPUT, EXIT_LIMIT, EXIT_OK, FLAGS, MODES,
                             run_suite, verify)
 from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
 
-from conftest import TEST_TIME_LIMIT, random_3cnf, time_limit
+from conftest import TEST_TIME_LIMIT, literal_sets, random_3cnf, time_limit
 
 EX41_TEXT = "p cnf 3 3\n1 -2 0\n2 -3 0\n3 -1 0\n"
 EX31_TEXT = ("p cnf 6 5\n1 -3 0\n2 3 5 0\n-1 -3 4 0\n"
@@ -344,7 +344,7 @@ def test_cube_output_in_original_names(ex31_file, tmp_path, capsys):
         assert sorted(abs(l) for l in lits) == [1, 2, 3, 4, 5, 6]
         masks.add(frozenset(lits))
     from allsat import enumerate_all, parse_dimacs
-    want = enumerate_all(parse_dimacs(EX31_TEXT)).as_literal_sets()
+    want = literal_sets(enumerate_all(parse_dimacs(EX31_TEXT)))
     assert masks == want
 
 

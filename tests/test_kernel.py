@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from allsat import (BlockingSolver, Budget, Kernel, NonBlockingSolver,
                     entails, from_clause_lists)
-from allsat.formula import Clause
 from allsat.harness import EXIT_LIMIT, RunConfig, run_instance
 from allsat.kernel import (ACTIVITY_RESCALE, CLOCK_STRIDE, FALSIFIED, UNIT,
                            UIP_SCHEMES, clause_status)
 from allsat.nonblocking import STRATEGIES
 from allsat.trail import UNASSIGNED
 
-from conftest import StopClock, random_3cnf, random_instances, trail_trace
+from conftest import (StopClock, check_consistent, random_3cnf,
+                      random_instances, trail_trace)
 
 
 def drive(kernel, decisions):
@@ -36,11 +36,11 @@ def test_propagation_trace_worked_example(ex31):
     assert k.propagate() is None
     k.make_decision(-5)
     assert k.propagate() is None
-    trail = trail_trace(k.trail)
+    trail = trail_trace(k)
     assert trail == [(-5, 1, None), (-6, 1, 4)]       # -x6 via C5
     k.make_decision(3)
     assert k.propagate() is None
-    trail = trail_trace(k.trail)
+    trail = trail_trace(k)
     # x1 via C1 then x4 via C3, in this order
     assert trail == [(-5, 1, None), (-6, 1, 4), (3, 2, None),
                      (1, 2, 0), (4, 2, 2)]
@@ -90,7 +90,7 @@ def naive_propagate(f, decisions):
     deciding only when the previous propagation reached fixpoint.
     """
     values = {}
-    clauses = [list(c.lits) for c in f.clauses if len(c) > 0]
+    clauses = [list(c) for c in f.clauses if c]
 
     def scan():
         changed = True
@@ -171,7 +171,7 @@ def collect_conflicts(f, rng, uip):
         conflict = k.propagate()
     if conflict is None or k.trail.level == 0:
         return out
-    lmax = max(k.trail.var_level[abs(l)] for l in conflict.lits)
+    lmax = max(k.trail.var_level[abs(l)] for l in conflict)
     if lmax == 0:
         return out
     k.cancel_to(lmax)
@@ -374,8 +374,7 @@ def check_watches(kernel, attached):
         for clause in watchers:
             where.setdefault(id(clause), Counter())[lit] += 1
     assert set(where) == set(attached)
-    for key, clause in attached.items():
-        lits = clause.lits
+    for key, lits in attached.items():
         assert where[key] == Counter({lits[0]: 1, lits[1]: 1}), lits
 
 
@@ -392,18 +391,18 @@ def test_watch_lists_stay_exact_during_full_runs(monkeypatch):
         init(self, *args, **kwargs)
         # the constructor watches the problem clauses itself
         attached.update((id(c), c) for c in self.store.problem
-                        if len(c.lits) >= 2)
+                        if len(c) >= 2)
 
     def attach_and_record(self, clause):
         status = attach(self, clause)
-        if len(clause.lits) >= 2:
+        if len(clause) >= 2:
             attached[id(clause)] = clause
         return status
 
     def propagate_and_check(self):
         conflict = propagate(self)
         check_watches(self, attached)
-        self.trail.check_consistent()
+        check_consistent(self.trail)
         calls.append(conflict is None)
         return conflict
 
@@ -434,7 +433,7 @@ def reference_propagate(k):
     values = trail.values
     watches = k.store.watches
     for c in k.store.pending_units:
-        lit = c.lits[0]
+        lit = c[0]
         v = values[lit]
         if v == UNASSIGNED:
             trail.assign(lit, c)
@@ -456,19 +455,18 @@ def reference_propagate(k):
         while i < end:
             clause = watchers[i]
             i += 1
-            lits = clause.lits
-            if lits[0] == false_lit:
-                lits[0], lits[1] = lits[1], lits[0]
-            other = lits[0]
+            if clause[0] == false_lit:
+                clause[0], clause[1] = clause[1], clause[0]
+            other = clause[0]
             ov = values[other]
             if ov == 1:
                 watchers[j] = clause
                 j += 1
                 continue
-            for m in range(2, len(lits)):
-                cand = lits[m]
+            for m in range(2, len(clause)):
+                cand = clause[m]
                 if values[cand] != 0:
-                    lits[1], lits[m] = lits[m], lits[1]
+                    clause[1], clause[m] = clause[m], clause[1]
                     watches[cand].append(clause)
                     break
             else:
@@ -497,7 +495,7 @@ def reference_analyze(k, conflict, uip="dlevel", stop_lit=None):
     var_sub = trail.var_sublevel
     reasons = trail.reasons
     trail_lits = trail.lits
-    lits_at_dl = [l for l in conflict.lits if var_level[abs(l)] == dl]
+    lits_at_dl = [l for l in conflict if var_level[abs(l)] == dl]
     if not lits_at_dl:
         raise RuntimeError("conflict clause has no current-level literal")
     if uip == "sublevel":
@@ -529,7 +527,7 @@ def reference_analyze(k, conflict, uip="dlevel", stop_lit=None):
             else:
                 out.append(q)
 
-    absorb(conflict.lits, 0)
+    absorb(conflict, 0)
     idx = len(trail_lits) - 1
     uip = 0
     stop_idx = -1
@@ -559,7 +557,7 @@ def reference_analyze(k, conflict, uip="dlevel", stop_lit=None):
         if reason is None:
             out.append(-lit)
         else:
-            absorb(reason.lits, v)
+            absorb(reason, v)
     if stop_lit is not None and uip != stop_lit:
         raise RuntimeError("targeted analysis did not end at the pivot")
     lits = [-uip] + out
@@ -585,7 +583,7 @@ def kernel_state(k):
     return (t.lits, t.values, t.var_level, t.var_sublevel,
             [keys.get(id(r)) for r in t.reasons], t.tainted, t.level,
             t.level_start, t.cur_sublevel,
-            [c.lits for c in k.store.problem + k.store.learned],
+            k.store.problem + k.store.learned,
             [[keys[id(c)] for c in w] for w in k.store.watches],
             [keys[id(c)] for c in k.store.pending_units],
             k.qhead, k.stats.propagations, k.stats.conflicts)
@@ -628,10 +626,10 @@ def twin_learn(k, ref, lits):
     """Record and attach a clause in both kernels, and assign its literal
     if it is unit."""
     for x in (k, ref):
-        clause = Clause(list(lits))
+        clause = list(lits)
         x.add_learned(clause)
         if x.attach_clause(clause) == UNIT:
-            x.trail.assign(clause.lits[0], clause)
+            x.trail.assign(clause[0], clause)
 
 
 def random_clause(rng, n, size):
@@ -666,7 +664,7 @@ def test_propagate_matches_reference(seed):
         assert (None if got is None else clause_keys(k)[id(got)]) \
             == (None if want is None else clause_keys(ref)[id(want)])
         assert kernel_state(k) == kernel_state(ref)
-        k.trail.check_consistent()
+        check_consistent(k.trail)
         if not twin_step(rng, k, ref):
             k, ref = twin_kernels(rng)
 
@@ -691,7 +689,7 @@ def test_analyze_matches_reference(seed):
                 k, ref = twin_kernels(rng)
             continue
         t = k.trail
-        lmax = max(t.var_level[abs(l)] for l in conflict.lits)
+        lmax = max(t.var_level[abs(l)] for l in conflict)
         if lmax == 0:
             k, ref = twin_kernels(rng)
             continue

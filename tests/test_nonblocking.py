@@ -4,7 +4,6 @@ import pytest
 
 from allsat import (Kernel, NonBlockingSolver, enumerate_all, entails,
                     from_clause_lists)
-from allsat.formula import Clause
 from allsat.nonblocking import resolve_clauses
 from allsat.trail import UNASSIGNED
 
@@ -92,8 +91,8 @@ def test_flip_increments_sublevel_once():
 
 
 def test_resolution():
-    c3 = resolve_clauses(Clause([-6, -9]), Clause([6, 2]), 6)
-    assert sorted(c3.lits) == [-9, 2]
+    c3 = resolve_clauses([-6, -9], [6, 2], 6)
+    assert sorted(c3) == [-9, 2]
 
 
 def test_all_configs_match_oracle():
@@ -129,7 +128,7 @@ def test_learned_clause_entailment_and_structure():
             solver = NonBlockingSolver(f, **cfg)
             solver.run()
             for c in solver.kernel.store.learned:
-                assert entails(f, c.lits), (cfg, c.lits)
+                assert entails(f, c), (cfg, c)
 
 
 def test_structural_invariant_of_analysis():
@@ -145,7 +144,7 @@ def test_structural_invariant_of_analysis():
             t = k.trail
             scheme = self.uip
             dl = t.level
-            sub = max(t.var_sublevel[abs(l)] for l in conflict.lits
+            sub = max(t.var_sublevel[abs(l)] for l in conflict
                       if t.var_level[abs(l)] == dl)
             learned = k.analyze(conflict, scheme)
             in_scope = []

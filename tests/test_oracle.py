@@ -5,12 +5,14 @@ from allsat.oracle import (OracleGuardError, check_cube_cover,
                            cube_expansion_count, cubes_disjoint, expand_cube,
                            mask_to_lits)
 
+from conftest import literal_sets
+
 
 def test_worked_examples(ex31, ex41):
     assert enumerate_all(ex31).count == 22
     models = enumerate_all(ex41)
     assert models.count == 2
-    assert models.as_literal_sets() == {
+    assert literal_sets(models) == {
         frozenset({-1, -2, -3}), frozenset({1, 2, 3})}
 
 

@@ -40,8 +40,7 @@ def window_chain(rng: random.Random, n: int, width: int):
 
 
 def with_units(f, units):
-    return from_clause_lists(f.num_vars,
-                             [list(c.lits) for c in f.clauses] + units)
+    return from_clause_lists(f.num_vars, f.clauses + units)
 
 
 INSTANCES = {

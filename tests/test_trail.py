@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from allsat.formula import Clause
 from allsat.trail import UNASSIGNED, Trail
+
+from conftest import check_consistent
 
 
 def test_assign_levels_and_views():
@@ -11,16 +12,16 @@ def test_assign_levels_and_views():
     t.decide(-5)
     assert t.var_level[5] == 1 and t.decisions() == [-5]
     assert t.values[5] == 0
-    c5 = Clause([5, -6], cid=4)
+    c5 = [5, -6]
     t.assign(-6, reason=c5)
     assert t.reasons[6] is c5
     assert t.var_level[6] == 1
-    t.check_consistent()
+    check_consistent(t)
 
 
 def test_level0_fact():
     t = Trail(3)
-    unit = Clause([1])
+    unit = [1]
     t.assign(1, reason=unit)
     assert t.var_level[1] == 0
     assert t.lits == [1] and t.reasons[1] is unit
@@ -37,10 +38,10 @@ def build_three_levels():
     t = Trail(6)
     t.assign(1)                       # level 0
     t.decide(2)
-    t.assign(3, reason=Clause([-2, 3]))
+    t.assign(3, reason=[-2, 3])
     t.decide(4)
     t.decide(-5)
-    t.assign(6, reason=Clause([5, 6]))
+    t.assign(6, reason=[5, 6])
     return t
 
 
@@ -50,7 +51,7 @@ def test_cancel_to_removes_upper_levels():
     assert t.lits == [1, 2, 3]
     assert t.level == 1
     assert t.values[4] == UNASSIGNED and t.values[5] == UNASSIGNED
-    t.check_consistent()
+    check_consistent(t)
 
 
 def test_values_are_indexed_by_signed_literal():
@@ -64,10 +65,10 @@ def test_values_are_indexed_by_signed_literal():
     t.cancel_to(1)
     for var in (4, 5, 6):
         assert t.values[var] == t.values[-var] == UNASSIGNED
-    t.check_consistent()
+    check_consistent(t)
     t.decide(5)                        # the other sign of a canceled one
     assert t.values[5] == 1 and t.values[-5] == 0
-    t.check_consistent()
+    check_consistent(t)
 
 
 @pytest.mark.parametrize("var, stale", [(5, 0), (4, UNASSIGNED), (2, 1)])
@@ -76,7 +77,7 @@ def test_check_consistent_reads_the_negative_half(var, stale):
     t.cancel_to(2)                     # 5 and 6 unassigned, 4 assigned
     t.values[-var] = stale
     with pytest.raises(AssertionError):
-        t.check_consistent()
+        check_consistent(t)
 
 
 def test_cancel_to_current_level_is_noop():
@@ -91,7 +92,7 @@ def test_cancel_to_root_keeps_level0():
     t.cancel_to(0)
     assert t.lits == [1]
     assert t.level == 0
-    t.check_consistent()
+    check_consistent(t)
 
 
 def test_sublevels_open_at_flips():
@@ -104,7 +105,7 @@ def test_sublevels_open_at_flips():
     assert t.var_sublevel[2] == 1
     assert t.var_level[2] == 1
     assert t.decisions() == [1] and t.reasons[2] is None
-    t.assign(3, reason=Clause([2, 3]))
+    t.assign(3, reason=[2, 3])
     assert t.lits[-1] == 3
     assert t.var_sublevel[3] == 1       # implied entries inherit
 
@@ -118,11 +119,11 @@ def test_implied_entries_have_unit_antecedent_at_their_position():
         # under the prefix before the entry, the antecedent must be unit
         # with this literal as the unit literal
         prefix = set(t.lits[:idx])
-        unassigned = [l for l in reason.lits
+        unassigned = [l for l in reason
                       if l not in prefix and -l not in prefix]
-        falsified = [l for l in reason.lits if -l in prefix]
+        falsified = [l for l in reason if -l in prefix]
         assert unassigned == [lit]
-        assert len(falsified) == len(reason.lits) - 1
+        assert len(falsified) == len(reason) - 1
 
 
 def test_decision_of():
@@ -143,9 +144,9 @@ def test_decide_rejects_an_assigned_variable():
 
 def test_flip_into_level_0_taints():
     t = Trail(4)
-    t.assign(1, reason=Clause([1]))    # a fact of the formula
+    t.assign(1, reason=[1])    # a fact of the formula
     t.decide(2)
-    t.assign(3, reason=Clause([-2, 3]))
+    t.assign(3, reason=[-2, 3])
     t.decide(4)
     assert t.flip(1) == 1              # cancels every level, -2 lands at 0
     assert t.lits == [1, -2] and t.level == 0
@@ -153,7 +154,7 @@ def test_flip_into_level_0_taints():
     assert t.tainted[2] and not t.tainted[1]
     for var in (3, 4):
         assert t.values[var] == t.values[-var] == UNASSIGNED
-    t.check_consistent()
+    check_consistent(t)
 
 
 def test_flip_needs_a_decision_level():
@@ -213,7 +214,7 @@ def test_flip_matches_cancel_sublevel_assign(n, data):
                 body = data.draw(st.lists(st.sampled_from(t.lits), unique=True)
                                  if t.lits else st.just([]))
                 reason = data.draw(st.sampled_from(
-                    (None, Clause([lit] + [-q for q in body]))))
+                    (None, [lit] + [-q for q in body])))
                 t.assign(lit, reason)
                 ref.assign(lit, reason)
         elif op == "flip":
@@ -228,4 +229,4 @@ def test_flip_matches_cancel_sublevel_assign(n, data):
             t.cancel_to(level)
             ref.cancel_to(level)
         assert trail_state(t) == trail_state(ref)
-        t.check_consistent()
+        check_consistent(t)
