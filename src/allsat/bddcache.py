@@ -311,7 +311,9 @@ def _init_cache(solver, cache: str, policy: RefreshPolicy | None) -> None:
     solver.policy.validate(formula.num_vars)
     theta = solver.policy.threshold
     solver.limit = math.inf if theta is None else theta - formula.num_vars
-    solver.store = ObddStore(formula.num_vars)
+    # the store names each position's original variable, for its dumps
+    solver.store = ObddStore(formula.num_vars,
+                             formula.external[:formula.num_vars + 1])
     solver.solved = {}
     solver.dumps = []
 

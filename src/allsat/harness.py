@@ -20,8 +20,9 @@ from typing import Callable
 from .bddcache import (CACHE_MODES, BddBlockingSolver, BddSolver,
                        RefreshPolicy)
 from .blocking import BlockingSolver
-from .formula import (CnfFormula, InputError, apply_order, parse_dimacs,
-                      read_order_file, read_text, render_dimacs)
+from .formula import (CnfFormula, InputError, apply_order, choose_order,
+                      from_clause_lists, parse_dimacs, read_order_file,
+                      read_text, render_dimacs)
 from .kernel import UIP_SCHEMES, Budget, LimitExceeded, SolverStats
 from .nonblocking import STRATEGIES, NonBlockingSolver
 # count_models is unused here; the benchmark's tracer wraps it by this name
@@ -165,14 +166,18 @@ class RunStats(SolverStats):
 
 
 def load_instance(path: str | Path, cfg: RunConfig,
-                  formula: CnfFormula | None = None) -> CnfFormula:
+                  formula: CnfFormula | None = None,
+                  budget: Budget | None = None) -> CnfFormula:
     """The instance at ``path`` (or ``formula``, when given) under the
-    variable order of ``cfg``."""
+    variable order of ``cfg``: its order file's, or for a diagram mode
+    without one the order ``choose_order`` picks under ``budget``."""
     if formula is None:
         formula = parse_dimacs(read_text(path))
     if cfg.order_file:
         perm = read_order_file(read_text(cfg.order_file), formula.num_vars)
         formula = apply_order(formula, perm)
+    elif MODES[cfg.mode].diagram:
+        formula = choose_order(formula, budget)
     return formula
 
 
@@ -181,59 +186,62 @@ def run_instance(path: str | Path, cfg: RunConfig, sink=None,
                  out=None) -> RunStats:
     """Run one solver configuration on one instance under its limits.
 
-    ``formula`` (if given) stands for the file at ``path``; the order file
-    of ``cfg`` applies to either.  ``sink`` (if given) receives each
-    emitted cube in original variable names.  ``out`` is the stream for
-    --output rendering (defaults to nothing; the CLI passes stdout).  With
-    --output cubes each cube is written to it as the engine emits it, so
-    the writes count in ``wall_time`` and against the time limit.
+    ``formula`` (if given) stands for the file at ``path``; the order of
+    ``cfg`` applies to either.  ``sink`` (if given) receives each emitted
+    cube in original variable names.  ``out`` is the stream for --output
+    rendering (defaults to nothing; the CLI passes stdout).  With --output
+    cubes each cube is written to it as the engine emits it, so the writes
+    count in ``wall_time`` and against the time limit.  So does loading
+    the instance, the choice of its order included.
     """
     stats = RunStats(instance=str(path), config=cfg.label())
     policy = RefreshPolicy(threshold=cfg.refresh_threshold,
                            dump_dir=Path(path).parent, stem=Path(path).stem)
+    budget = Budget(time_limit=cfg.time_limit, mem_limit=cfg.mem_limit)
+    start = time.monotonic()
+    solver = None
     try:
         cfg.validate()
-        f = load_instance(path, cfg, formula)
+        f = load_instance(path, cfg, formula, budget)
         policy.validate(f.num_vars)
     except (ConfigError, InputError, ValueError) as exc:
         stats.exit_code = EXIT_INPUT
         stats.error = str(exc)
         return stats
-    mode = MODES[cfg.mode]
-
-    budget = Budget(time_limit=cfg.time_limit, mem_limit=cfg.mem_limit)
-    start = time.monotonic()
-
-    sinks = [sink] if sink is not None else []
-    if cfg.output == "cubes" and out is not None:
-        sinks.append(lambda cube: out.write(
-            " ".join(map(str, cube)) + " 0\n"))
-
-    to_external = f.external.__getitem__
-
-    def emit(cube):
-        external = tuple(map(to_external, cube))
-        for s in sinks:
-            s(external)
-
-    solver = None
-    try:
-        budget.check_time()
-        if mode.build is None:
-            stats.solutions = enumerate_all(f, budget).count
-        else:
-            solver = mode.build(f, cfg, emit if sinks else None, budget,
-                                policy)
-            # the engine fills its stats in, also when a limit stops it
-            (solver.run_bdd if mode.diagram else solver.run)()
-        stats.solved = True
-    except LimitExceeded as exc:
+    except LimitExceeded as exc:     # while the order was chosen
         stats.exit_code = EXIT_LIMIT
         stats.error = str(exc)
-    except OracleGuardError as exc:
-        stats.exit_code = EXIT_INPUT
-        stats.error = str(exc)
-        return stats
+    else:
+        mode = MODES[cfg.mode]
+        sinks = [sink] if sink is not None else []
+        if cfg.output == "cubes" and out is not None:
+            sinks.append(lambda cube: out.write(
+                " ".join(map(str, cube)) + " 0\n"))
+
+        to_external = f.external.__getitem__
+
+        def emit(cube):
+            external = tuple(map(to_external, cube))
+            for s in sinks:
+                s(external)
+
+        try:
+            budget.check_time()
+            if mode.build is None:
+                stats.solutions = enumerate_all(f, budget).count
+            else:
+                solver = mode.build(f, cfg, emit if sinks else None, budget,
+                                    policy)
+                # the engine fills its stats in, also when a limit stops it
+                (solver.run_bdd if mode.diagram else solver.run)()
+            stats.solved = True
+        except LimitExceeded as exc:
+            stats.exit_code = EXIT_LIMIT
+            stats.error = str(exc)
+        except OracleGuardError as exc:
+            stats.exit_code = EXIT_INPUT
+            stats.error = str(exc)
+            return stats
 
     stats.wall_time = time.monotonic() - start
     stats.peak_mem = budget.peak_mem
@@ -442,15 +450,32 @@ def _verify_formula(formula: CnfFormula, cfg_a: RunConfig, cfg_b: RunConfig,
 
 def _minimize(formula: CnfFormula, cfg_a: RunConfig, cfg_b: RunConfig,
               scratch: str) -> CnfFormula:
-    """Greedy one-pass clause removal keeping the discrepancy alive."""
+    """A subset of the clauses on which the two configurations still
+    disagree, by delta debugging (Zeller & Hildebrandt, TSE 2002): remove
+    chunks of half, a quarter, ... of the clauses while the discrepancy
+    survives, then single clauses until none can go.  So dropping any one
+    clause of the result makes the discrepancy vanish."""
     if formula.num_vars > 15:
         return formula
-    from .formula import from_clause_lists
+
+    def fails(clauses) -> bool:
+        candidate = from_clause_lists(formula.num_vars, clauses)
+        return not _verify_formula(candidate, cfg_a, cfg_b, "minimize",
+                                   scratch).ok
+
     current = list(formula.clauses)
-    for i in range(len(current) - 1, -1, -1):
-        trial = current[:i] + current[i + 1:]
-        candidate = from_clause_lists(formula.num_vars, trial)
-        rep = _verify_formula(candidate, cfg_a, cfg_b, "minimize", scratch)
-        if not rep.ok:
-            current = trial
+    chunk = (len(current) + 1) // 2
+    while chunk:
+        removed = False
+        i = 0
+        while i < len(current):
+            trial = current[:i] + current[i + chunk:]
+            if fails(trial):
+                current, removed = trial, True
+            else:
+                i += chunk
+        if chunk > 1:
+            chunk //= 2
+        elif not removed:
+            break
     return from_clause_lists(formula.num_vars, current)

@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .formula import CnfFormula
+from .formula import CnfFormula, gc_paused
 from .trail import UNASSIGNED, Trail
 
 UIP_SCHEMES = ("sublevel", "dlevel")
@@ -140,6 +140,7 @@ class ClauseStore:
 class Kernel:
     """One solver instance: a trail, a clause store, and heuristic state."""
 
+    @gc_paused
     def __init__(self, formula: CnfFormula, budget: Budget | None = None):
         self.n = formula.num_vars
         self.store = ClauseStore(self.n)

@@ -37,10 +37,13 @@ class ObddLoadError(Exception):
 
 
 class ObddStore:
-    """Arena of branch nodes for one diagram."""
+    """Arena of branch nodes for one diagram.  Its variables are positions
+    in a variable order: ``order[pos]`` is the original variable at
+    position ``pos`` (entry 0 unused), the identity unless given."""
 
-    def __init__(self, num_vars: int):
+    def __init__(self, num_vars: int, order: list[int] | None = None):
         self.num_vars = num_vars
+        self.order = list(range(num_vars + 1)) if order is None else order
         # parallel arrays indexed by id; entries 0/1 are terminal padding
         self.var = [0, 0]
         self.lo = [0, 0]
@@ -215,11 +218,15 @@ def iter_paths(store: ObddStore, root: int | None = None):
 
 def dump(store: ObddStore, root: int | None = None,
          out: io.TextIOBase | None = None) -> str:
-    """Serialize: header ``obdd <branch nodes> <vars>``, one ``<id> <var>
-    <lo> <hi>`` line per branch node in id order, footer ``root <id>``."""
+    """Serialize: header ``obdd <branch nodes> <vars>``, then, unless the
+    store's order is the identity, ``order <original variable at position
+    1> ... <at position n>``, one ``<id> <var> <lo> <hi>`` line per branch
+    node in id order, footer ``root <id>``."""
     if root is None:
         root = store.root
     lines = [f"obdd {store.size} {store.num_vars}"]
+    if store.order != list(range(store.num_vars + 1)):
+        lines.append("order " + " ".join(map(str, store.order[1:])))
     for nid in range(2, len(store.var)):
         lines.append(f"{nid} {store.var[nid]} {store.lo[nid]} {store.hi[nid]}")
     lines.append(f"root {root}")
@@ -230,11 +237,13 @@ def dump(store: ObddStore, root: int | None = None,
 
 
 def load(source: str | io.TextIOBase) -> ObddStore:
-    """Parse a dump back into a store (ids preserved).
+    """Parse a dump back into a store (ids and order preserved).
 
     Raises ``ObddLoadError`` unless every arc and the root name an existing
-    id, every variable lies in ``1..num_vars`` and every arc into a branch
-    node goes to a higher variable (so the diagram is acyclic)."""
+    id, every variable lies in ``1..num_vars``, every arc into a branch
+    node goes to a higher variable (so the diagram is acyclic), and an
+    ``order`` line, if any, comes right after the header and lists a
+    permutation of ``1..num_vars``."""
     text = source if isinstance(source, str) else source.read()
     lines = text.splitlines()
     if not lines:
@@ -254,6 +263,17 @@ def load(source: str | io.TextIOBase) -> ObddStore:
         if not line:
             continue
         parts = line.split()
+        if parts[0] == "order":
+            try:
+                order = [0, *map(int, parts[1:])]
+            except ValueError:
+                order = []
+            if line_no != 2 or sorted(order) != list(range(num_vars + 1)):
+                raise ObddLoadError(f"an order line must follow the header "
+                                    f"and list 1..{num_vars} once each",
+                                    line_no)
+            store.order = order
+            continue
         if parts[0] == "root":
             if len(parts) != 2:
                 raise ObddLoadError("malformed root line", line_no)

@@ -1,12 +1,16 @@
+import gc
 import random
 
 import pytest
 
-from allsat import (DimacsError, apply_order, from_clause_lists, parse_dimacs,
-                    render_dimacs)
-from allsat.formula import read_order_file
+from allsat import (Budget, DimacsError, Kernel, LimitExceeded, apply_order,
+                    from_clause_lists, parse_dimacs, render_dimacs)
+from allsat.formula import (choose_order, force_order, keeps_order,
+                            read_order_file)
 
-from conftest import check_keys_decode, irregular_formulas, random_instances
+from conftest import (check_keys_decode, irregular_formulas, random_3cnf,
+                      random_instances)
+from test_search_counters import window_chain
 
 
 def test_parse_basic():
@@ -125,3 +129,156 @@ def test_read_order_file():
         read_order_file("1\n2\n", 3)
     with pytest.raises(DimacsError):
         read_order_file("1\n1\n2\n", 3)
+
+
+def criterion5_chain():
+    """The 60-variable chain of acceptance criterion 5: x1 <- x2 <- ...
+    <- x12, and 48 free variables."""
+    return from_clause_lists(60, [[k, -(k + 1)] for k in range(1, 12)])
+
+
+def order_score(f) -> tuple[int, int]:
+    """(cut width, total span) of ``f``'s clauses under its own order, by
+    the definitions: the most clauses with variables on both sides of one
+    cut, and the sum over the clauses of their last less their first
+    variable."""
+    bounds = [(min(map(abs, c)), max(map(abs, c))) for c in f.clauses if c]
+    width = max((sum(lo <= i < hi for lo, hi in bounds)
+                 for i in range(1, f.num_vars)), default=0)
+    return width, sum(hi - lo for lo, hi in bounds)
+
+
+def narrow_mixed(n_narrow: int, n_wide: int):
+    """Width-3 window clauses first, then clauses over the whole range."""
+    chain = window_chain(random.Random(n_narrow), 3000, 3)
+    wide = random_3cnf(random.Random(n_wide), 3000, n_wide)
+    return from_clause_lists(3000, [list(c) for c in chain.clauses[:n_narrow]
+                                    + wide.clauses])
+
+
+def test_keeps_order_is_two_to_the_cut_width_at_most_the_literals():
+    """keeps_order(f) holds exactly when 2^w <= L, w the cut width and L
+    the number of literals, also where its pass stops early at one of the
+    checkpoints after 1,024, 2,048, ... clauses or runs to the end."""
+    formulas = (random_instances(seed=81, count=30)
+                + irregular_formulas(seed=82, count=30)
+                + [window_chain(random.Random(k), n, w)
+                   for k, (n, w) in enumerate([(12, 4), (16, 3), (40, 5),
+                                               (1500, 4), (2000, 6)])]
+                + [narrow_mixed(1100, 3), narrow_mixed(3000, 1),
+                   narrow_mixed(1100, 40), criterion5_chain(),
+                   from_clause_lists(3, []), from_clause_lists(3, [[], [1]])])
+    kept = 0
+    for f in formulas:
+        width, _ = order_score(f)
+        literals = sum(map(len, f.clauses))
+        want = 2 ** width <= literals or literals == 0 or not all(f.clauses)
+        assert keeps_order(f) == want, f
+        kept += want
+    assert 0 < kept < len(formulas)
+
+
+def test_narrow_input_keeps_its_order():
+    for f in (criterion5_chain(), window_chain(random.Random(1), 1500, 4)):
+        assert keeps_order(f)
+        assert choose_order(f) is f
+
+
+def test_chosen_order_is_deterministic_and_strictly_better():
+    """A wide input gets the same order from every run, a fresh parse of
+    the same text included, and that order scores strictly lower by (cut
+    width, total span) than its own; reporting stays in original names."""
+    f = random_3cnf(random.Random(1), 21, 50)
+    assert not keeps_order(f)
+    chosen = choose_order(f)
+    again = choose_order(parse_dimacs(render_dimacs(f)))
+    assert chosen.order == again.order and chosen.clauses == again.clauses
+    assert chosen.order != list(range(22))
+    assert order_score(chosen) < order_score(f)
+    back = sorted(tuple(sorted(map(chosen.to_external, c)))
+                  for c in chosen.clauses)
+    assert back == sorted(tuple(sorted(c)) for c in f.clauses)
+
+
+def test_force_order_never_returns_a_worse_order():
+    """force_order returns None or a permutation that scores strictly
+    lower than the formula's own order, on permuted random inputs."""
+    rng = random.Random(83)
+    improved = 0
+    for f in random_instances(seed=84, count=40, n_range=(3, 30)):
+        perm = [0] + rng.sample(range(1, f.num_vars + 1), f.num_vars)
+        f = apply_order(f, perm)
+        best = force_order(f)
+        if best is not None:
+            assert order_score(apply_order(f, best)) < order_score(f)
+            improved += 1
+    assert improved > 10
+
+
+def test_force_order_checks_the_deadline_every_1024_clauses():
+    """The pass that counts each variable's clauses and each round's pass
+    read the clock at their start and after every 1,024 clauses, so an
+    expired budget stops FORCE before its first round."""
+    reads = []
+
+    class Counting(Budget):
+        def check_time(self):
+            reads.append(True)
+            super().check_time()
+
+    f = random_3cnf(random.Random(2), 400, 2500)
+    force_order(f, Counting())
+    assert reads and len(reads) % 3 == 0 and len(reads) <= 3 * 12
+    with pytest.raises(LimitExceeded):
+        force_order(f, Budget(time_limit=0))
+
+
+class Probe(Budget):
+    """A budget that records the collector's state at each deadline check
+    and, if ``fail`` is set, stops the run there."""
+
+    def __init__(self, fail: bool):
+        super().__init__()
+        self.fail = fail
+        self.seen: list[bool] = []
+
+    def check_time(self):
+        self.seen.append(gc.isenabled())
+        if self.fail:
+            raise LimitExceeded("time")
+
+
+def set_up(step: str, fail: bool):
+    """One of the three setup steps that pause the collector, on an input
+    where it succeeds or, with ``fail``, raises; and a Probe, where the
+    step checks a deadline."""
+    probe = Probe(fail)
+    wide = random_3cnf(random.Random(3), 30, 1100)
+    if step == "parse":
+        text = "p cnf 2 1\n1 3 0\n" if fail else render_dimacs(wide)
+        return (lambda: parse_dimacs(text)), None
+    if step == "order":
+        return (lambda: choose_order(wide, probe)), probe
+    return (lambda: Kernel(wide, probe)), probe
+
+
+@pytest.mark.parametrize("fail", [False, True])
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("step", ["parse", "order", "kernel"])
+def test_setup_restores_the_callers_collector_setting(step, enabled, fail):
+    """parse_dimacs, choose_order and Kernel() run with the cyclic
+    collector paused and leave it as their caller had it, on or off, also
+    when they raise."""
+    run, probe = set_up(step, fail)
+    try:
+        gc.enable() if enabled else gc.disable()
+        if fail:
+            with pytest.raises((DimacsError, LimitExceeded)):
+                run()
+        else:
+            run()
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    if probe is not None:
+        assert probe.seen and not any(probe.seen)

@@ -326,6 +326,129 @@ def test_order_file_round_trip(ex31_file, tmp_path):
     assert stats.solutions == 22
 
 
+def test_obdd_output_under_an_order_names_the_original_variables(
+        tmp_path, capsys):
+    """With ``p cnf 2 1``, the clause ``1 0`` and the order file ``2``,
+    ``1``, the diagram's position 2 is the original x1: the dump says so
+    in an ``order 2 1`` line, and read through it, the loaded diagram's
+    models are those with x1 true."""
+    from allsat import load
+    from allsat.obdd import iter_paths
+    cnf, order = tmp_path / "p.cnf", tmp_path / "order.txt"
+    cnf.write_text("p cnf 2 1\n1 0\n")
+    order.write_text("2\n1\n")
+    code = main(["solve", str(cnf), "--mode", "bdd", "--order", str(order),
+                 "--output", "obdd"])
+    text = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert text.splitlines()[1] == "order 2 1"
+    store = load(text)
+    models = {frozenset((store.order[v], value) for v, value in path)
+              for path in iter_paths(store)}
+    assert models == {frozenset({(1, 1), (2, 0)}),
+                      frozenset({(1, 1), (2, 1)})}
+
+
+# sha256 of the dump of the criterion-5 chain in bdd mode, under either
+# cache, before the diagram modes chose their own order
+CRITERION5_DUMP = \
+    "f6de28a2a3e65e669722683563af459a10b8ce6cff3dfb2600b7c32c706a6d80"
+
+
+@pytest.mark.parametrize("cache", CACHE_MODES)
+def test_narrow_input_keeps_its_order_and_its_dump(tmp_path, cache):
+    """The criterion-5 chain is narrow: bdd keeps its order, so its dump
+    has no order line and the same bytes as before orders were chosen."""
+    import hashlib
+    f = from_clause_lists(60, [[k, -(k + 1)] for k in range(1, 12)])
+    out = io.StringIO()
+    stats = run_instance(tmp_path / "c5.cnf",
+                         RunConfig(mode="bdd", cache=cache, output="obdd"),
+                         formula=f, out=out)
+    assert stats.solutions == 13 << 48
+    assert "order" not in out.getvalue()
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() \
+        == CRITERION5_DUMP
+
+
+def test_identity_order_file_runs_in_the_input_order(tmp_path):
+    """An identity order file keeps a wide input's own order, as in the
+    paper's given-order setting: the run's counters are those of the
+    engine on the formula as given, while without the file the diagram
+    mode chooses another order and searches differently."""
+    from allsat import BddSolver
+    f = random_3cnf(random.Random(1), 10, 30)
+    direct = BddSolver(f)
+    direct.run_bdd()
+    order = tmp_path / "identity.txt"
+    order.write_text("".join(f"{v}\n" for v in range(1, 11)))
+    given = run_instance(tmp_path / "r.cnf",
+                         RunConfig(mode="bdd", order_file=str(order)),
+                         formula=f)
+    chosen = run_instance(tmp_path / "r.cnf", RunConfig(mode="bdd"),
+                          formula=f)
+    fields = ("solutions", "decisions", "cache_hits", "cache_misses",
+              "obdd_nodes")
+    assert [getattr(given, k) for k in fields] == \
+        [getattr(direct.stats, k) for k in fields]
+    assert chosen.solutions == given.solutions
+    assert [getattr(chosen, k) for k in fields] != \
+        [getattr(given, k) for k in fields]
+
+
+def test_choosing_the_order_counts_in_wall_time(tmp_path, monkeypatch):
+    import allsat.harness as H
+    real = H.choose_order
+
+    def slow(f, budget):
+        time.sleep(0.05)
+        return real(f, budget)
+
+    monkeypatch.setattr(H, "choose_order", slow)
+    stats = run_instance(tmp_path / "r.cnf", RunConfig(mode="bdd"),
+                         formula=random_3cnf(random.Random(1), 10, 30))
+    assert stats.exit_code == EXIT_OK and stats.wall_time >= 0.05
+
+
+def test_time_limit_stops_a_run_while_its_order_is_chosen(tmp_path,
+                                                          monkeypatch):
+    """A deadline that passes at any of the clock reads of FORCE, the
+    first reads of a diagram run on a wide input, stops the run there:
+    exit 10, a count of 0, and no engine built."""
+    import allsat.formula
+    import allsat.harness as H
+    import allsat.kernel
+    from conftest import StopClock
+    f = random_3cnf(random.Random(4), 300, 2200)
+    clock = StopClock()
+    monkeypatch.setattr(allsat.kernel, "time", clock)
+    allsat.formula.force_order(f, Budget(time_limit=60.0))
+    reads = clock.calls
+    assert reads >= 3
+    real, stopped = allsat.formula.force_order, []
+
+    def watched(*args):
+        try:
+            return real(*args)
+        except LimitExceeded:
+            stopped.append(True)
+            raise
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an engine was built")
+
+    monkeypatch.setattr(allsat.formula, "force_order", watched)
+    monkeypatch.setattr(H, "BddSolver", refuse)
+    for stop in (0, reads // 2, reads - 1):
+        monkeypatch.setattr(allsat.kernel, "time", StopClock(stop))
+        stats = run_instance(tmp_path / "r.cnf",
+                             RunConfig(mode="bdd", time_limit=60.0),
+                             formula=f)
+        assert stats.exit_code == EXIT_LIMIT and stats.solutions == 0, stop
+        assert stats.error == "time limit exceeded"
+    assert len(stopped) == 3
+
+
 def test_cube_output_in_original_names(ex31_file, tmp_path, capsys):
     order = tmp_path / "order.txt"
     order.write_text("5\n3\n1\n4\n2\n6\n")
@@ -446,6 +569,43 @@ def test_verify_detects_corruption(ex41_file, tmp_path, monkeypatch):
                     save_dir=tmp_path)
     assert not report.ok
     assert report.counterexample and Path(report.counterexample).exists()
+
+
+def test_minimized_counterexample_is_one_minimal(tmp_path, monkeypatch):
+    """Negative control: a blocking engine that reports one model short
+    whenever the formula has fewer than 2^(n-1) models.  verify fails and
+    saves a counterexample with fewer clauses, which still fails, while
+    dropping any one of its clauses makes the two configurations agree."""
+    import allsat.harness as H
+    from allsat import parse_dimacs
+    real = H.BlockingSolver
+
+    class Broken(real):
+        def run(self):
+            count = super().run()
+            if count < 2 ** (self.kernel.n - 1):
+                self.stats.solutions -= 1
+            return count
+
+    monkeypatch.setattr(H, "BlockingSolver", Broken)
+    f = random_3cnf(random.Random(1), 8, 14)
+    path = tmp_path / "p8.cnf"
+    path.write_text(render_dimacs(f))
+    configs = [parse_config_string(s) for s in
+               ("--mode blocking", "--mode nonblocking")]
+    report = verify(path, *configs, save_dir=tmp_path / "saved")
+    assert not report.ok and report.counterexample
+    counter = parse_dimacs(Path(report.counterexample).read_text())
+    assert 0 < counter.num_clauses < f.num_clauses
+
+    def agree(clauses) -> bool:
+        return H._verify_formula(from_clause_lists(8, clauses), *configs,
+                                 "check", str(tmp_path)).ok
+
+    clauses = [list(c) for c in counter.clauses]
+    assert not agree(clauses)
+    for i in range(len(clauses)):
+        assert agree(clauses[:i] + clauses[i + 1:]), i
 
 
 def test_verify_leaves_no_dumps(tmp_path, monkeypatch):

@@ -257,6 +257,47 @@ def test_load_rejects_corrupt_diagrams(text):
         load(text)
 
 
+def test_dump_names_a_non_identity_order_and_load_keeps_it():
+    """A store whose order is not the identity dumps an ``order`` line
+    right after the header; load gives the store back with that order and
+    the same count, and dumps it to the same text.  An identity order
+    writes no such line."""
+    store = ObddStore(3, [0, 3, 1, 2])
+    extend(store, TOP, [1, 0, 1])
+    extend(store, TOP, [0, 0, 1])
+    text = dump(store)
+    assert text.splitlines()[:2] == ["obdd 5 3", "order 3 1 2"]
+    again = load(text)
+    assert again.order == [0, 3, 1, 2]
+    assert count_models(again) == count_models(store) == 2
+    assert dump(again) == text
+    plain = ObddStore(3)
+    extend(plain, TOP, [1, 0, 1])
+    assert "order" not in dump(plain)
+    assert load(dump(plain)).order == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("order,line", [
+    ("order 1 1 2", 2),     # not a permutation
+    ("order 1 2", 2),       # too short
+    ("order 1 2 3 4", 2),   # too long
+    ("order 1 2 x", 2),     # not an integer
+    ("order 0 1 2", 2),     # outside 1..n
+])
+def test_load_rejects_an_order_that_is_not_a_permutation(order, line):
+    text = f"obdd 1 3\n{order}\n2 1 1 1\nroot 2\n"
+    with pytest.raises(ObddLoadError) as err:
+        load(text)
+    assert err.value.line == line
+
+
+def test_load_rejects_an_order_line_after_the_nodes():
+    text = "obdd 1 3\n2 1 1 1\norder 3 2 1\nroot 2\n"
+    with pytest.raises(ObddLoadError) as err:
+        load(text)
+    assert err.value.line == 3
+
+
 def test_ordering_invariant_after_runs(ex31):
     from allsat import BddSolver
     solver = BddSolver(ex31)

@@ -1,5 +1,6 @@
 """Property tests of the enumeration engines on random small CNFs."""
 
+import io
 import os
 import tempfile
 from dataclasses import replace
@@ -18,7 +19,8 @@ from allsat.bddcache import CACHE_MODES
 from allsat.harness import (EXIT_LIMIT, EXIT_OK, FLAGS, MODES, RunConfig,
                             run_instance)
 from allsat.nonblocking import STRATEGIES, UIP_SCHEMES
-from allsat.obdd import BOT, TOP, ObddLoadError, ObddStore, compact
+from allsat.obdd import (BOT, TOP, ObddLoadError, ObddStore, compact,
+                         iter_paths)
 from allsat.oracle import expand_cube
 
 from conftest import (StopClock, check_keys_decode, check_partition,
@@ -73,6 +75,47 @@ def test_bdd_blocking_counts_orders_and_partitions(case):
                 solver = BddBlockingSolver(f, cache=mode, policy=policy)
                 solver.run_bdd()
                 check_partition(solver, f.num_vars, want, (mode, theta))
+
+
+def original_models(store: ObddStore) -> list[int]:
+    """The models of a diagram, one per path, as masks of the original
+    variables its order names (bit v - 1 set when v is true)."""
+    return [sum(1 << (store.order[v] - 1) for v, value in path if value)
+            for path in iter_paths(store)]
+
+
+@given(cases(max_n=9))
+def test_diagram_modes_agree_under_any_order(case):
+    """On a formula permuted by apply_order, every diagram configuration
+    run by run_instance, which then chooses an order of its own, finds the
+    count of nonblocking and the oracle's models of the unpermuted
+    formula: its final diagram and dumped parts, each read through its
+    order line, split them between them."""
+    formula, perm, threshold = case
+    f = apply_order(formula, perm)
+    want = set(enumerate_all(formula).masks)
+    configs = [RunConfig(mode=mode, cache=cache, refresh_threshold=theta,
+                         output="obdd")
+               for mode in ("bdd", "bdd-blocking") for cache in CACHE_MODES
+               for theta in {None, threshold}]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("ALLSAT_DUMP_DIR", None)
+        nonblocking = run_instance(Path(tmp) / "f.cnf",
+                                   RunConfig(mode="nonblocking"), formula=f)
+        assert nonblocking.solutions == len(want)
+        for cfg in configs:
+            directory = Path(tmp) / cfg.label()
+            out = io.StringIO()
+            stats = run_instance(directory / "f.cnf", cfg, formula=f,
+                                 out=out)
+            assert stats.exit_code == EXIT_OK, cfg.label()
+            assert stats.solutions == nonblocking.solutions, cfg.label()
+            stores = [load(out.getvalue())] + [
+                load(part.read_text())
+                for part in directory.glob("f.part*.obdd")]
+            masks = [m for store in stores for m in original_models(store)]
+            assert len(masks) == len(set(masks)), cfg.label()
+            assert set(masks) == want, cfg.label()
 
 
 def quasi_reduced(n: int, masks: set[int]) -> ObddStore:

@@ -25,8 +25,10 @@ the configurations: the change must win at least nine tenths of the pairs,
 and its median must be lower than the parent's by more than the parent's
 interquartile range.  ``counters`` lists, for every item whose counters
 differ between the two sides, the counters that moved: at the first seed,
-and under ``items_moved_by_seed`` at every seed.  The result is one JSON
-object on standard output.
+and under ``items_moved_by_seed`` at every seed.  Each configuration also
+gets, under ``counters``, the sums of SUMMED_COUNTERS over its items for
+each side at the first seed, so a diagram that shrank shows per
+configuration.  The result is one JSON object on standard output.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 
 from run import REFERENCE_CAL_S  # noqa: E402
 
+SUMMED_COUNTERS = ("obdd_nodes", "cache_hits", "cache_misses")
+
 
 def configuration(label: str) -> str:
     return label[label.index("[") + 1:-1]
@@ -58,6 +62,17 @@ def config_seconds(times: dict) -> dict[str, float]:
             sums[configuration(label)] += s * scale
         per_pass.append(sums)
     return {c: statistics.mean(p[c] for p in per_pass) for c in per_pass[0]}
+
+
+def config_counters(items: dict) -> dict[str, dict[str, int]]:
+    """Per configuration, the sums of SUMMED_COUNTERS over its items."""
+    sums: dict[str, dict[str, int]] = {}
+    for label, counts in items.items():
+        row = sums.setdefault(configuration(label),
+                              dict.fromkeys(SUMMED_COUNTERS, 0))
+        for name in SUMMED_COUNTERS:
+            row[name] += counts[name]
+    return sums
 
 
 def summary(values: list[float]) -> dict[str, float]:
@@ -108,8 +123,11 @@ def main(argv: list[str] | None = None) -> int:
         path = side / f"{kind}-{args.workload}-seed{seed}.json"
         return json.loads(path.read_text())
 
+    sides = (("parent", args.parent), ("change", args.change))
     runs = {side: [config_seconds(load(d, "times", s)) for s in seeds]
-            for side, d in (("parent", args.parent), ("change", args.change))}
+            for side, d in sides}
+    counted = {side: config_counters(load(d, "counts", seeds[0])["items"])
+               for side, d in sides}
     configs = {}
     for c in runs["parent"][0]:
         p = [r[c] for r in runs["parent"]]
@@ -120,6 +138,7 @@ def main(argv: list[str] | None = None) -> int:
             "change_over_parent": round(statistics.median(ch)
                                         / statistics.median(p), 4),
             "change_better_in": f"{wins}/{len(seeds)}",
+            "counters": {side: counted[side][c] for side in counted},
         }
     sums = {side: [sum(r.values()) for r in rs] for side, rs in runs.items()}
     totals = {side: summary(s) for side, s in sums.items()}
