@@ -118,13 +118,15 @@ class CnfFormula:
 
 
 @gc_paused
-def parse_dimacs(text: str | bytes | io.TextIOBase) -> CnfFormula:
+def parse_dimacs(text: str | bytes | io.TextIOBase,
+                 budget=None) -> CnfFormula:
     """Parse DIMACS CNF: ``c`` comments, a ``p cnf n m`` header, clauses as
     0-terminated literal lists.
 
     Duplicate literals inside a clause are removed; tautological clauses
     (containing ``x`` and ``-x``) are dropped and counted.  A ``%`` line ends
-    the clause section (common trailer in benchmark archives).
+    the clause section (common trailer in benchmark archives).  ``budget``,
+    when given, has its deadline checked after every 1,024 lines.
     """
     if isinstance(text, bytes):
         lines = text.decode("ascii", errors="replace").splitlines()
@@ -152,48 +154,56 @@ def parse_dimacs(text: str | bytes | io.TextIOBase) -> CnfFormula:
         tautological = False
 
     last_line = 0
-    for line_no, raw in enumerate(lines, start=1):
-        last_line = line_no
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("%"):
-            break
-        if line.startswith("p"):
-            if num_vars >= 0:
-                raise DimacsError("duplicate header", line_no)
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise DimacsError(f"malformed header {line!r}", line_no)
-            try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise DimacsError(f"malformed header {line!r}", line_no) from None
-            if num_vars < 0 or num_clauses < 0:
-                raise DimacsError("negative counts in header", line_no)
-            header_line = line_no
-            continue
-        if num_vars < 0:
-            raise DimacsError("clause before header", line_no)
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise DimacsError(f"bad token {tok!r}", line_no) from None
-            if lit == 0:
-                close_clause(line_no)
+    # the lines in runs of 1,024, with a clock read between runs
+    for start in range(0, len(lines), 1024):
+        if start and budget is not None:
+            budget.check_time()
+        for line_no, raw in enumerate(lines[start:start + 1024], start + 1):
+            last_line = line_no
+            line = raw.strip()
+            if not line or line.startswith("c"):
                 continue
-            v = var_of(lit)
-            if v > num_vars:
-                raise DimacsError(
-                    f"literal {lit} out of range (n={num_vars})", line_no)
-            if -lit in current_set:
-                tautological = True
-            if lit in current_set:
-                stats.duplicates_removed += 1
+            if line.startswith("%"):
+                break
+            if line.startswith("p"):
+                if num_vars >= 0:
+                    raise DimacsError("duplicate header", line_no)
+                parts = line.split()
+                if len(parts) != 4 or parts[1] != "cnf":
+                    raise DimacsError(f"malformed header {line!r}", line_no)
+                try:
+                    num_vars, num_clauses = int(parts[2]), int(parts[3])
+                except ValueError:
+                    raise DimacsError(f"malformed header {line!r}",
+                                      line_no) from None
+                if num_vars < 0 or num_clauses < 0:
+                    raise DimacsError("negative counts in header", line_no)
+                header_line = line_no
                 continue
-            current_set.add(lit)
-            current.append(lit)
+            if num_vars < 0:
+                raise DimacsError("clause before header", line_no)
+            for tok in line.split():
+                try:
+                    lit = int(tok)
+                except ValueError:
+                    raise DimacsError(f"bad token {tok!r}", line_no) from None
+                if lit == 0:
+                    close_clause(line_no)
+                    continue
+                v = var_of(lit)
+                if v > num_vars:
+                    raise DimacsError(
+                        f"literal {lit} out of range (n={num_vars})", line_no)
+                if -lit in current_set:
+                    tautological = True
+                if lit in current_set:
+                    stats.duplicates_removed += 1
+                    continue
+                current_set.add(lit)
+                current.append(lit)
+        else:
+            continue
+        break   # a % line ended the clause section
 
     if num_vars < 0:
         raise DimacsError("missing header", last_line or 1)

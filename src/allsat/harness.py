@@ -170,9 +170,10 @@ def load_instance(path: str | Path, cfg: RunConfig,
                   budget: Budget | None = None) -> CnfFormula:
     """The instance at ``path`` (or ``formula``, when given) under the
     variable order of ``cfg``: its order file's, or for a diagram mode
-    without one the order ``choose_order`` picks under ``budget``."""
+    without one the order ``choose_order`` picks.  ``budget`` binds the
+    parse and that choice."""
     if formula is None:
-        formula = parse_dimacs(read_text(path))
+        formula = parse_dimacs(read_text(path), budget)
     if cfg.order_file:
         perm = read_order_file(read_text(cfg.order_file), formula.num_vars)
         formula = apply_order(formula, perm)
@@ -208,7 +209,7 @@ def run_instance(path: str | Path, cfg: RunConfig, sink=None,
         stats.exit_code = EXIT_INPUT
         stats.error = str(exc)
         return stats
-    except LimitExceeded as exc:     # while the order was chosen
+    except LimitExceeded as exc:     # while the instance was loaded
         stats.exit_code = EXIT_LIMIT
         stats.error = str(exc)
     else:

@@ -96,6 +96,8 @@ class Budget:
 
 @dataclass
 class SolverStats:
+    # decisions made; NonBlockingSolver reports both values of a last free
+    # variable without deciding it (see nonblocking.py)
     decisions: int = 0
     propagations: int = 0
     conflicts: int = 0

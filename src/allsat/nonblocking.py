@@ -14,6 +14,15 @@ an exhausted branch.  Conflict resolution is configurable:
 Either first-UIP scheme (``sublevel`` or ``dlevel``) supplies the learned
 clauses.  Learned clauses here are only recorded - no assignment is enqueued
 by analysis itself; implications surface through regular propagation.
+
+A branch on which propagation ends without a conflict and leaves one
+variable x unassigned is closed at once.  No clause is unit then, so every
+clause over x is satisfied by its other literals, and both values of x are
+models.  They are reported in the order a decision on x and its flip would
+give, false first, but x is neither decided nor propagated.  The trail
+after the next backtrack, the conflicts, the learned clauses and the
+propagations are those of deciding x; ``stats.decisions`` counts only the
+decisions made, so it is lower by one for each such pair of models.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from __future__ import annotations
 from .formula import CnfFormula
 from .kernel import (FALSIFIED, UIP_SCHEMES, UNIT, Budget, Kernel,
                      SearchHalted, clause_status)
+from .trail import UNASSIGNED
 
 STRATEGIES = ("bt", "bj", "cbj", "bjcbj")
 
@@ -104,15 +114,33 @@ class NonBlockingSolver:
 
     # hook point: formula-BDD caching looks the prefix up in its cache here
     def _next_decision(self) -> int | None:
-        """The next decision literal, or None once the branch is closed (a
-        total model, which it reports)."""
+        """The next decision literal, or None once the branch is closed and
+        its models are reported: a total model, or both values of the one
+        variable x left unassigned, x false first (module docstring).
+
+        It is called only after ``propagate`` found no conflict, so no
+        clause is unit: every clause over x is satisfied by its other
+        literals, which are all assigned.  x is neither decided nor
+        propagated, nor counted in ``stats.decisions``."""
         k = self.kernel
-        if len(k.trail.lits) == k.n:
-            k.stats.solutions += 1
-            if self.sink is not None:
-                self.sink(tuple(sorted(k.trail.lits, key=abs)))
+        lits = k.trail.lits
+        free = k.n - len(lits)
+        if free > 1:
+            return k.decide()
+        sink = self.sink
+        if sink is None:
+            k.stats.solutions += 2 if free else 1
             return None
-        return k.decide()
+        model = sorted(lits, key=abs)
+        if free:
+            x = k.trail.values.index(UNASSIGNED, 1, k.n + 1)
+            model.insert(x - 1, -x)
+            k.stats.solutions += 1
+            sink(tuple(model))
+            model[x - 1] = x
+        k.stats.solutions += 1
+        sink(tuple(model))
+        return None
 
     def _normalize(self, conflict: list[int]) -> list[int]:
         """Make sure the conflict touches the current level.

@@ -87,26 +87,32 @@ def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_above_the_iqr():
 
 def test_split_sums_the_diagram_counters_per_configuration_at_the_first_seed(
         tmp_path, capsys):
-    """Each configuration gets the sums of obdd_nodes, cache_hits and
-    cache_misses over its items, per side, from the first seed only."""
-    def counts(nodes, hits, misses):
-        return {"dumps": 0, "peak_mem": 10, "obdd_nodes": nodes,
-                "cache_hits": hits, "cache_misses": misses}
+    """Each configuration gets the sums of decisions, obdd_nodes,
+    cache_hits and cache_misses over its items, per side, from the first
+    seed only."""
+    def counts(decisions, nodes, hits, misses):
+        return {"dumps": 0, "peak_mem": 10, "decisions": decisions,
+                "obdd_nodes": nodes, "cache_hits": hits,
+                "cache_misses": misses}
 
     for seed, scale in ((1, 1), (2, 100)):
         write_run(tmp_path / "p", seed, [[1.0, 2.0, 0.5]],
-                  [counts(10 * scale, 1, 5), counts(20, 2, 6),
-                   counts(7, 3, 0)])
+                  [counts(9 * scale, 10 * scale, 1, 5), counts(8, 20, 2, 6),
+                   counts(2, 7, 3, 0)])
         write_run(tmp_path / "c", seed, [[1.0, 2.0, 0.5]],
-                  [counts(4 * scale, 1, 4), counts(8, 3, 6),
-                   counts(7, 3, 0)])
+                  [counts(5 * scale, 4 * scale, 1, 4), counts(8, 8, 3, 6),
+                   counts(2, 7, 3, 0)])
     bench_split.main(["--workload", "w", "--seeds", "1-2",
                       "--parent", str(tmp_path / "p"),
                       "--change", str(tmp_path / "c")])
     configs = json.loads(capsys.readouterr().out)["configurations"]
     assert configs["mode=bdd,cache=cutset"]["counters"] == {
-        "parent": {"obdd_nodes": 30, "cache_hits": 3, "cache_misses": 11},
-        "change": {"obdd_nodes": 12, "cache_hits": 4, "cache_misses": 10}}
+        "parent": {"decisions": 17, "obdd_nodes": 30, "cache_hits": 3,
+                   "cache_misses": 11},
+        "change": {"decisions": 13, "obdd_nodes": 12, "cache_hits": 4,
+                   "cache_misses": 10}}
     assert configs["mode=bdd-blocking,cache=cutset"]["counters"] == {
-        "parent": {"obdd_nodes": 7, "cache_hits": 3, "cache_misses": 0},
-        "change": {"obdd_nodes": 7, "cache_hits": 3, "cache_misses": 0}}
+        "parent": {"decisions": 2, "obdd_nodes": 7, "cache_hits": 3,
+                   "cache_misses": 0},
+        "change": {"decisions": 2, "obdd_nodes": 7, "cache_hits": 3,
+                   "cache_misses": 0}}

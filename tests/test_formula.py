@@ -215,6 +215,25 @@ def test_force_order_never_returns_a_worse_order():
     assert improved > 10
 
 
+def test_parse_checks_the_deadline_every_1024_lines():
+    """The parser reads the clock after every 1,024 lines, so an expired
+    budget lets an input of 1,024 lines through and stops a longer one."""
+    reads = []
+
+    class Counting(Budget):
+        def check_time(self):
+            reads.append(True)
+            super().check_time()
+
+    f = random_3cnf(random.Random(2), 400, 2500)
+    assert parse_dimacs(render_dimacs(f), Counting()) == f
+    assert len(reads) == 2               # after lines 1,024 and 2,048
+    expired = Budget(time_limit=0)
+    parse_dimacs("p cnf 3 1023\n" + "1 2 3 0\n" * 1023, expired)
+    with pytest.raises(LimitExceeded):
+        parse_dimacs("p cnf 3 1024\n" + "1 2 3 0\n" * 1024, expired)
+
+
 def test_force_order_checks_the_deadline_every_1024_clauses():
     """The pass that counts each variable's clauses and each round's pass
     read the clock at their start and after every 1,024 clauses, so an

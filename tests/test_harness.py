@@ -722,6 +722,39 @@ def test_cli_solve_bad_combination(ex41_file, capsys):
     assert code == EXIT_INPUT
 
 
+def test_a_file_run_stops_in_the_parse(tmp_path, monkeypatch):
+    """A deadline that passes at the parser's first clock read, after
+    1,024 lines of the file, stops the run there: exit 10 with no engine
+    built, from run_instance and from the CLI."""
+    import allsat.harness as H
+    import allsat.kernel
+    from conftest import StopClock
+    path = tmp_path / "long.cnf"
+    path.write_text(render_dimacs(random_3cnf(random.Random(5), 300, 1100)))
+    real, stopped = H.parse_dimacs, []
+
+    def watched(*args):
+        try:
+            return real(*args)
+        except LimitExceeded:
+            stopped.append(True)
+            raise
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an engine was built")
+
+    monkeypatch.setattr(H, "parse_dimacs", watched)
+    monkeypatch.setattr(H, "NonBlockingSolver", refuse)
+    monkeypatch.setattr(allsat.kernel, "time", StopClock(0))
+    stats = run_instance(path, RunConfig(mode="nonblocking",
+                                         time_limit=60.0))
+    assert stats.exit_code == EXIT_LIMIT and stats.solutions == 0
+    assert stats.error == "time limit exceeded"
+    assert main(["solve", str(path), "--mode", "nonblocking",
+                 "--time-limit", "60"]) == EXIT_LIMIT
+    assert len(stopped) == 2
+
+
 def test_cli_solve_time_limit_exit(ex31_file):
     code = main(["solve", str(ex31_file), "--mode", "nonblocking",
                  "--time-limit", "0"])

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allsat import (Kernel, NonBlockingSolver, enumerate_all, entails,
                     from_clause_lists)
@@ -259,3 +261,79 @@ def test_bj_jump_clipped_exactly_at_limit_level():
     for lim_before, landed, flipped in observed:
         assert landed == lim_before
         assert not flipped
+
+
+class DecideLast(NonBlockingSolver):
+    """The engine with the last free variable decided as any other: a
+    decision and a propagate call for its false value, a flip and another
+    propagate call for its true one."""
+
+    def _next_decision(self):
+        k = self.kernel
+        if len(k.trail.lits) == k.n:
+            k.stats.solutions += 1
+            if self.sink is not None:
+                self.sink(tuple(sorted(k.trail.lits, key=abs)))
+            return None
+        return k.decide()
+
+
+class CountPairs(NonBlockingSolver):
+    """The engine, counting the steps that report two models at once."""
+
+    pairs = 0
+
+    def _next_decision(self):
+        if self.kernel.n - len(self.kernel.trail.lits) == 1:
+            self.pairs += 1
+        return super()._next_decision()
+
+
+def assert_matches_decide_last(f):
+    """Every configuration reports the models of the reference in its
+    order with the same search counters, and makes one decision fewer per
+    two-model step.  Returns the steps summed over the configurations."""
+    pairs = 0
+    for cfg in ALL_CONFIGS:
+        got, want = [], []
+        solver = CountPairs(f, **cfg, sink=got.append)
+        ref = DecideLast(f, **cfg, sink=want.append)
+        assert solver.run() == ref.run(), cfg
+        assert got == want, cfg
+        s, r = solver.stats, ref.stats
+        for field in ("solutions", "conflicts", "propagations",
+                      "learned_clauses"):
+            assert getattr(s, field) == getattr(r, field), (cfg, field)
+        assert r.decisions - s.decisions == solver.pairs, cfg
+        pairs += solver.pairs
+    return pairs
+
+
+@st.composite
+def three_cnf(draw):
+    n = draw(st.integers(1, 14))
+    width = min(3, n)
+    clause = st.tuples(
+        st.lists(st.integers(1, n), min_size=width, max_size=width,
+                 unique=True),
+        st.lists(st.booleans(), min_size=width, max_size=width),
+    ).map(lambda c: [v if pos else -v for v, pos in zip(*c)])
+    return from_clause_lists(n, draw(st.lists(clause, max_size=5 * n)))
+
+
+@settings(deadline=None)   # an example of 14 free variables takes ~1 s
+@given(three_cnf())
+def test_last_variable_matches_reference(f):
+    """On random 3-CNF of up to 14 variables every configuration matches
+    the one that decides the last free variable."""
+    assert_matches_decide_last(f)
+
+
+@pytest.mark.parametrize("n,clauses,pairs", [
+    (4, [], 8 * 8),                         # no clauses: every branch
+    (1, [], 8),                             # one variable, at level 0
+    (3, [[1], [-1, -2]], 8),                # x3 left free at level 0
+    (2, [[1, 2], [1, -2], [-1, 2], [-1, -2]], 0),   # unsatisfiable
+], ids=["no-clauses", "n1", "free-at-level-0", "unsat"])
+def test_last_variable_edge_cases(n, clauses, pairs):
+    assert assert_matches_decide_last(from_clause_lists(n, clauses)) == pairs

@@ -27,8 +27,9 @@ interquartile range.  ``counters`` lists, for every item whose counters
 differ between the two sides, the counters that moved: at the first seed,
 and under ``items_moved_by_seed`` at every seed.  Each configuration also
 gets, under ``counters``, the sums of SUMMED_COUNTERS over its items for
-each side at the first seed, so a diagram that shrank shows per
-configuration.  The result is one JSON object on standard output.
+each side at the first seed, so a diagram that shrank or decisions that
+were saved show per configuration.  The result is one JSON object on
+standard output.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 
 from run import REFERENCE_CAL_S  # noqa: E402
 
-SUMMED_COUNTERS = ("obdd_nodes", "cache_hits", "cache_misses")
+SUMMED_COUNTERS = ("decisions", "obdd_nodes", "cache_hits", "cache_misses")
 
 
 def configuration(label: str) -> str:
