@@ -28,7 +28,7 @@ from .nonblocking import STRATEGIES, NonBlockingSolver
 # count_models is unused here; the benchmark's tracer wraps it by this name
 from .obdd import count_models, dump
 from .oracle import (GUARD_VARS, OracleGuardError, check_cube_cover,
-                     clause_masks, enumerate_all, lits_to_mask)
+                     clause_masks, enumerate_all, lits_masks)
 
 EXIT_OK = 0
 EXIT_LIMIT = 10
@@ -378,7 +378,9 @@ def _collect_run(path, cfg: RunConfig, formula: CnfFormula):
 def verify(path: str | Path, cfg_a: RunConfig, cfg_b: RunConfig,
            save_dir: str | Path | None = None) -> VerifyReport:
     """Run two configurations plus the oracle and cross-check counts,
-    duplicates, non-models and cube overlaps.  On mismatch a minimized
+    duplicates, non-models and cube overlaps.  Above the oracle guard too,
+    every emitted cube must imply the formula and the cubes must cover as
+    many assignments as the run counts.  On mismatch a minimized
     counterexample is saved next to the instance (or in ``save_dir``).  An
     input error of either run is reported as such: no formula could make it
     go away, so there is nothing to minimize or save.  Refresh dumps go
@@ -421,6 +423,7 @@ def _verify_formula(formula: CnfFormula, cfg_a: RunConfig, cfg_b: RunConfig,
         return VerifyReport(name, stats_a.solutions, stats_b.solutions, None,
                             False, problems, input_error=True)
     small = formula.num_vars <= GUARD_VARS
+    clauses = [(p, q) for p, q in clause_masks(formula) if not p & q]
     oracle_count = enumerate_all(formula).count if small else None
     if stats_a.solved and stats_b.solved and stats_a.solutions != stats_b.solutions:
         problems.append(f"count mismatch: {stats_a.config}={stats_a.solutions} "
@@ -433,14 +436,21 @@ def _verify_formula(formula: CnfFormula, cfg_a: RunConfig, cfg_b: RunConfig,
             problems.append(f"{stats.config}: count {stats.solutions} != "
                             f"oracle {oracle_count}")
         kind = MODES[cfg.mode].cubes
-        if kind == "total":
-            masks = [lits_to_mask(c) for c in cubes]
-            if len(masks) != len(set(masks)):
-                problems.append(f"{stats.config}: duplicate solutions")
-            cms = clause_masks(formula)   # then O(m) per cube
-            if bad := sum(not all(m & p or ~m & q for p, q in cms)
-                          for m in masks):
-                problems.append(f"{stats.config}: {bad} cubes are not models")
+        if kind is None:
+            continue
+        masks = [lits_masks(c) for c in cubes]
+        if kind == "total" and len(masks) != len(set(masks)):
+            problems.append(f"{stats.config}: duplicate solutions")
+        # a cube implies the formula when it holds a literal of every
+        # clause but the tautologies: O(m) per cube
+        if bad := sum(not all(p & pos or q & neg for p, q in clauses)
+                      for pos, neg in masks):
+            what = "models" if kind == "total" else "implicants"
+            problems.append(f"{stats.config}: {bad} cubes are not {what}")
+        covered = sum(1 << (formula.num_vars - len(c)) for c in cubes)
+        if covered != stats.solutions:
+            problems.append(f"{stats.config}: cubes cover {covered} "
+                            f"assignments, count {stats.solutions}")
         if kind == "partial" and small:
             ok, msg = check_cube_cover(cubes, formula)
             if not ok:

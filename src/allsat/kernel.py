@@ -25,7 +25,8 @@ never-assigned sentinel ``values[0]``.  An ``itemgetter`` over the order
 reads their values in one C call, and ``index(UNASSIGNED)`` on the result
 finds the first unassigned variable.  Every activity bump (a rescale
 included) marks the order stale, and it is sorted again on the next
-decision, so at most once per conflict.  An engine with an order of its
+decision, so at most once per conflict.  ``free_in_order`` lists the
+unassigned variables in the same order.  An engine with an order of its
 own (the formula-BDD engine decides the first unassigned variable) never
 calls ``decide``, so it never pays for a sort.
 
@@ -96,8 +97,8 @@ class Budget:
 
 @dataclass
 class SolverStats:
-    # decisions made; NonBlockingSolver reports both values of a last free
-    # variable without deciding it (see nonblocking.py)
+    # decisions made; NonBlockingSolver reports the models of a free tail of
+    # up to four variables without deciding them (see nonblocking.py)
     decisions: int = 0
     propagations: int = 0
     conflicts: int = 0
@@ -353,6 +354,18 @@ class Kernel:
             self._sort_order()
         first = self._order_values(self.trail.values).index(UNASSIGNED)
         return -self._order[first] or None
+
+    def free_in_order(self, count: int) -> list[int]:
+        """The first ``count`` unassigned variables in decision order: the
+        ones ``decide`` would pick in turn if nothing were bumped between."""
+        if self._order_stale:
+            self._sort_order()
+        values, order = self._order_values(self.trail.values), self._order
+        out, i = [], -1
+        for _ in range(count):
+            i = values.index(UNASSIGNED, i + 1)
+            out.append(order[i])
+        return out
 
     def make_decision(self, lit: int) -> None:
         self.trail.decide(lit)

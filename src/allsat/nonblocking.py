@@ -15,17 +15,37 @@ Either first-UIP scheme (``sublevel`` or ``dlevel``) supplies the learned
 clauses.  Learned clauses here are only recorded - no assignment is enqueued
 by analysis itself; implications surface through regular propagation.
 
-A branch on which propagation ends without a conflict and leaves one
-variable x unassigned is closed at once.  No clause is unit then, so every
-clause over x is satisfied by its other literals, and both values of x are
-models.  They are reported in the order a decision on x and its flip would
-give, false first, but x is neither decided nor propagated.  The trail
-after the next backtrack, the conflicts, the learned clauses and the
-propagations are those of deciding x; ``stats.decisions`` counts only the
-decisions made, so it is lower by one for each such pair of models.
+A branch on which propagation ends without a conflict is closed at once
+when it leaves a free tail: k variables unassigned, k at most
+``FREE_TAIL_MAX``, and every clause watched by a literal of a tail
+variable has its other watch true.  Deciding the tail would then change
+nothing but the trail.  The search would decide the tail variables in
+``Kernel.decide`` order, false first, and flip each in turn.  Each such
+step makes one tail literal false, and propagation visits only the clauses
+that literal watches; it finds their other watch true and keeps them, so
+there is no implication, no conflict, no watch move and no activity bump,
+and every one of the 2^k extensions is reported as a model.  The branch
+reports exactly those models in that order (``itertools.product`` order,
+the first variable ``decide`` picks most significant) without deciding,
+propagating or flipping a tail variable.  The trail after the next
+backtrack, the watch lists, the conflicts, the learned clauses and the
+propagations are those of deciding the tail; ``stats.decisions`` counts
+only the decisions made, so a closed tail of k variables saves
+2^(k-1) - 1 of them.
+
+One variable x left unassigned needs no check: no clause is unit then, so
+every clause over x is true by its other, assigned literals.  With two or
+more, a clause can be true by a literal it does not watch while both of
+its watches are free; deciding the tail would move such a watch, and the
+later search would visit the watch lists in another order, so that tail
+is decided as usual.  The bound keeps the check cheap and the enumeration
+one model at a time: without it, a formula whose models are all free
+tails would be counted at once.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from .formula import CnfFormula
 from .kernel import (FALSIFIED, UIP_SCHEMES, UNIT, Budget, Kernel,
@@ -33,6 +53,8 @@ from .kernel import (FALSIFIED, UIP_SCHEMES, UNIT, Budget, Kernel,
 from .trail import UNASSIGNED
 
 STRATEGIES = ("bt", "bj", "cbj", "bjcbj")
+# the most unassigned variables a branch is closed with (module docstring)
+FREE_TAIL_MAX = 4
 
 
 def resolve_clauses(c1: list[int], c2: list[int], pivot_var: int) -> list[int]:
@@ -115,32 +137,58 @@ class NonBlockingSolver:
     # hook point: formula-BDD caching looks the prefix up in its cache here
     def _next_decision(self) -> int | None:
         """The next decision literal, or None once the branch is closed and
-        its models are reported: a total model, or both values of the one
-        variable x left unassigned, x false first (module docstring).
+        its models are reported: a total model, or the 2^k models of a free
+        tail of k variables (module docstring).
 
         It is called only after ``propagate`` found no conflict, so no
-        clause is unit: every clause over x is satisfied by its other
-        literals, which are all assigned.  x is neither decided nor
-        propagated, nor counted in ``stats.decisions``."""
+        clause is unit, and one free variable is a free tail by itself.
+        With 2 to ``FREE_TAIL_MAX`` free, the variable ``decide`` picks is
+        checked first, since most tails fail on it, and its literal is then
+        the decision; the other free variables follow in index order.  With
+        a sink the models go out in the order deciding the tail would give
+        them.  No tail variable is decided, propagated or counted in
+        ``stats.decisions``."""
         k = self.kernel
-        lits = k.trail.lits
-        free = k.n - len(lits)
+        free = k.n - len(k.trail.lits)
         if free > 1:
-            return k.decide()
+            lit = k.decide()
+            if free > FREE_TAIL_MAX or not self._inert(-lit):
+                return lit
+            values = k.trail.values
+            var = 0
+            for _ in range(free):
+                var = values.index(UNASSIGNED, var + 1)
+                if var != -lit and not self._inert(var):
+                    return lit
         sink = self.sink
         if sink is None:
-            k.stats.solutions += 2 if free else 1
+            k.stats.solutions += 1 << free
             return None
-        model = sorted(lits, key=abs)
-        if free:
-            x = k.trail.values.index(UNASSIGNED, 1, k.n + 1)
-            model.insert(x - 1, -x)
+        tail = k.free_in_order(free)
+        model = sorted(k.trail.lits, key=abs)
+        for var in sorted(tail):
+            model.insert(var - 1, -var)
+        for lits in product(*[(-var, var) for var in tail]):
+            for lit in lits:
+                model[abs(lit) - 1] = lit
             k.stats.solutions += 1
             sink(tuple(model))
-            model[x - 1] = x
-        k.stats.solutions += 1
-        sink(tuple(model))
         return None
+
+    def _inert(self, var: int) -> bool:
+        """Whether every clause watched by ``var`` or ``-var`` has a true
+        watch, so that assigning the unassigned ``var`` either way implies
+        nothing and moves no watch.  A clause a literal of ``var`` watches
+        has it in its first two places, and that one is unassigned."""
+        values = self.kernel.trail.values
+        watches = self.kernel.store.watches
+        for clause in watches[var]:
+            if values[clause[0]] != 1 and values[clause[1]] != 1:
+                return False
+        for clause in watches[-var]:
+            if values[clause[0]] != 1 and values[clause[1]] != 1:
+                return False
+        return True
 
     def _normalize(self, conflict: list[int]) -> list[int]:
         """Make sure the conflict touches the current level.

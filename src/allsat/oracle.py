@@ -56,18 +56,20 @@ def lits_to_mask(lits) -> int:
     return mask
 
 
+def lits_masks(lits) -> tuple[int, int]:
+    """(positive-literal bits, negative-literal bits) of a clause or cube."""
+    pos = neg = 0
+    for l in lits:
+        if l > 0:
+            pos |= 1 << (l - 1)
+        else:
+            neg |= 1 << (-l - 1)
+    return pos, neg
+
+
 def clause_masks(f: CnfFormula) -> list[tuple[int, int]]:
     """Per clause: (positive-literal bits, negative-literal bits)."""
-    out = []
-    for c in f.clauses:
-        pos = neg = 0
-        for l in c:
-            if l > 0:
-                pos |= 1 << (l - 1)
-            else:
-                neg |= 1 << (-l - 1)
-        out.append((pos, neg))
-    return out
+    return [lits_masks(c) for c in f.clauses]
 
 
 def _guard(f: CnfFormula) -> None:

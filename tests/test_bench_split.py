@@ -87,13 +87,13 @@ def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_above_the_iqr():
 
 def test_split_sums_the_diagram_counters_per_configuration_at_the_first_seed(
         tmp_path, capsys):
-    """Each configuration gets the sums of decisions, obdd_nodes,
-    cache_hits and cache_misses over its items, per side, from the first
-    seed only."""
+    """Each configuration gets the sums of solutions, decisions,
+    obdd_nodes, cache_hits and cache_misses over its items, per side, from
+    the first seed only."""
     def counts(decisions, nodes, hits, misses):
-        return {"dumps": 0, "peak_mem": 10, "decisions": decisions,
-                "obdd_nodes": nodes, "cache_hits": hits,
-                "cache_misses": misses}
+        return {"dumps": 0, "peak_mem": 10, "solutions": 2 * hits,
+                "decisions": decisions, "obdd_nodes": nodes,
+                "cache_hits": hits, "cache_misses": misses}
 
     for seed, scale in ((1, 1), (2, 100)):
         write_run(tmp_path / "p", seed, [[1.0, 2.0, 0.5]],
@@ -107,12 +107,33 @@ def test_split_sums_the_diagram_counters_per_configuration_at_the_first_seed(
                       "--change", str(tmp_path / "c")])
     configs = json.loads(capsys.readouterr().out)["configurations"]
     assert configs["mode=bdd,cache=cutset"]["counters"] == {
-        "parent": {"decisions": 17, "obdd_nodes": 30, "cache_hits": 3,
-                   "cache_misses": 11},
-        "change": {"decisions": 13, "obdd_nodes": 12, "cache_hits": 4,
-                   "cache_misses": 10}}
+        "parent": {"solutions": 6, "decisions": 17, "obdd_nodes": 30,
+                   "cache_hits": 3, "cache_misses": 11},
+        "change": {"solutions": 8, "decisions": 13, "obdd_nodes": 12,
+                   "cache_hits": 4, "cache_misses": 10}}
     assert configs["mode=bdd-blocking,cache=cutset"]["counters"] == {
-        "parent": {"decisions": 2, "obdd_nodes": 7, "cache_hits": 3,
-                   "cache_misses": 0},
-        "change": {"decisions": 2, "obdd_nodes": 7, "cache_hits": 3,
-                   "cache_misses": 0}}
+        "parent": {"solutions": 6, "decisions": 2, "obdd_nodes": 7,
+                   "cache_hits": 3, "cache_misses": 0},
+        "change": {"solutions": 6, "decisions": 2, "obdd_nodes": 7,
+                   "cache_hits": 3, "cache_misses": 0}}
+
+
+def test_split_reports_models_per_second_at_every_seed(tmp_path, capsys):
+    """Each configuration's models over its scaled seconds, per seed, with
+    the median and quartiles over the seeds for each side."""
+    for seed, models in ((1, 30), (2, 60), (3, 90)):
+        for side, change_s in (("p", 2.0), ("c", 1.0)):
+            write_run(tmp_path / side, seed, [[1.0, change_s, 0.5]],
+                      [{"solutions": models}, {"solutions": models},
+                       {"solutions": 7}])
+    bench_split.main(["--workload", "w", "--seeds", "1-3",
+                      "--parent", str(tmp_path / "p"),
+                      "--change", str(tmp_path / "c")])
+    configs = json.loads(capsys.readouterr().out)["configurations"]
+    # calibration at half the reference: the parent's bdd items take 6 s
+    # and the change's 4 s for twice the seed's models
+    bdd = configs["mode=bdd,cache=cutset"]["models_per_s"]
+    assert bdd["parent"] == {"median": 20.0, "q1": 10.0, "q3": 30.0}
+    assert bdd["change"] == {"median": 30.0, "q1": 15.0, "q3": 45.0}
+    blocking = configs["mode=bdd-blocking,cache=cutset"]["models_per_s"]
+    assert blocking["parent"]["median"] == blocking["change"]["median"] == 7.0

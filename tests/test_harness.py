@@ -695,6 +695,50 @@ def test_verify_checks_that_total_cubes_are_models(tmp_path, monkeypatch):
         "nonblocking+dlevel+bj: 31 cubes are not models"]
 
 
+@pytest.mark.parametrize("fault,problem", [
+    ("non-implicant", "1 cubes are not implicants"),
+    ("dropped", "cubes cover 196 assignments, count 204")])
+def test_verify_checks_partial_cubes_above_the_oracle_guard(
+        tmp_path, monkeypatch, fault, problem):
+    """Negative controls for the partial-cube checks on 30 variables, where
+    no oracle runs: a blocking sink that gets, for its first cube, one of
+    the same length that falsifies the first clause (same count, no
+    overlap check), or that never gets its first cube.  Agreeing
+    configurations still pass."""
+    import allsat.harness as H
+    f = random_3cnf(random.Random(2), 30, 120)
+    path = tmp_path / "p30.cnf"
+    path.write_text(render_dimacs(f))
+    configs = [parse_config_string(s) for s in
+               ("--mode blocking --simplify", "--mode nonblocking")]
+    report = verify(path, *configs)
+    assert report.ok and report.oracle_count is None
+    assert report.count_a == report.count_b == 204
+    falsify = [-l for l in f.clauses[0]]
+    real = H.BlockingSolver
+
+    class Faulty(real):
+        def run(self):
+            sink, first = self.sink, []
+
+            def emit(cube):
+                if first:
+                    return sink(cube)
+                first.append(cube)
+                if fault == "non-implicant":
+                    assert len(cube) >= len(falsify)
+                    vs = {abs(l) for l in falsify}
+                    wrong = falsify + [l for l in cube if abs(l) not in vs]
+                    sink(tuple(sorted(wrong[:len(cube)], key=abs)))
+            self.sink = emit
+            return super().run()
+
+    monkeypatch.setattr(H, "BlockingSolver", Faulty)
+    report = verify(path, *configs, save_dir=tmp_path)
+    assert not report.ok and report.count_a == report.count_b == 204
+    assert report.problems == [f"blocking+simplify: {problem}"]
+
+
 # ----------------------------------------------------------------------
 # CLI surface
 

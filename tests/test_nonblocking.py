@@ -1,12 +1,13 @@
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from allsat import (Kernel, NonBlockingSolver, enumerate_all, entails,
                     from_clause_lists)
-from allsat.nonblocking import resolve_clauses
+from allsat.nonblocking import FREE_TAIL_MAX, resolve_clauses
 from allsat.trail import UNASSIGNED
 
 from conftest import random_instances, solution_mask
@@ -263,50 +264,69 @@ def test_bj_jump_clipped_exactly_at_limit_level():
         assert not flipped
 
 
-class DecideLast(NonBlockingSolver):
-    """The engine with the last free variable decided as any other: a
-    decision and a propagate call for its false value, a flip and another
-    propagate call for its true one."""
+class PairsOnly(NonBlockingSolver):
+    """The engine as it was before free tails: it closes a branch only with
+    one variable x left free, reporting x false and then x true, and
+    decides every other variable."""
 
     def _next_decision(self):
         k = self.kernel
-        if len(k.trail.lits) == k.n:
+        lits = k.trail.lits
+        free = k.n - len(lits)
+        if free > 1:
+            return k.decide()
+        model = sorted(lits, key=abs)
+        if free:
+            x = k.trail.values.index(UNASSIGNED, 1, k.n + 1)
+            model.insert(x - 1, -x)
             k.stats.solutions += 1
             if self.sink is not None:
-                self.sink(tuple(sorted(k.trail.lits, key=abs)))
-            return None
-        return k.decide()
+                self.sink(tuple(model))
+            model[x - 1] = x
+        k.stats.solutions += 1
+        if self.sink is not None:
+            self.sink(tuple(model))
+        return None
 
 
-class CountPairs(NonBlockingSolver):
-    """The engine, counting the steps that report two models at once."""
+class CountTails(NonBlockingSolver):
+    """The engine, counting the branches it closes by their free variables."""
 
-    pairs = 0
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.tails = Counter()
 
     def _next_decision(self):
-        if self.kernel.n - len(self.kernel.trail.lits) == 1:
-            self.pairs += 1
-        return super()._next_decision()
+        free = self.kernel.n - len(self.kernel.trail.lits)
+        lit = super()._next_decision()
+        if lit is None and free:
+            self.tails[free] += 1
+        return lit
 
 
-def assert_matches_decide_last(f):
+def assert_matches_pairs_only(f):
     """Every configuration reports the models of the reference in its
-    order with the same search counters, and makes one decision fewer per
-    two-model step.  Returns the steps summed over the configurations."""
-    pairs = 0
+    order with the same search counters and accounted memory, and makes
+    2^(k-1) - 1 decisions fewer per free tail of k variables (the
+    reference decides all but the last of them).  Returns the closed
+    branches by free variables, summed over the configurations."""
+    tails = Counter()
     for cfg in ALL_CONFIGS:
         got, want = [], []
-        solver = CountPairs(f, **cfg, sink=got.append)
-        ref = DecideLast(f, **cfg, sink=want.append)
+        solver = CountTails(f, **cfg, sink=got.append)
+        ref = PairsOnly(f, **cfg, sink=want.append)
         assert solver.run() == ref.run(), cfg
         assert got == want, cfg
         s, r = solver.stats, ref.stats
         for field in ("solutions", "conflicts", "propagations",
                       "learned_clauses"):
             assert getattr(s, field) == getattr(r, field), (cfg, field)
-        assert r.decisions - s.decisions == solver.pairs, cfg
-        pairs += solver.pairs
-    return pairs
+        assert solver.kernel.budget.peak_mem == ref.kernel.budget.peak_mem
+        saved = sum(n * (2 ** (k - 1) - 1) for k, n in solver.tails.items())
+        assert r.decisions - s.decisions == saved, cfg
+        assert max(solver.tails, default=0) <= FREE_TAIL_MAX, cfg
+        tails += solver.tails
+    return tails
 
 
 @st.composite
@@ -323,17 +343,26 @@ def three_cnf(draw):
 
 @settings(deadline=None)   # an example of 14 free variables takes ~1 s
 @given(three_cnf())
+# closing every tail whose problem clauses are all true, watches aside,
+# moves watches here and changes the conflicts and learned clauses
+@example(from_clause_lists(4, [[3, 2, -4], [3, -4, -1], [-3, -1, 2],
+                               [3, 4, -1]]))
 def test_last_variable_matches_reference(f):
     """On random 3-CNF of up to 14 variables every configuration matches
-    the one that decides the last free variable."""
-    assert_matches_decide_last(f)
+    the one that closes a branch only with one free variable."""
+    assert_matches_pairs_only(f)
 
 
-@pytest.mark.parametrize("n,clauses,pairs", [
-    (4, [], 8 * 8),                         # no clauses: every branch
-    (1, [], 8),                             # one variable, at level 0
-    (3, [[1], [-1, -2]], 8),                # x3 left free at level 0
-    (2, [[1, 2], [1, -2], [-1, 2], [-1, -2]], 0),   # unsatisfiable
-], ids=["no-clauses", "n1", "free-at-level-0", "unsat"])
-def test_last_variable_edge_cases(n, clauses, pairs):
-    assert assert_matches_decide_last(from_clause_lists(n, clauses)) == pairs
+@pytest.mark.parametrize("n,clauses,tails", [
+    (4, [], {4: 8}),                        # no clauses: closed at the root
+    (5, [], {4: 16}),                       # above the bound: x1 decided
+    (1, [], {1: 8}),                        # one variable, at level 0
+    (3, [[1], [-1, -2]], {1: 8}),           # x3 left free at level 0
+    (4, [[1], [1, 2, 3]], {3: 8}),          # x2..x4 free at level 0
+    (4, [[1], [2, 3, 1]], {2: 16}),         # x2, x3 watch a true clause
+    (2, [[1, -1, 2]], {1: 16}),             # a tautology keeps x1 decided
+    (2, [[1, 2], [1, -2], [-1, 2], [-1, -2]], {}),  # unsatisfiable
+], ids=["no-clauses", "five-free", "n1", "free-at-level-0",
+        "tail-at-level-0", "free-watches", "tautology", "unsat"])
+def test_last_variable_edge_cases(n, clauses, tails):
+    assert assert_matches_pairs_only(from_clause_lists(n, clauses)) == tails

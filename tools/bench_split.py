@@ -28,8 +28,10 @@ differ between the two sides, the counters that moved: at the first seed,
 and under ``items_moved_by_seed`` at every seed.  Each configuration also
 gets, under ``counters``, the sums of SUMMED_COUNTERS over its items for
 each side at the first seed, so a diagram that shrank or decisions that
-were saved show per configuration.  The result is one JSON object on
-standard output.
+were saved show per configuration, and ``models_per_s``: per side, the
+models it counted over its scaled seconds at each seed (median and
+quartiles over the seeds).  The result is one JSON object on standard
+output.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 
 from run import REFERENCE_CAL_S  # noqa: E402
 
-SUMMED_COUNTERS = ("decisions", "obdd_nodes", "cache_hits", "cache_misses")
+SUMMED_COUNTERS = ("solutions", "decisions", "obdd_nodes", "cache_hits",
+                   "cache_misses")
 
 
 def configuration(label: str) -> str:
@@ -127,8 +130,10 @@ def main(argv: list[str] | None = None) -> int:
     sides = (("parent", args.parent), ("change", args.change))
     runs = {side: [config_seconds(load(d, "times", s)) for s in seeds]
             for side, d in sides}
-    counted = {side: config_counters(load(d, "counts", seeds[0])["items"])
-               for side, d in sides}
+    items = {side: [load(d, "counts", s)["items"] for s in seeds]
+             for side, d in sides}
+    counted = {side: [config_counters(i) for i in its]
+               for side, its in items.items()}
     configs = {}
     for c in runs["parent"][0]:
         p = [r[c] for r in runs["parent"]]
@@ -139,15 +144,18 @@ def main(argv: list[str] | None = None) -> int:
             "change_over_parent": round(statistics.median(ch)
                                         / statistics.median(p), 4),
             "change_better_in": f"{wins}/{len(seeds)}",
-            "counters": {side: counted[side][c] for side in counted},
+            "counters": {side: counted[side][0][c] for side in counted},
+            "models_per_s": {side: summary(
+                [n[c]["solutions"] / r[c]
+                 for n, r in zip(counted[side], runs[side])])
+                for side in counted},
         }
     sums = {side: [sum(r.values()) for r in rs] for side, rs in runs.items()}
     totals = {side: summary(s) for side, s in sums.items()}
 
-    moved = {seed: moved_counters(load(args.parent, "counts", seed)["items"],
-                                  load(args.change, "counts", seed)["items"])
-             for seed in seeds}
-    first = load(args.parent, "counts", seeds[0])["items"]
+    moved = {seed: moved_counters(p, c) for seed, p, c in
+             zip(seeds, items["parent"], items["change"])}
+    first = items["parent"][0]
     print(json.dumps({
         "workload": args.workload,
         "seeds": args.seeds,
