@@ -27,8 +27,8 @@ prefix variables only; assignments propagation made beyond the prefix are
 consequences of it and cannot break key soundness.
 
 Two engines host the cache, and neither has a search loop of its own.  The
-non-blocking engine (index order, by its own cursor) runs
-``NonBlockingSolver.run`` unchanged - the DPLL-with-formula-caching of
+non-blocking engine (index order, by its own cursor) runs the shared loop
+``Engine.run`` unchanged - the DPLL-with-formula-caching of
 Huang & Darwiche, "Using DPLL for Efficient OBDD Construction" (SAT 2004) -
 with one lookup in its decision step: a hit grafts the cached node and
 closes the branch, a miss decides.  Pending keys enroll into the solved
@@ -43,11 +43,11 @@ report.
 
 Both engines add nodes through ``obdd.extend_obdd``, the one walk from the
 root that creates them: a graft on the non-blocking engine, each reported
-model on the blocking engine, whose cache lookup supplies the node for a
-missing interior arc when sharing is on.  Both pass ``trail.values``
-itself, which the walk reads by variable.  That walk visits the variables
-in order, so each model starts a fresh list of codes and the lookups extend
-it as the walk goes.
+model on the blocking engine, in its close step, whose cache lookup
+supplies the node for a missing interior arc when sharing is on.  Both
+pass ``trail.values`` itself, which the walk reads by variable.  That walk
+visits the variables in order, so each model starts a fresh list of codes
+and the lookups extend it as the walk goes.
 
 The non-blocking host always decides the first unassigned variable.  So a
 cancel to level L unassigns exactly the variables at levels above L, all of
@@ -452,10 +452,11 @@ class BddBlockingSolver(BlockingSolver):
         # sharing across equivalent prefixes is only sound when no dump can
         # freeze a node before the search finishes filling it
         self.sharing = self.policy.threshold is None
-        self.sink = self._absorb
 
-    def _absorb(self, cube: tuple[int, ...]) -> None:
+    def _close(self) -> list[int] | None:
+        """Add the model's path, then report, block and restart."""
         self._add_path()
+        return super()._close()
 
     def _add_path(self) -> None:
         """Add the path of the total model on the trail, and charge its new

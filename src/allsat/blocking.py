@@ -10,6 +10,10 @@ pre-restart decisions to return the search to where it left off.
 ``all_literals`` switches to the textbook loop that blocks the full
 assignment and only stops when the extended formula becomes unsatisfiable.
 
+The search loop ``run`` is ``kernel.Engine``'s; only the decision (the
+kernel's heuristic), close (report, block and restart) and conflict (the
+shared learn-and-backjump, with limit level 0) steps are this engine's.
+
 ``run`` returns the models the emitted cubes cover, ``stats.solutions``; a
 simplified cube stands for every model that extends it, so the cubes
 themselves are counted at the sink.
@@ -18,7 +22,7 @@ themselves are counted at the sink.
 from __future__ import annotations
 
 from .formula import CnfFormula
-from .kernel import FALSIFIED, UNIT, Budget, ClauseStore, Kernel
+from .kernel import Budget, ClauseStore, Engine, Kernel, SearchHalted
 from .trail import UNASSIGNED, Trail
 
 
@@ -79,59 +83,23 @@ def replay_decisions(kernel: Kernel, saved: list[int]) -> list[int] | None:
     return None
 
 
-class BlockingSolver:
+class BlockingSolver(Engine):
     """One enumeration run over a formula (single-threaded)."""
 
     def __init__(self, formula: CnfFormula, *, simplify: bool = False,
                  continue_search: bool = False, all_literals: bool = False,
                  sink=None, budget: Budget | None = None):
-        self.formula = formula
+        super().__init__(formula, sink=sink, budget=budget)
         self.simplify = simplify
         self.continue_search = continue_search
         self.all_literals = all_literals
-        self.sink = sink
-        self.kernel = Kernel(formula, budget=budget)
         self.saved: list[int] = []   # decisions before the last restart
 
-    @property
-    def stats(self):
-        return self.kernel.stats
+    def _next_decision(self) -> int | None:
+        # looked up on each call, so a patched ``decide`` takes over
+        return self.kernel.decide()
 
-    def run(self) -> int:
-        k = self.kernel
-        if self.formula.has_empty_clause():
-            return 0
-        pending: list[int] | None = None
-        while True:
-            if pending is None:
-                pending = k.propagate()
-            if pending is not None:
-                conflict, pending = pending, None
-                if k.trail.level <= 0:
-                    break
-                lmax = max(k.trail.var_level[abs(l)] for l in conflict)
-                if lmax == 0:
-                    break
-                if lmax < k.trail.level:
-                    k.cancel_to(lmax)
-                learned = k.analyze(conflict)
-                k.cancel_to(learned.assert_level)
-                k.add_learned(learned.lits)
-                status = k.attach_clause(learned.lits)
-                if status == FALSIFIED:
-                    pending = learned.lits
-                    continue
-                k.trail.assign(learned.lits[0], learned.lits)
-            elif k.trail.all_assigned():
-                halt, pending = self._handle_solution()
-                if halt:
-                    break
-            else:
-                lit = k.decide()
-                k.make_decision(lit)
-        return k.stats.solutions
-
-    # ------------------------------------------------------------------
+    _resolve = Engine._backjump
 
     def _emit(self, lits: list[int]) -> None:
         """Report the cube of ``lits``, in any order."""
@@ -139,12 +107,12 @@ class BlockingSolver:
         if self.sink is not None:
             self.sink(tuple(sorted(lits, key=abs)))
 
-    def _handle_solution(self) -> tuple[bool, list[int] | None]:
+    def _close(self) -> list[int] | None:
         """Report the current total assignment (or its simplified cube),
         block it by negating every literal, the simplified decisions or
-        every decision, and restart.  With nothing to negate (at level 0
-        there are no decisions) the search halts instead.  Returns (halt,
-        pending_conflict)."""
+        every decision, and restart; returns the pending conflict.  With
+        nothing to negate (at level 0 there are no decisions) the search
+        halts instead."""
         t = self.kernel.trail
         cube = t.lits
         if self.all_literals:
@@ -157,21 +125,16 @@ class BlockingSolver:
             negate = t.decisions()
         self._emit(cube)
         if not negate:
-            return True, None
-        return False, self._block_and_restart([-l for l in negate])
+            raise SearchHalted
+        return self._block_and_restart([-l for l in negate])
 
     def _block_and_restart(self, clause: list[int]) -> list[int] | None:
         k = self.kernel
         if self.continue_search:
             self.saved = k.trail.decisions()
-        k.cancel_to(0)
+        self._cancel(0)
         k.add_blocking(clause)
-        status = k.attach_clause(clause)
-        if status == FALSIFIED:
-            return clause
-        if status == UNIT:
-            k.trail.assign(clause[0], clause)
-        if self.continue_search:
+        pending = self._attach(clause)
+        if pending is None and self.continue_search:
             return replay_decisions(k, self.saved)
-        return None
-
+        return pending

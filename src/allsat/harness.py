@@ -379,13 +379,14 @@ def verify(path: str | Path, cfg_a: RunConfig, cfg_b: RunConfig,
            save_dir: str | Path | None = None) -> VerifyReport:
     """Run two configurations plus the oracle and cross-check counts,
     duplicates, non-models and cube overlaps.  Above the oracle guard too,
-    every emitted cube must imply the formula and the cubes must cover as
-    many assignments as the run counts.  On mismatch a minimized
-    counterexample is saved next to the instance (or in ``save_dir``).  An
-    input error of either run is reported as such: no formula could make it
-    go away, so there is nothing to minimize or save.  Refresh dumps go
-    next to the path a run is given, and verify never reads them, so its
-    runs are given paths in a temporary directory that it removes."""
+    every emitted cube must imply the formula, no cube may repeat, and the
+    cubes must cover as many assignments as the run counts.  On mismatch a
+    minimized counterexample is saved next to the instance (or in
+    ``save_dir``).  An input error of either run is reported as such: no
+    formula could make it go away, so there is nothing to minimize or save.
+    Refresh dumps go next to the path a run is given, and verify never
+    reads them, so its runs are given paths in a temporary directory that
+    it removes."""
     try:
         formula = parse_dimacs(read_text(path))
     except InputError as exc:
@@ -439,8 +440,9 @@ def _verify_formula(formula: CnfFormula, cfg_a: RunConfig, cfg_b: RunConfig,
         if kind is None:
             continue
         masks = [lits_masks(c) for c in cubes]
-        if kind == "total" and len(masks) != len(set(masks)):
-            problems.append(f"{stats.config}: duplicate solutions")
+        if len(masks) != len(set(masks)):
+            what = "solutions" if kind == "total" else "cubes"
+            problems.append(f"{stats.config}: duplicate {what}")
         # a cube implies the formula when it holds a literal of every
         # clause but the tautologies: O(m) per cube
         if bad := sum(not all(p & pos or q & neg for p, q in clauses)

@@ -32,6 +32,14 @@ calls ``decide``, so it never pays for a sort.
 
 Restarts and clause deletion are deliberately absent: enumeration relies on
 learned and blocking clauses staying put.
+
+``Engine``, the base of every enumeration engine, holds the one search
+loop, ``run``, and the steps the engines share: the cancel hook, conflict
+normalization, attaching a clause and learn-and-backjump, which cancels to
+the asserting level but never below the limit level ``lim``.  An engine
+supplies three steps: ``_next_decision`` (None once the branch is closed
+and its models reported), ``_close`` (leave a closed branch, or raise
+``SearchHalted``) and ``_resolve`` (recover from a conflict).
 """
 
 from __future__ import annotations
@@ -491,3 +499,99 @@ def clause_status(kernel: Kernel, clause: list[int]) -> tuple[str, int | None]:
     if free == 1:
         return UNIT, unit_lit
     return FALSIFIED, None
+
+
+class Engine:
+    """One enumeration run over a formula: a kernel and the shared search
+    loop (module docstring).  ``_close`` and ``_resolve`` return the
+    pending conflict, if any; ``lim`` is the limit level, 0 in an engine
+    that keeps none, and ``uip`` the scope of the learned clauses."""
+
+    uip = "dlevel"
+
+    def __init__(self, formula: CnfFormula, *, sink=None,
+                 budget: Budget | None = None):
+        self.formula = formula
+        self.sink = sink
+        self.kernel = Kernel(formula, budget=budget)
+        self.lim = 0
+
+    @property
+    def stats(self) -> SolverStats:
+        return self.kernel.stats
+
+    def run(self) -> int:
+        k = self.kernel
+        if self.formula.has_empty_clause():
+            return 0
+        # bound per run, so that wrappers put on the classes are called
+        trail, stats, propagate = k.trail, k.stats, k.propagate
+        next_decision, close, resolve = \
+            self._next_decision, self._close, self._resolve
+        pending: list[int] | None = None
+        try:
+            while True:
+                if pending is None:
+                    pending = propagate()
+                if pending is not None:
+                    conflict, pending = pending, None
+                    if trail.level <= 0:
+                        break
+                    pending = resolve(self._normalize(conflict))
+                else:
+                    lit = next_decision()
+                    if lit is not None:
+                        trail.decide(lit)
+                        stats.decisions += 1
+                    else:
+                        pending = close()
+        except SearchHalted:
+            pass
+        return stats.solutions
+
+    # hook point: formula-BDD caching enrolls/prunes right before any
+    # assignments are canceled (receives the landing level)
+    def _before_cancel(self, level: int) -> None:
+        pass
+
+    def _cancel(self, level: int) -> None:
+        self._before_cancel(level)
+        self.kernel.cancel_to(level)
+
+    def _normalize(self, conflict: list[int]) -> list[int]:
+        """Make sure the conflict touches the current level.
+
+        A clause can be falsified strictly below the current level (e.g. a
+        learned clause re-attached after a clipped backjump).  The levels in
+        between are then provably solution-free, so canceling them loses
+        nothing; a clause false at level 0 ends the search.
+        """
+        k = self.kernel
+        lmax = max(k.trail.var_level[abs(l)] for l in conflict)
+        if lmax == 0:
+            raise SearchHalted
+        if lmax < k.trail.level:
+            self._cancel(lmax)
+            self.lim = min(self.lim, lmax)
+        return conflict
+
+    def _attach(self, clause: list[int]) -> list[int] | None:
+        """Attach a recorded clause under the trail after a backtrack;
+        enqueue its implication if unit, return it if falsified."""
+        k = self.kernel
+        status = k.attach_clause(clause)
+        if status == FALSIFIED:
+            return clause
+        if status == UNIT:
+            k.trail.assign(clause[0], clause)
+        return None
+
+    def _backjump(self, conflict: list[int]) -> list[int] | None:
+        """Learn the first-UIP clause of ``conflict``, record it, backjump
+        to its asserting level but never below the limit level, and attach
+        it there."""
+        k = self.kernel
+        learned = k.analyze(conflict, self.uip)
+        k.add_learned(learned.lits)
+        self._cancel(max(learned.assert_level, self.lim))
+        return self._attach(learned.lits)

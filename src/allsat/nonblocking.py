@@ -15,6 +15,11 @@ Either first-UIP scheme (``sublevel`` or ``dlevel``) supplies the learned
 clauses.  Learned clauses here are only recorded - no assignment is enqueued
 by analysis itself; implications surface through regular propagation.
 
+The search loop ``run`` is ``kernel.Engine``'s.  This engine supplies the
+decision step (free tails, below), the close step (stop at level 0, else
+flip the top decision, which sets the limit level) and a strategy as its
+conflict step; ``bj`` is the shared learn-and-backjump step.
+
 A branch on which propagation ends without a conflict is closed at once
 when it leaves a free tail: k variables unassigned, k at most
 ``FREE_TAIL_MAX``, and every clause watched by a literal of a tail
@@ -48,7 +53,7 @@ from __future__ import annotations
 from itertools import product
 
 from .formula import CnfFormula
-from .kernel import (FALSIFIED, UIP_SCHEMES, UNIT, Budget, Kernel,
+from .kernel import (FALSIFIED, UIP_SCHEMES, UNIT, Budget, Engine,
                      SearchHalted, clause_status)
 from .trail import UNASSIGNED
 
@@ -70,7 +75,7 @@ def resolve_clauses(c1: list[int], c2: list[int], pivot_var: int) -> list[int]:
     return lits
 
 
-class NonBlockingSolver:
+class NonBlockingSolver(Engine):
     """Total-assignment enumerator (Algorithm: propagate / resolve / report /
     backtrack loop with a limit level).  ``uip`` is one of ``UIP_SCHEMES``
     and ``backtrack`` one of ``STRATEGIES``; any other raises ValueError."""
@@ -82,57 +87,9 @@ class NonBlockingSolver:
             raise ValueError(f"unknown uip scheme {uip!r}")
         if backtrack not in STRATEGIES:
             raise ValueError(f"unknown backtrack strategy {backtrack!r}")
-        self.formula = formula
+        super().__init__(formula, sink=sink, budget=budget)
         self.uip = uip
         self.backtrack = backtrack
-        self.sink = sink
-        self.kernel = Kernel(formula, budget=budget)
-        self.lim = 0
-
-    @property
-    def stats(self):
-        return self.kernel.stats
-
-    # hook point: formula-BDD caching enrolls/prunes right before any
-    # assignments are canceled (receives the landing level)
-    def _before_cancel(self, level: int) -> None:
-        pass
-
-    def _cancel(self, level: int) -> None:
-        self._before_cancel(level)
-        self.kernel.cancel_to(level)
-
-    def run(self) -> int:
-        k = self.kernel
-        if self.formula.has_empty_clause():
-            return 0
-        # bound per run, so that wrappers put on the classes are called
-        trail, stats, propagate = k.trail, k.stats, k.propagate
-        next_decision, backtrack_bt = self._next_decision, self.backtrack_bt
-        pending: list[int] | None = None
-        try:
-            while True:
-                if pending is None:
-                    pending = propagate()
-                if pending is not None:
-                    conflict, pending = pending, None
-                    if trail.level <= 0:
-                        break
-                    conflict = self._normalize(conflict)
-                    pending = self._resolve(conflict)
-                else:
-                    lit = next_decision()
-                    if lit is not None:
-                        trail.decide(lit)
-                        stats.decisions += 1
-                    elif trail.level <= 0:
-                        break
-                    else:
-                        backtrack_bt()
-                        self.lim = trail.level
-        except SearchHalted:
-            pass
-        return stats.solutions
 
     # hook point: formula-BDD caching looks the prefix up in its cache here
     def _next_decision(self) -> int | None:
@@ -190,22 +147,13 @@ class NonBlockingSolver:
                 return False
         return True
 
-    def _normalize(self, conflict: list[int]) -> list[int]:
-        """Make sure the conflict touches the current level.
-
-        A clause can be falsified strictly below the current level (e.g. a
-        learned clause re-attached after a clipped backjump).  The levels in
-        between are then provably solution-free, so canceling them loses
-        nothing; a clause false at level 0 ends the search.
-        """
-        k = self.kernel
-        lmax = max(k.trail.var_level[abs(l)] for l in conflict)
-        if lmax == 0:
+    def _close(self) -> None:
+        """Stop at level 0; otherwise flip the top decision, which makes
+        its level the limit level."""
+        if self.kernel.trail.level <= 0:
             raise SearchHalted
-        if lmax < k.trail.level:
-            self._cancel(lmax)
-            self.lim = min(self.lim, lmax)
-        return conflict
+        self.backtrack_bt()
+        self.lim = self.kernel.trail.level
 
     # ------------------------------------------------------------------
     # backtracking primitives
@@ -233,38 +181,20 @@ class NonBlockingSolver:
     def _resolve(self, conflict: list[int]) -> list[int] | None:
         return getattr(self, "resolve_" + self.backtrack)(conflict)
 
-    def _attach_learned(self, clause: list[int]) -> list[int] | None:
-        """Attach a recorded clause under the post-backtrack trail; enqueue
-        its implication if unit, surface it as a conflict if falsified."""
-        k = self.kernel
-        status = k.attach_clause(clause)
-        if status == FALSIFIED:
-            return clause
-        if status == UNIT:
-            k.trail.assign(clause[0], clause)
-        return None
-
     def resolve_bt(self, conflict: list[int]) -> list[int] | None:
         k = self.kernel
         learned = k.analyze(conflict, self.uip)
         k.add_learned(learned.lits)
         self.backtrack_bt()
         self.lim = k.trail.level
-        return self._attach_learned(learned.lits)
+        return self._attach(learned.lits)
 
     def resolve_bj(self, conflict: list[int]) -> list[int] | None:
         """Backjump to the asserting level but never below the limit level;
         at the limit, fall back to BT so the flip guards found solutions."""
-        k = self.kernel
-        learned = k.analyze(conflict, self.uip)
-        k.add_learned(learned.lits)
-        if self.lim < k.trail.level:
-            bl = max(learned.assert_level, self.lim)
-            self._cancel(bl)
-        else:
-            self.backtrack_bt()
-            self.lim = k.trail.level
-        return self._attach_learned(learned.lits)
+        if self.lim < self.kernel.trail.level:
+            return self._backjump(conflict)
+        return self.resolve_bt(conflict)
 
     def resolve_cbj(self, conflict: list[int] | None) -> list[int] | None:
         """Resolution-driven backjumping: pair each conflict clause with the

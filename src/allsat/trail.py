@@ -56,9 +56,6 @@ class Trail:
     def __len__(self) -> int:
         return len(self.lits)
 
-    def all_assigned(self) -> bool:
-        return len(self.lits) == self.num_vars
-
     def decide(self, lit: int) -> None:
         """Open a new level whose decision is ``lit``."""
         var = lit if lit > 0 else -lit

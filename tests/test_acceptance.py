@@ -245,7 +245,7 @@ def test_criterion_1_worked_goldens():
                          (1, 2, 0), (4, 2, 2)]
         k.make_decision(2)
         assert k.propagate() is None
-        assert k.trail.all_assigned()
+        assert len(k.trail) == k.n
 
         # (b) conflict under -x4, -x6, -x2 learns x4 | -x3, backjump level 1
         k = Kernel(f)

@@ -739,6 +739,34 @@ def test_verify_checks_partial_cubes_above_the_oracle_guard(
     assert report.problems == [f"blocking+simplify: {problem}"]
 
 
+def test_verify_flags_a_repeated_partial_cube_above_the_oracle_guard(
+        tmp_path, monkeypatch):
+    """Negative control for a repeated partial cube on 30 variables, where
+    no oracle runs: a blocking engine that emits its first cube twice and
+    counts it twice, verified against itself, agrees on the count, emits
+    only implicants and covers what it counts, and verify still fails."""
+    import allsat.harness as H
+    f = random_3cnf(random.Random(2), 30, 120)
+    path = tmp_path / "p30.cnf"
+    path.write_text(render_dimacs(f))
+    config = parse_config_string("--mode blocking --simplify")
+    assert verify(path, config, config).ok
+
+    class Repeating(H.BlockingSolver):
+        repeated = False
+
+        def _emit(self, lits):
+            super()._emit(lits)
+            if not self.repeated:
+                self.repeated = True
+                super()._emit(lits)
+
+    monkeypatch.setattr(H, "BlockingSolver", Repeating)
+    report = verify(path, config, config, save_dir=tmp_path)
+    assert report.count_a == report.count_b > 204
+    assert report.problems == ["blocking+simplify: duplicate cubes"] * 2
+
+
 # ----------------------------------------------------------------------
 # CLI surface
 

@@ -78,7 +78,7 @@ def test_flip_increments_sublevel_once():
         if f.has_empty_clause():
             continue
         conflict = k.propagate()
-        while conflict is None and not k.trail.all_assigned():
+        while conflict is None and len(k.trail) != k.n:
             v = next(v for v in range(1, f.num_vars + 1)
                      if k.trail.values[v] == UNASSIGNED)
             k.make_decision(v if rng.random() < 0.5 else -v)
